@@ -7,6 +7,19 @@ Environments expose:
 Tabular environments additionally expose .mdp (a TabularMDP) and
 .state_index (the current discrete state); their observations are one-hot.
 Continuous dynamics are integrated with fixed-step semi-implicit Euler.
+
+Every environment also runs a batch of episodes in lockstep. reset with a
+sequence of n seeds returns (n, obs_dim) observations, and step then takes
+actions with a leading episode axis and returns (obs, rewards, dones) with
+that axis. step(actions, episodes) steps only the listed episodes, so that
+episodes can end independently; stepping an episode before reset or after
+its end is an error. State is held batched in both modes: reset with one
+seed is a batch of one whose outputs are unwrapped. Each episode draws from
+its own Generator, so a batch reproduces the same episodes run one by one.
+
+Policies follow the same convention: act(obs, rng) for one observation and
+one Generator, act(obs, rngs) for (n, obs_dim) observations and a sequence
+of n Generators, one per episode.
 """
 
 from dataclasses import dataclass, field
@@ -108,7 +121,81 @@ class Trajectory:
             )
 
 
-class TabularEnv:
+def sample_categorical(probs, rngs):
+    """One index per row of probs, each drawn by its own Generator.
+
+    Draw for draw the same as rngs[i].choice(k, p=probs[i]) row by row, with
+    the same checks: rows must be non-negative and sum to 1 within sqrt(eps).
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or len(probs) != len(rngs):
+        raise ValueError(f"{probs.shape} probabilities for {len(rngs)} generators")
+    if not np.all(probs >= 0.0):
+        raise ValueError("probabilities are not non-negative")
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    # cdf is non-decreasing, so counting entries <= u is searchsorted(side="right")
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _row_dot(x):
+    """x[i] @ x[i] for every row, summed as a 1-D dot product sums."""
+    return (x[:, None, :] @ x[:, :, None]).reshape(len(x))
+
+
+class _EpisodeBatch:
+    """Reset/step bookkeeping shared by the environments: per-episode step
+    counts over a batch of episodes, of which a single episode is a batch
+    of one."""
+
+    _t = None
+
+    def _begin(self, seed):
+        """Start one episode per seed; returns their Generators."""
+        self._single = np.ndim(seed) == 0
+        seeds = [seed] if self._single else list(seed)
+        self._all = np.arange(len(seeds))
+        self._t = np.zeros(len(seeds), dtype=int)
+        return [np.random.default_rng(s) for s in seeds]
+
+    def _rows(self, action, episodes):
+        """(episode indices, actions with a leading episode axis) of a step."""
+        if self._t is None:
+            raise RuntimeError("step before reset")
+        if episodes is None:
+            rows = self._all
+        elif self._single:
+            raise ValueError("episodes applies to a batch reset with a sequence of seeds")
+        else:
+            rows = np.asarray(episodes, dtype=int)
+        if np.any(self._t[rows] >= self.spec.horizon):
+            raise RuntimeError("step after episode end")
+        action = np.asarray(action)
+        return rows, action[None] if self._single else action
+
+    def _advance(self, rows, ended=None):
+        """Count one step of rows; returns their done flags. `ended` marks
+        rows whose episode ends before the horizon."""
+        self._t[rows] += 1
+        done = self._t[rows] >= self.spec.horizon
+        if ended is not None:
+            done |= ended
+            self._t[rows[done]] = self.spec.horizon
+        return done
+
+    def _out(self, x):
+        return x[0] if self._single else x
+
+    def _result(self, obs, reward, done):
+        if self._single:
+            return obs[0], float(reward[0]), bool(done[0])
+        return obs, reward, done
+
+
+class TabularEnv(_EpisodeBatch):
     """Episodic wrapper around a TabularMDP with one-hot observations."""
 
     def __init__(self, mdp, horizon, gamma, env_id="tabular"):
@@ -119,37 +206,40 @@ class TabularEnv:
             state_count=mdp.n_states,
         )
         self._eye = np.eye(mdp.n_states)
-        self.state_index = None
-        self._t = None
-        self._rng = None
+        self._s = None
+        self._rngs = None
 
-    def _obs(self):
-        return self._eye[self.state_index].copy()
+    @property
+    def state_index(self):
+        """Current state: an int after reset(seed), an (n,) array after a
+        batch reset; None before reset."""
+        if self._s is None:
+            return None
+        return int(self._s[0]) if self._single else self._s
 
     def reset(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.state_index = int(self._rng.choice(self.mdp.n_states, p=self.mdp.p0))
-        self._t = 0
-        return self._obs()
+        self._rngs = self._begin(seed)
+        p0 = np.broadcast_to(self.mdp.p0, (len(self._rngs), self.mdp.n_states))
+        self._s = sample_categorical(p0, self._rngs)
+        return self._out(self._eye[self._s])
 
-    def step(self, action):
-        if self._t is None:
-            raise RuntimeError("step before reset")
-        if self._t >= self.spec.horizon:
-            raise RuntimeError("step after episode end")
-        a = int(action)
-        if not 0 <= a < self.mdp.n_actions:
-            raise ValueError(f"action {a} outside 0..{self.mdp.n_actions - 1}")
-        s = self.state_index
-        reward = float(self.mdp.R[s, a])
-        self.state_index = int(self._rng.choice(self.mdp.n_states, p=self.mdp.P[s, a]))
-        self._t += 1
-        done = self._t >= self.spec.horizon
-        if self.mdp.terminal is not None and self.mdp.terminal[self.state_index]:
-            done = True
-        if done:
-            self._t = self.spec.horizon
-        return self._obs(), reward, done
+    def step(self, action, episodes=None):
+        rows, a = self._rows(action, episodes)
+        if a.shape != rows.shape:
+            raise ValueError(f"{a.shape} actions for {len(rows)} episodes")
+        a = a.astype(int)
+        bad = (a < 0) | (a >= self.mdp.n_actions)
+        if np.any(bad):
+            raise ValueError(f"action {a[bad][0]} outside 0..{self.mdp.n_actions - 1}")
+        s = self._s[rows]
+        reward = self.mdp.R[s, a]
+        s_next = sample_categorical(self.mdp.P[s, a], [self._rngs[i] for i in rows])
+        self._s[rows] = s_next
+        terminal = None if self.mdp.terminal is None else self.mdp.terminal[s_next]
+        done = self._advance(rows, terminal)
+        if np.all(self._t >= self.spec.horizon):
+            self._rngs = None  # every episode has ended; free their Generators
+        return self._result(self._eye[s_next], reward, done)
 
 
 def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40,
@@ -220,7 +310,7 @@ def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40,
     return env
 
 
-class PointMass:
+class PointMass(_EpisodeBatch):
     """Double integrator pushed toward a target. State = [pos, vel]."""
 
     def __init__(self, dim=2, target=None, init_radius=1.0, dt=0.05,
@@ -241,36 +331,30 @@ class PointMass:
                              np.array([r] * dim + [2.0] * dim))
         self._pos = None
         self._vel = None
-        self._t = None
-
-    def _obs(self):
-        return np.concatenate([self._pos, self._vel])
 
     def reset(self, seed):
-        rng = np.random.default_rng(seed)
-        self._pos = rng.uniform(-self.init_radius, self.init_radius, size=self.dim)
-        self._vel = np.zeros(self.dim)
-        self._t = 0
-        return self._obs()
+        rngs = self._begin(seed)
+        self._pos = np.array([rng.uniform(-self.init_radius, self.init_radius, size=self.dim)
+                              for rng in rngs]).reshape(len(rngs), self.dim)
+        self._vel = np.zeros_like(self._pos)
+        return self._out(np.concatenate([self._pos, self._vel], axis=1))
 
-    def step(self, action):
-        if self._t is None:
-            raise RuntimeError("step before reset")
-        if self._t >= self.spec.horizon:
-            raise RuntimeError("step after episode end")
-        a = np.clip(np.asarray(action, dtype=np.float64),
-                    self.spec.action_low, self.spec.action_high)
-        if a.shape != (self.dim,):
-            raise ValueError(f"action shape {a.shape} != ({self.dim},)")
-        self._vel = self._vel + self.dt * a
-        self._pos = self._pos + self.dt * self._vel
-        self._t += 1
-        err = self._pos - self.target
-        reward = -float(err @ err) - self.action_cost * float(a @ a)
-        return self._obs(), reward, self._t >= self.spec.horizon
+    def step(self, action, episodes=None):
+        rows, a = self._rows(action, episodes)
+        a = np.clip(a.astype(np.float64), self.spec.action_low, self.spec.action_high)
+        if a.shape != (len(rows), self.dim):
+            raise ValueError(f"action shape {a.shape} != ({len(rows)}, {self.dim})")
+        vel = self._vel[rows] + self.dt * a
+        pos = self._pos[rows] + self.dt * vel
+        self._vel[rows] = vel
+        self._pos[rows] = pos
+        err = pos - self.target
+        reward = -_row_dot(err) - self.action_cost * _row_dot(a)
+        obs = np.concatenate([pos, vel], axis=1)
+        return self._result(obs, reward, self._advance(rows))
 
 
-class PendulumSwingup:
+class PendulumSwingup(_EpisodeBatch):
     """Torque-limited swing-up. Angle 0 is upright; starts hanging down.
 
     Dynamics: theta_dd = (g/l) sin(theta) + u/(m l^2) - damping * theta_d,
@@ -297,75 +381,47 @@ class PendulumSwingup:
                              np.array([1.0, 1.0, 8.0]))
         self._theta = None
         self._omega = None
-        self._t = None
 
-    def _obs(self):
-        return np.array([np.cos(self._theta), np.sin(self._theta), self._omega])
+    @staticmethod
+    def _obs(theta, omega):
+        return np.stack([np.cos(theta), np.sin(theta), omega], axis=1)
 
     def energy(self):
         k = 0.5 * self.m * self.length**2 * self._omega**2
         p = self.m * self.g * self.length * np.cos(self._theta)
-        return float(k + p)
+        e = k + p
+        return float(e[0]) if self._single else e
 
     def reset(self, seed):
-        rng = np.random.default_rng(seed)
-        self._theta = np.pi + rng.uniform(-0.05, 0.05)
-        self._omega = rng.uniform(-0.05, 0.05)
-        self._t = 0
-        return self._obs()
+        rngs = self._begin(seed)
+        self._theta = np.array([np.pi + rng.uniform(-0.05, 0.05) for rng in rngs])
+        self._omega = np.array([rng.uniform(-0.05, 0.05) for rng in rngs])
+        return self._out(self._obs(self._theta, self._omega))
 
-    def step(self, action):
-        if self._t is None:
-            raise RuntimeError("step before reset")
-        if self._t >= self.spec.horizon:
-            raise RuntimeError("step after episode end")
-        u = float(np.clip(np.asarray(action, float).reshape(-1)[0],
-                          -self.max_torque, self.max_torque))
-        acc = (self.g / self.length) * np.sin(self._theta) \
-            + u / (self.m * self.length**2) - self.damping * self._omega
-        self._omega = self._omega + self.dt * acc
-        self._theta = self._theta + self.dt * self._omega
-        self._theta = (self._theta + np.pi) % (2 * np.pi) - np.pi
-        self._t += 1
-        reward = float(np.cos(self._theta)) - self.torque_cost * u * u
-        return self._obs(), reward, self._t >= self.spec.horizon
+    def step(self, action, episodes=None):
+        rows, a = self._rows(action, episodes)
+        a = a.astype(np.float64)
+        if a.size != len(rows):
+            raise ValueError(f"action shape {a.shape}: one torque per episode expected")
+        u = np.clip(a.reshape(-1), -self.max_torque, self.max_torque)
+        theta, omega = self._theta[rows], self._omega[rows]
+        acc = (self.g / self.length) * np.sin(theta) \
+            + u / (self.m * self.length**2) - self.damping * omega
+        omega = omega + self.dt * acc
+        theta = theta + self.dt * omega
+        theta = (theta + np.pi) % (2 * np.pi) - np.pi
+        self._theta[rows] = theta
+        self._omega[rows] = omega
+        reward = np.cos(theta) - self.torque_cost * u * u
+        return self._result(self._obs(theta, omega), reward, self._advance(rows))
 
 
-class ObservationStack:
-    """Wrapper emitting the concatenation of the last k observations.
-
-    Initial frames are padded by repeating the first observation, so
-    k = 1 is observation-equivalent to the raw environment.
-    """
-
-    def __init__(self, env, k):
-        if k < 1:
-            raise ValueError("history length must be >= 1")
-        self.env = env
-        self.k = k
-        base = env.spec
-        self.spec = EnvSpec(
-            env_id=f"{base.env_id}-stack{k}", obs_dim=k * base.obs_dim,
-            action_kind=base.action_kind, horizon=base.horizon,
-            gamma=base.gamma, n_actions=base.n_actions,
-            action_dim=base.action_dim, action_low=base.action_low,
-            action_high=base.action_high, state_count=base.state_count,
-        )
-        self._frames = None
-
-    def _obs(self):
-        return np.concatenate(self._frames)
-
-    def reset(self, seed):
-        first = self.env.reset(seed)
-        self._frames = [first.copy() for _ in range(self.k)]
-        return self._obs()
-
-    def step(self, action):
-        obs, reward, done = self.env.step(action)
-        self._frames.pop(0)
-        self._frames.append(obs)
-        return self._obs(), reward, done
+def generators(rng):
+    """(single, rngs) for a policy's act: one Generator acts as a batch of
+    one, a sequence of Generators as one per observation row."""
+    if isinstance(rng, np.random.Generator):
+        return True, [rng]
+    return False, rng
 
 
 class RandomPolicy:
@@ -375,10 +431,14 @@ class RandomPolicy:
         self.spec = spec
 
     def act(self, obs, rng, deterministic=False):
-        if self.spec.action_kind == "discrete":
-            return int(rng.integers(self.spec.n_actions))
-        return rng.uniform(self.spec.action_low, self.spec.action_high,
-                           size=self.spec.action_dim)
+        spec = self.spec
+        single, rngs = generators(rng)
+        if spec.action_kind == "discrete":
+            a = np.array([r.integers(spec.n_actions) for r in rngs], dtype=int)
+            return int(a[0]) if single else a
+        a = np.array([r.uniform(spec.action_low, spec.action_high, size=spec.action_dim)
+                      for r in rngs]).reshape(len(rngs), spec.action_dim)
+        return a[0] if single else a
 
 
 class TabularPolicy:
@@ -393,10 +453,10 @@ class TabularPolicy:
             raise ValueError("policy rows must be distributions")
 
     def act(self, obs, rng, deterministic=False):
-        s = int(np.argmax(obs))
-        if deterministic:
-            return int(np.argmax(self.table[s]))
-        return int(rng.choice(self.table.shape[1], p=self.table[s]))
+        single, rngs = generators(rng)
+        rows = self.table[np.argmax(np.atleast_2d(obs), axis=1)]
+        a = np.argmax(rows, axis=1) if deterministic else sample_categorical(rows, rngs)
+        return int(a[0]) if single else a
 
 
 class PointMassController:
@@ -409,7 +469,7 @@ class PointMassController:
         self.kd = kd
 
     def act(self, obs, rng, deterministic=False):
-        pos, vel = obs[: self.dim], obs[self.dim :]
+        pos, vel = obs[..., : self.dim], obs[..., self.dim :]
         return np.clip(self.kp * (self.target - pos) - self.kd * vel, -1.0, 1.0)
 
 
@@ -419,44 +479,85 @@ def episode_seeds(master_seed, n):
     return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
 
 
+# Episodes that rollout steps together. Each running episode holds two
+# Generators, a few KB of heap that the allocator keeps once they are freed,
+# so a bounded block keeps a 1000-episode rollout's peak memory flat.
+LOCKSTEP_EPISODES = 128
+
+
 def rollout(policy, env, n_episodes, seed, deterministic=False):
     """Run n_episodes episodes; per-episode seeds derive from the master seed.
 
-    A policy emitting non-finite actions aborts that episode, which is
-    returned with aborted=True.
+    Episodes run in lockstep, in blocks of up to LOCKSTEP_EPISODES: each
+    time step makes one batched policy act and one batched env step over the
+    block's running episodes. A policy emitting a non-finite action row
+    aborts that row's episode, which is returned with aborted=True.
     """
+    seeds = episode_seeds(seed, n_episodes)
     trajs = []
-    tabular = env.spec.state_count > 0
-    for ep_seed in episode_seeds(seed, n_episodes):
+    for start in range(0, n_episodes, LOCKSTEP_EPISODES):
+        trajs += _lockstep(policy, env, seeds[start : start + LOCKSTEP_EPISODES],
+                           deterministic)
+    return trajs
+
+
+def _lockstep(policy, env, seeds, deterministic):
+    """Trajectories of the episodes with these seeds, stepped together."""
+    n_episodes = len(seeds)
+    spec = env.spec
+    horizon = spec.horizon
+    tabular = spec.state_count > 0
+    env_seeds, rngs = [], []
+    for ep_seed in seeds:
         # split the episode seed so the policy's and the environment's
         # random streams are independent rather than lockstep-correlated
         env_ss, policy_ss = np.random.SeedSequence(ep_seed).spawn(2)
-        rng = np.random.default_rng(policy_ss)
-        obs = env.reset(int(env_ss.generate_state(1)[0]))
-        states, actions, rewards = [obs], [], []
-        indices = [env.state_index] if tabular else None
-        aborted = False
-        done = False
-        while not done:
-            a = policy.act(obs, rng, deterministic=deterministic)
-            if not np.all(np.isfinite(np.asarray(a, dtype=np.float64))):
-                aborted = True
+        env_seeds.append(int(env_ss.generate_state(1)[0]))
+        rngs.append(np.random.default_rng(policy_ss))
+    # episode-major buffers, so each trajectory is a contiguous view
+    states = np.empty((n_episodes, horizon + 1, spec.obs_dim))
+    if spec.action_kind == "discrete":
+        actions = np.empty((n_episodes, horizon), dtype=int)
+    else:
+        actions = np.empty((n_episodes, horizon, spec.action_dim))
+    rewards = np.empty((n_episodes, horizon))
+    indices = np.empty((n_episodes, horizon + 1), dtype=int) if tabular else None
+    lengths = np.zeros(n_episodes, dtype=int)
+    aborted = np.zeros(n_episodes, dtype=bool)
+
+    states[:, 0] = env.reset(env_seeds)
+    if tabular:
+        indices[:, 0] = env.state_index
+    live = np.arange(n_episodes)
+    t = 0
+    while live.size:
+        a = np.asarray(policy.act(states[live, t], [rngs[i] for i in live],
+                                  deterministic=deterministic))
+        finite = np.isfinite(a.reshape(len(live), -1)).all(axis=1)
+        if not finite.all():
+            aborted[live[~finite]] = True
+            live = live[finite]
+            if not live.size:
                 break
-            obs, r, done = env.step(a)
-            states.append(obs)
-            actions.append(a)
-            rewards.append(r)
-            if tabular:
-                indices.append(env.state_index)
-        trajs.append(Trajectory(
-            states=np.asarray(states, dtype=np.float64),
-            actions=np.asarray(actions),
-            rewards=np.asarray(rewards, dtype=np.float64),
+            a = a[finite]
+        obs, r, done = env.step(a, live)
+        states[live, t + 1] = obs
+        actions[live, t] = a
+        rewards[live, t] = r
+        if tabular:
+            indices[live, t + 1] = env.state_index[live]
+        lengths[live] += 1
+        live = live[~done]
+        t += 1
+    return [
+        Trajectory(
+            states=states[i, : n + 1], actions=actions[i, :n], rewards=rewards[i, :n],
             seed=ep_seed,
-            state_indices=None if indices is None else np.asarray(indices, dtype=int),
-            aborted=aborted,
-        ))
-    return trajs
+            state_indices=None if indices is None else indices[i, : n + 1],
+            aborted=bool(aborted[i]),
+        )
+        for i, (ep_seed, n) in enumerate(zip(seeds, lengths))
+    ]
 
 
 def simulate_tabular(mdp, table, n_episodes, horizon, seed):

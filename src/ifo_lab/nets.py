@@ -117,10 +117,12 @@ def _act(z, tag):
     return np.where(z > 0.0, z, LEAKY_SLOPE * z)
 
 
-def _act_deriv(z, tag):
+def _act_deriv(cache, k, tag):
+    """Derivative of hidden layer k's activation at its pre-activation."""
     if tag == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        h = cache["inputs"][k + 1]  # tanh(preacts[k]), kept by the forward pass
+        return 1.0 - h * h
+    z = cache["preacts"][k]
     if tag == "relu":
         return (z > 0.0).astype(np.float64)
     return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
@@ -191,7 +193,7 @@ def mlp_backward(params, cache, output_grad):
         b_grads[k] = delta.sum(axis=0)
         if k > 0:
             delta = (delta @ params.weights[k].T) * _act_deriv(
-                cache["preacts"][k - 1], params.activation
+                cache, k - 1, params.activation
             )
         else:
             delta = delta @ params.weights[k].T
@@ -221,7 +223,7 @@ def mlp_jvp(params, cache, tangents):
         if dh is not None:
             dz = dz + dh @ params.weights[k]
         if k < n_layers - 1:
-            dh = dz * _act_deriv(cache["preacts"][k], params.activation)
+            dh = dz * _act_deriv(cache, k, params.activation)
     return dz[0] if cache["single"] else dz
 
 

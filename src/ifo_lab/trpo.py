@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
+from .envs import generators, sample_categorical
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -70,15 +71,21 @@ class StochasticPolicy:
         return out, cache
 
     def act(self, obs, rng, deterministic=False):
-        out, _ = nets.mlp_forward(self.net, np.asarray(obs, dtype=np.float64))
+        """Sample an action for one observation with one Generator, or one
+        action per row of (n, obs_dim) observations with n Generators."""
+        single, rngs = generators(rng)
+        obs = np.asarray(obs, dtype=np.float64)
+        out, _ = nets.mlp_forward(self.net, obs[None] if single else obs)
         if self.kind == "categorical":
             if deterministic:
-                return int(np.argmax(out))
-            p = _softmax(out[None, :])[0]
-            return int(rng.choice(len(p), p=p))
-        if deterministic:
-            return out.copy()
-        return out + np.exp(self.log_std) * rng.standard_normal(out.shape)
+                a = np.argmax(out, axis=1)
+            else:
+                a = sample_categorical(_softmax(out), rngs)
+            return int(a[0]) if single else a
+        if not deterministic:
+            noise = np.array([r.standard_normal(out.shape[1]) for r in rngs])
+            out = out + np.exp(self.log_std) * noise
+        return out[0] if single else out
 
     def log_prob(self, states, actions):
         """Exact log density/mass of actions under the policy."""

@@ -24,6 +24,8 @@ from ifo_lab.imitation import (TrainConfig, collect_batch, fit_inverse_model,
                                record_demonstrations,
                                record_demonstrations_with_actions)
 
+pytestmark = pytest.mark.acceptance
+
 
 def _verdict(capfd, num, name, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num} ({name}): {detail}"

@@ -1,11 +1,13 @@
 """Environments: tabular MDP validity, gridworld dynamics, continuous
-dynamics against independent integrators, wrappers, and rollout contracts."""
+dynamics against independent integrators, batched stepping, and rollout
+contracts."""
 
 import numpy as np
 import pytest
 
 from ifo_lab import envs
 from ifo_lab.occupancy import exact_visitation
+from ifo_lab.trpo import make_policy
 
 
 def two_state_alternation():
@@ -145,7 +147,7 @@ class TestPendulum:
         # ODE; semi-implicit Euler at dt=0.05 tracks it to ~3e-3 here
         env = envs.PendulumSwingup(damping=0.05)
         env.reset(7)
-        theta, omega = env._theta, env._omega
+        theta, omega = env._theta[0], env._omega[0]
 
         def deriv(y):
             th, om = y
@@ -157,8 +159,8 @@ class TestPendulum:
         ref = [y.copy()]
         for _ in range(40):
             env.step([0.0])
-            thetas.append(env._theta)
-            omegas.append(env._omega)
+            thetas.append(env._theta[0])
+            omegas.append(env._omega[0])
             for _ in range(1000):
                 k1 = deriv(y)
                 k2 = deriv(y + h / 2 * k1)
@@ -201,35 +203,6 @@ class TestPendulum:
         env.reset(0)
         capped, _, _ = env.step([2.0])
         np.testing.assert_array_equal(big, capped)
-
-
-class TestObservationStack:
-    def test_k1_identity(self):
-        raw = envs.PointMass()
-        wrapped = envs.ObservationStack(envs.PointMass(), 1)
-        o1 = raw.reset(5)
-        o2 = wrapped.reset(5)
-        np.testing.assert_array_equal(o1, o2)
-        a = np.array([0.3, -0.2])
-        np.testing.assert_array_equal(raw.step(a)[0], wrapped.step(a)[0])
-
-    def test_initial_padding_repeats_first_frame(self):
-        env = envs.ObservationStack(envs.PointMass(), 3)
-        obs = env.reset(5)
-        base = obs[:4]
-        np.testing.assert_array_equal(obs, np.tile(base, 3))
-
-    def test_window_slides(self):
-        base = envs.PointMass(init_radius=0.0)
-        env = envs.ObservationStack(base, 2)
-        env.reset(0)
-        o1, _, _ = env.step(np.array([1.0, 0.0]))
-        o2, _, _ = env.step(np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(o2[:4], o1[4:])
-
-    def test_rejects_k_zero(self):
-        with pytest.raises(ValueError):
-            envs.ObservationStack(envs.PointMass(), 0)
 
 
 class TestRollout:
@@ -283,3 +256,217 @@ class TestRollout:
         fa = freq_a / freq_a.sum()
         fb = freq_b / freq_b.sum()
         assert np.abs(fa - fb).sum() < 0.05
+
+
+class TestBatchedStepping:
+    def test_batch_reset_and_step_shapes(self):
+        env = envs.PointMass()
+        obs = env.reset([3, 4, 5])
+        assert obs.shape == (3, 4)
+        np.testing.assert_array_equal(obs[1], envs.PointMass().reset(4))
+        obs, rewards, dones = env.step(np.zeros((3, 2)))
+        assert obs.shape == (3, 4) and rewards.shape == (3,) and dones.shape == (3,)
+
+    def test_subset_of_episodes_steps_alone(self):
+        env = envs.gridworld(3, 3, slip_prob=0.0, horizon=4)
+        env.reset([0, 1, 2])
+        obs, rewards, dones = env.step(np.array([0, 2]), episodes=[0, 2])
+        assert obs.shape == (2, 9)
+        np.testing.assert_array_equal(env.state_index, [1, 0, 3])
+
+    def test_step_after_episode_end_rejected_per_episode(self):
+        env = envs.PointMass(horizon=2)
+        env.reset([0, 1])
+        env.step(np.zeros((2, 2)))
+        env.step(np.zeros((1, 2)), episodes=[0])
+        with pytest.raises(RuntimeError):
+            env.step(np.zeros((2, 2)))
+        _, _, done = env.step(np.zeros((1, 2)), episodes=[1])
+        assert done[0]
+
+    def test_step_before_reset_rejected(self):
+        for env in (envs.gridworld(2, 2), envs.PointMass(), envs.PendulumSwingup()):
+            with pytest.raises(RuntimeError):
+                env.step(0)
+
+    def test_action_shapes_and_ranges_checked(self):
+        env = envs.PointMass()
+        env.reset([0, 1])
+        with pytest.raises(ValueError):
+            env.step(np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            env.step(np.zeros(2))
+        grid = envs.gridworld(2, 2)
+        grid.reset([0, 1])
+        with pytest.raises(ValueError):
+            grid.step(np.array([0, 4]))
+        with pytest.raises(ValueError):
+            grid.step(np.array([0]))
+        pend = envs.PendulumSwingup()
+        pend.reset(0)
+        with pytest.raises(ValueError):
+            pend.step([1.0, 2.0])
+
+    def test_episodes_argument_needs_batch_reset(self):
+        env = envs.PointMass()
+        env.reset(0)
+        with pytest.raises(ValueError):
+            env.step(np.zeros((1, 2)), episodes=[0])
+
+
+class TestSampleCategorical:
+    def test_matches_generator_choice_draw_for_draw(self):
+        probs = np.random.default_rng(0).dirichlet(np.full(6, 0.3), size=40)
+        probs[3] = [0.0, 0.5, 0.0, 0.5, 0.0, 0.0]
+        for seed in range(20):
+            batch = envs.sample_categorical(
+                probs, [np.random.default_rng([seed, i]) for i in range(40)])
+            ref = [np.random.default_rng([seed, i]).choice(6, p=p)
+                   for i, p in enumerate(probs)]
+            np.testing.assert_array_equal(batch, ref)
+
+    def test_rejects_what_choice_rejects(self):
+        rngs = [np.random.default_rng(0)]
+        for bad in ([[0.5, 0.6]], [[1.5, -0.5]], [[np.nan, 1.0]]):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(2, p=bad[0])
+            with pytest.raises(ValueError):
+                envs.sample_categorical(bad, rngs)
+
+
+def reference_rollout(policy, env, n_episodes, seed, deterministic=False):
+    """The per-episode stepping loop that `rollout` replaced, on the
+    single-episode API; the oracle for the lockstep rollout."""
+    trajs = []
+    tabular = env.spec.state_count > 0
+    for ep_seed in envs.episode_seeds(seed, n_episodes):
+        env_ss, policy_ss = np.random.SeedSequence(ep_seed).spawn(2)
+        rng = np.random.default_rng(policy_ss)
+        obs = env.reset(int(env_ss.generate_state(1)[0]))
+        states, actions, rewards = [obs], [], []
+        indices = [env.state_index] if tabular else None
+        aborted = False
+        done = False
+        while not done:
+            a = policy.act(obs, rng, deterministic=deterministic)
+            if not np.all(np.isfinite(np.asarray(a, dtype=np.float64))):
+                aborted = True
+                break
+            obs, r, done = env.step(a)
+            states.append(obs)
+            actions.append(a)
+            rewards.append(r)
+            if tabular:
+                indices.append(env.state_index)
+        trajs.append(envs.Trajectory(
+            states=np.asarray(states, dtype=np.float64),
+            actions=np.asarray(actions),
+            rewards=np.asarray(rewards, dtype=np.float64),
+            seed=ep_seed,
+            state_indices=None if indices is None else np.asarray(indices, dtype=int),
+            aborted=aborted,
+        ))
+    return trajs
+
+
+def assert_same_episodes(got, want, tabular):
+    """Tabular episodes bit-identical; continuous ones within 1e-12 (a
+    batched GEMM row may differ from a one-row product in the last bit)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.seed == w.seed and g.aborted == w.aborted
+        assert g.states.shape == w.states.shape
+        assert g.n_steps == w.n_steps
+        if tabular:
+            np.testing.assert_array_equal(g.state_indices, w.state_indices)
+            np.testing.assert_array_equal(g.actions, w.actions)
+            np.testing.assert_array_equal(g.states, w.states)
+            np.testing.assert_array_equal(g.rewards, w.rewards)
+        elif w.n_steps:
+            np.testing.assert_allclose(g.states, w.states, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g.actions, w.actions, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g.rewards, w.rewards, rtol=0, atol=1e-12)
+
+
+def _env_cases():
+    grid = envs.gridworld(4, 4, slip_prob=0.3, horizon=30)
+    point = envs.PointMass(horizon=60)
+    pend = envs.PendulumSwingup(horizon=60)
+    table = np.random.default_rng(0).dirichlet(np.ones(4), size=16)
+    return [
+        ("gridworld-categorical", grid, make_policy(grid.spec, hidden=(16, 16), seed=1)),
+        ("gridworld-random", grid, envs.RandomPolicy(grid.spec)),
+        ("gridworld-tabular", grid, envs.TabularPolicy(table)),
+        ("pointmass-gaussian", point,
+         make_policy(point.spec, hidden=(16, 16), seed=2, init_log_std=0.0)),
+        ("pointmass-random", point, envs.RandomPolicy(point.spec)),
+        ("pointmass-controller", point, envs.PointMassController(point)),
+        ("pendulum-gaussian", pend,
+         make_policy(pend.spec, hidden=(16, 16), seed=3, init_log_std=0.0)),
+        ("pendulum-random", pend, envs.RandomPolicy(pend.spec)),
+    ]
+
+
+_CASES = _env_cases()
+
+
+class TestLockstepRollout:
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+    def test_matches_reference_loop(self, case, deterministic):
+        _, env, policy = case
+        got = envs.rollout(policy, env, 6, seed=11, deterministic=deterministic)
+        want = reference_rollout(policy, env, 6, seed=11, deterministic=deterministic)
+        assert_same_episodes(got, want, env.spec.state_count > 0)
+
+    def test_states_are_contiguous_views(self):
+        env = envs.PointMass(horizon=20)
+        trajs = envs.rollout(envs.RandomPolicy(env.spec), env, 3, 0)
+        for tr in trajs:
+            assert tr.states.flags.c_contiguous
+            assert tr.states.base is not None  # a view into the batch buffer
+
+    def test_terminal_states_end_episodes_independently(self):
+        # chain 0 -> 1 -> 2 -> 3 (terminal); action 0 advances w.p. 0.5,
+        # action 1 w.p. 0.9, otherwise the state stays put
+        P = np.zeros((4, 2, 4))
+        for s in range(4):
+            for a, p in enumerate((0.5, 0.9)):
+                P[s, a, min(s + 1, 3)] += p
+                P[s, a, s] += 1.0 - p
+        R = np.zeros((4, 2))
+        R[:, 1] = -0.1
+        mdp = envs.TabularMDP(P, R, np.array([1.0, 0.0, 0.0, 0.0]),
+                              terminal=np.array([False, False, False, True]))
+        env = envs.TabularEnv(mdp, horizon=25, gamma=0.9)
+        policy = envs.TabularPolicy(np.full((4, 2), 0.5))
+        got = envs.rollout(policy, env, 12, seed=4)
+        want = reference_rollout(policy, env, 12, seed=4)
+        assert_same_episodes(got, want, tabular=True)
+        lengths = {tr.n_steps for tr in got}
+        assert len(lengths) > 3 and max(lengths) < 25
+        assert all(tr.state_indices[-1] == 3 for tr in got)
+
+    def test_non_finite_row_aborts_only_its_episode(self):
+        env = envs.PointMass(horizon=40)
+        expert = envs.PointMassController(env)
+        clean = envs.rollout(expert, env, 4, seed=2)
+        trigger = clean[2].states[10]
+
+        class NanAtState:
+            """The controller, except NaN on reaching one episode's state."""
+
+            def act(self, obs, rng, deterministic=False):
+                a = np.array(expert.act(obs, rng), dtype=np.float64)
+                a[np.all(np.abs(obs - trigger) < 1e-12, axis=-1)] = np.nan
+                return a
+
+        got = envs.rollout(NanAtState(), env, 4, seed=2)
+        assert_same_episodes(got, reference_rollout(NanAtState(), env, 4, seed=2),
+                             tabular=False)
+        assert [tr.aborted for tr in got] == [False, False, True, False]
+        assert got[2].n_steps == 10
+        np.testing.assert_array_equal(got[2].states, clean[2].states[:11])
+        for i in (0, 1, 3):
+            np.testing.assert_array_equal(got[i].states, clean[i].states)
+            np.testing.assert_array_equal(got[i].actions, clean[i].actions)
