@@ -22,7 +22,7 @@ one Generator, act(obs, rngs) for (n, obs_dim) observations and a sequence
 of n Generators, one per episode.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,19 +81,6 @@ class TabularMDP:
         return self.P.shape[1]
 
 
-class Transition:
-    """One environment step (s, a, s', r, done)."""
-
-    __slots__ = ("s", "a", "s_next", "reward", "done")
-
-    def __init__(self, s, a, s_next, reward, done):
-        self.s = s
-        self.a = a
-        self.s_next = s_next
-        self.reward = reward
-        self.done = done
-
-
 @dataclass
 class Trajectory:
     """One episode: states has shape (T+1, obs_dim), actions/rewards length T."""
@@ -112,13 +99,6 @@ class Trajectory:
     @property
     def total_return(self):
         return float(self.rewards.sum())
-
-    def transitions(self):
-        for t in range(self.n_steps):
-            yield Transition(
-                self.states[t], self.actions[t], self.states[t + 1],
-                float(self.rewards[t]), t == self.n_steps - 1,
-            )
 
 
 def sample_categorical(probs, rngs):
@@ -242,15 +222,9 @@ class TabularEnv(_EpisodeBatch):
         return self._result(self._eye[s_next], reward, done)
 
 
-def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40,
-              gamma=0.95, cyclic_goals=None):
+def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40, gamma=0.95):
     """Gridworld over cells (x, y), x = column. Actions: 0 right, 1 left,
-    2 up (y+1), 3 down. Reward 1 for standing on the goal cell; walls bump.
-
-    cyclic_goals=(g1, g2) switches to a patrol variant: the state carries
-    which goal is active, reward 1 for standing on the active goal, which
-    then hands off to the other one.
-    """
+    2 up (y+1), 3 down. Reward 1 for standing on the goal cell; walls bump."""
     n_cells = width * height
     if goal is None:
         goal = (width - 1, height - 1)
@@ -268,7 +242,7 @@ def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40,
             moves[s, 3] = cell(x, max(y - 1, 0))
 
     # per-cell transition matrix with slip: chosen move w.p. 1-slip, else uniform
-    cell_P = np.zeros((n_cells, 4, n_cells))
+    P = np.zeros((n_cells, 4, n_cells))
     for s in range(n_cells):
         uniform = np.zeros(n_cells)
         for a in range(4):
@@ -276,37 +250,14 @@ def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40,
         for a in range(4):
             row = slip_prob * uniform
             row[moves[s, a]] += 1.0 - slip_prob
-            cell_P[s, a] = row
+            P[s, a] = row
 
-    if cyclic_goals is None:
-        g = cell(*goal)
-        R = np.zeros((n_cells, 4))
-        R[g, :] = 1.0
-        p0 = np.zeros(n_cells)
-        p0[cell(0, 0)] = 1.0
-        mdp = TabularMDP(cell_P, R, p0)
-        env = TabularEnv(mdp, horizon, gamma, env_id="gridworld")
-        env.layout = {"width": width, "height": height, "goal": goal}
-        return env
-
-    g1, g2 = cell(*cyclic_goals[0]), cell(*cyclic_goals[1])
-    goals = (g1, g2)
-    S = 2 * n_cells  # state = cell + active-goal bit
-    P = np.zeros((S, 4, S))
-    R = np.zeros((S, 4))
-    for bit in range(2):
-        active = goals[bit]
-        for s in range(n_cells):
-            at_active = s == active
-            out_bit = (1 - bit) if at_active else bit
-            if at_active:
-                R[bit * n_cells + s, :] = 1.0
-            P[bit * n_cells + s, :, out_bit * n_cells : out_bit * n_cells + n_cells] = cell_P[s]
-    p0 = np.zeros(S)
+    R = np.zeros((n_cells, 4))
+    R[cell(*goal), :] = 1.0
+    p0 = np.zeros(n_cells)
     p0[cell(0, 0)] = 1.0
-    mdp = TabularMDP(P, R, p0)
-    env = TabularEnv(mdp, horizon, gamma, env_id="gridworld-cyclic")
-    env.layout = {"width": width, "height": height, "cyclic_goals": cyclic_goals}
+    env = TabularEnv(TabularMDP(P, R, p0), horizon, gamma, env_id="gridworld")
+    env.layout = {"width": width, "height": height, "goal": goal}
     return env
 
 

@@ -8,6 +8,8 @@ the observation-only code paths.
 """
 
 import json
+import math
+import os
 import struct
 import time
 import warnings
@@ -15,13 +17,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adversary, nets, trpo
+from . import adversary, nets, occupancy, trpo
 from .envs import RandomPolicy, rollout
-from .occupancy import BinSpec, StateTransitionOccupancy, occupancy_distance
+from .occupancy import BinSpec, occupancy_distance
 
 DEMO_MAGIC = b"IFODEMO1"
 DEMO_ACTIONS_MAGIC = b"IFODEMA1"
 DEMO_FORMAT_VERSION = 1
+
+
+def _write_demo(path, magic, fmt, demos, extra=(), actions=None, action_dtype=None):
+    """Magic, header (version, env id length, state dim, trajectory count,
+    seed, mean return, *extra), env id, then per trajectory its state
+    count, its states and, if given, its actions."""
+    env_id = demos.env_id.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(fmt, DEMO_FORMAT_VERSION, len(env_id), demos.state_dim,
+                                     demos.n_trajectories, demos.recording_seed,
+                                     demos.expert_mean_return, *extra) + env_id)
+        for k, tr in enumerate(demos.trajectories):
+            fh.write(struct.pack("<I", len(tr)) + np.ascontiguousarray(tr, dtype="<f8").tobytes())
+            if actions is not None:
+                fh.write(np.ascontiguousarray(actions[k], dtype=action_dtype).tobytes())
+
+
+class _DemoReader:
+    """Field-by-field reader of a demonstration file. Every read must find
+    the bytes the header promises and nothing may follow the last
+    trajectory; errors name the file and the field."""
+
+    def __init__(self, fh, path):
+        self.fh, self.path, self.size = fh, path, os.fstat(fh.fileno()).st_size
+
+    def error(self, field, problem):
+        return ValueError(f"{self.path}: {field}: {problem}")
+
+    def take(self, n, field):
+        left = self.size - self.fh.tell()
+        if n > left:
+            raise self.error(field, f"truncated, {n} bytes promised, {left} left")
+        return self.fh.read(n)
+
+    def header(self, magic, what, fmt):
+        """The header fields after the magic, then the env id."""
+        if self.fh.read(len(magic)) != magic:
+            raise ValueError(f"{self.path}: not {what}")
+        fields = struct.unpack(fmt, self.take(struct.calcsize(fmt), "header"))
+        if fields[0] != DEMO_FORMAT_VERSION:
+            raise self.error("header", f"unsupported demo format version {fields[0]}")
+        try:
+            return fields + (self.take(fields[1], "env id").decode("utf-8"),)
+        except UnicodeDecodeError:
+            raise self.error("env id", "not UTF-8") from None
+
+    def array(self, dtype, shape, field):
+        data = self.take(8 * math.prod(shape), field)
+        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+    def states(self, k, state_dim):
+        field = f"trajectory {k} states"
+        (n_states,) = struct.unpack("<I", self.take(4, field))
+        if n_states == 0:
+            raise self.error(field, "no states")
+        return self.array("<f8", (n_states, state_dim), field)
+
+    def end(self):
+        if self.fh.tell() != self.size:
+            raise self.error("end", f"{self.size - self.fh.tell()} trailing bytes")
 
 
 @dataclass
@@ -56,32 +118,16 @@ class DemonstrationSet:
         return s, s_next
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(DEMO_MAGIC)
-            env_id = self.env_id.encode("utf-8")
-            fh.write(struct.pack("<IIIIqd", DEMO_FORMAT_VERSION, len(env_id),
-                                 self.state_dim, self.n_trajectories,
-                                 self.recording_seed, self.expert_mean_return))
-            fh.write(env_id)
-            for tr in self.trajectories:
-                fh.write(struct.pack("<I", len(tr)))
-                fh.write(np.ascontiguousarray(tr, dtype="<f8").tobytes())
+        _write_demo(path, DEMO_MAGIC, "<IIIIqd", self)
 
     @classmethod
     def load(cls, path):
         with open(path, "rb") as fh:
-            if fh.read(8) != DEMO_MAGIC:
-                raise ValueError(f"{path}: not a demonstration file")
-            version, id_len, state_dim, n_traj, seed, mean_ret = struct.unpack(
-                "<IIIIqd", fh.read(struct.calcsize("<IIIIqd")))
-            if version != DEMO_FORMAT_VERSION:
-                raise ValueError(f"unsupported demo format version {version}")
-            env_id = fh.read(id_len).decode("utf-8")
-            trajectories = []
-            for _ in range(n_traj):
-                (n_states,) = struct.unpack("<I", fh.read(4))
-                arr = np.frombuffer(fh.read(8 * n_states * state_dim), dtype="<f8")
-                trajectories.append(arr.reshape(n_states, state_dim).copy())
+            reader = _DemoReader(fh, path)
+            _, _, state_dim, n_traj, seed, mean_ret, env_id = reader.header(
+                DEMO_MAGIC, "a demonstration file", "<IIIIqd")
+            trajectories = [reader.states(k, state_dim) for k in range(n_traj)]
+            reader.end()
         return cls(env_id, state_dim, trajectories, seed, mean_ret)
 
 
@@ -114,46 +160,27 @@ class DemonstrationSetWithActions:
                                 self.recording_seed, self.expert_mean_return)
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(DEMO_ACTIONS_MAGIC)
-            env_id = self.env_id.encode("utf-8")
-            kind = 0 if self.action_kind == "discrete" else 1
-            fh.write(struct.pack("<IIIIqdBI", DEMO_FORMAT_VERSION, len(env_id),
-                                 self.state_dim, self.n_trajectories,
-                                 self.recording_seed, self.expert_mean_return,
-                                 kind, self.action_dim))
-            fh.write(env_id)
-            for tr, acts in zip(self.trajectories, self.actions):
-                fh.write(struct.pack("<I", len(tr)))
-                fh.write(np.ascontiguousarray(tr, dtype="<f8").tobytes())
-                if self.action_kind == "discrete":
-                    fh.write(np.ascontiguousarray(acts, dtype="<i8").tobytes())
-                else:
-                    fh.write(np.ascontiguousarray(acts, dtype="<f8").tobytes())
+        discrete = self.action_kind == "discrete"
+        _write_demo(path, DEMO_ACTIONS_MAGIC, "<IIIIqdBI", self, (int(not discrete), self.action_dim),
+                    self.actions, "<i8" if discrete else "<f8")
 
     @classmethod
     def load(cls, path):
         with open(path, "rb") as fh:
-            if fh.read(8) != DEMO_ACTIONS_MAGIC:
-                raise ValueError(f"{path}: not an action-retaining demonstration file")
-            version, id_len, state_dim, n_traj, seed, mean_ret, kind, action_dim = \
-                struct.unpack("<IIIIqdBI", fh.read(struct.calcsize("<IIIIqdBI")))
-            if version != DEMO_FORMAT_VERSION:
-                raise ValueError(f"unsupported demo format version {version}")
-            env_id = fh.read(id_len).decode("utf-8")
+            reader = _DemoReader(fh, path)
+            _, _, state_dim, n_traj, seed, mean_ret, kind, action_dim, env_id = reader.header(
+                DEMO_ACTIONS_MAGIC, "an action-retaining demonstration file", "<IIIIqdBI")
+            if kind not in (0, 1):
+                raise reader.error("header", f"unknown action kind {kind}")
             action_kind = "discrete" if kind == 0 else "box"
             trajectories, actions = [], []
-            for _ in range(n_traj):
-                (n_states,) = struct.unpack("<I", fh.read(4))
-                arr = np.frombuffer(fh.read(8 * n_states * state_dim), dtype="<f8")
-                trajectories.append(arr.reshape(n_states, state_dim).copy())
-                T = n_states - 1
-                if action_kind == "discrete":
-                    acts = np.frombuffer(fh.read(8 * T), dtype="<i8").copy()
-                else:
-                    acts = np.frombuffer(fh.read(8 * T * action_dim), dtype="<f8")
-                    acts = acts.reshape(T, action_dim).copy()
-                actions.append(acts)
+            for k in range(n_traj):
+                trajectories.append(reader.states(k, state_dim))
+                T = len(trajectories[-1]) - 1
+                field = f"trajectory {k} actions"
+                actions.append(reader.array("<i8", (T,), field) if action_kind == "discrete"
+                               else reader.array("<f8", (T, action_dim), field))
+            reader.end()
         return cls(env_id, state_dim, action_kind, action_dim,
                    trajectories, actions, seed, mean_ret)
 
@@ -340,23 +367,11 @@ def policy_to_tabular(policy, n_states):
 
 
 def demo_occupancy(demos, gamma, n_states=None, bins=None):
-    """Empirical occupancy of a demonstration set (tabular one-hot states
-    are decoded by argmax; continuous states need a BinSpec)."""
-    if n_states is not None:
-        mass = np.zeros((n_states, n_states))
-        for tr in demos.trajectories:
-            idx = np.argmax(tr, axis=1)
-            w = gamma ** np.arange(len(idx) - 1)
-            np.add.at(mass, (idx[:-1], idx[1:]), w)
-        return StateTransitionOccupancy("empirical", gamma, mass=mass / demos.n_trajectories)
-    mass_map = {}
-    for tr in demos.trajectories:
-        for t in range(len(tr) - 1):
-            key = (bins.index(tr[t]), bins.index(tr[t + 1]))
-            mass_map[key] = mass_map.get(key, 0.0) + gamma**t
-    for k in mass_map:
-        mass_map[k] /= demos.n_trajectories
-    return StateTransitionOccupancy("empirical", gamma, mass_map=mass_map, bins=bins)
+    """Empirical occupancy of a demonstration set: tabular one-hot states
+    are decoded by argmax, continuous states are binned by the BinSpec."""
+    episodes = (demos.trajectories if n_states is None
+                else [np.argmax(tr, axis=1) for tr in demos.trajectories])
+    return occupancy.empirical_occupancy(episodes, gamma, bins=bins, n_states=n_states)
 
 
 def _params_finite(policy):
@@ -476,12 +491,10 @@ def _adversarial_train(env, config, seed, expert_x, expert_mean, algorithm,
         occ_dist = ""
         if config.track_occupancy and occupancy_ref is not None:
             if tabular:
-                from .occupancy import exact_occupancy
                 table = policy_to_tabular(policy, spec.state_count)
-                occ = exact_occupancy(env.mdp, table, gamma)
+                occ = occupancy.exact_occupancy(env.mdp, table, gamma)
             else:
-                from .occupancy import empirical_occupancy
-                occ = empirical_occupancy(trajs, gamma, bins=bins)
+                occ = occupancy.empirical_occupancy(trajs, gamma, bins=bins)
             occ_dist = occupancy_distance(occ, occupancy_ref, metric="l1")
         eval_ret = ""
         if (it + 1) % config.eval_every == 0 or it == config.iterations - 1:

@@ -1,5 +1,5 @@
 """State-transition occupancy measures: exact dynamic-programming oracles,
-empirical estimators, and distances between occupancies.
+one empirical estimator, and distances between occupancies.
 
 The exact oracle solves the discounted visitation linear system
 (I - gamma * P_pi^T) d = p0 and forms rho(s, s') = d(s) * P_pi(s, s').
@@ -7,6 +7,13 @@ For MDPs without terminal states the total mass is exactly 1 / (1 - gamma).
 Episodic estimators truncate at the horizon H, which biases the total by at
 most gamma^H / (1 - gamma); callers pick H and gamma so that this is
 negligible before comparing against the oracle.
+
+One empirical estimator serves index arrays, trajectories and decoded
+demonstrations in one array pass per call. Continuous states are binned per
+dimension by truncating (x - low) / (high - low) * bins and clipping to
+[0, bins - 1]. Transition t weighs the Python float gamma**t and masses are
+summed in trajectory-major order, bit-identical to adding the transitions
+one at a time; binned keys keep the order in which they first appear.
 """
 
 import csv
@@ -27,12 +34,15 @@ class BinSpec:
     def from_bounds(cls, lows, highs, bins=16):
         return cls(tuple(float(x) for x in lows), tuple(float(x) for x in highs), bins)
 
-    def index(self, state):
+    def indices(self, states):
+        """Per-dimension bin indices of an (N, dim) state array."""
         lows = np.asarray(self.lows)
         highs = np.asarray(self.highs)
-        frac = (np.asarray(state, float) - lows) / (highs - lows)
-        idx = np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
-        return tuple(int(i) for i in idx)
+        frac = (np.asarray(states, float) - lows) / (highs - lows)
+        return np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
+
+    def index(self, state):
+        return tuple(int(i) for i in self.indices(np.asarray(state, float)[None])[0])
 
 
 class StateTransitionOccupancy:
@@ -125,47 +135,66 @@ def empirical_occupancy(trajectories, gamma, bins=None, n_states=None):
     """Estimate the occupancy from rollouts; step t weighs gamma^t, averaged
     over episodes.
 
-    trajectories is either a list of Trajectory objects or an
-    (episodes, T+1) integer array of tabular state indices (the output of
-    envs.simulate_tabular). Tabular inputs need n_states; continuous
-    trajectories need a BinSpec.
+    trajectories is an (episodes, T+1) integer array of tabular state
+    indices (the output of envs.simulate_tabular) or a sequence of
+    episodes, each a Trajectory (aborted ones are skipped) or an array of
+    its states: (T+1,) indices for a tabular estimate, (T+1, dim) for a
+    binned one. Tabular inputs need n_states and give a dense S x S mass;
+    continuous inputs need a BinSpec and give a mass_map keyed by
+    (bin(s), bin(s')) in order of first appearance.
     """
-    if isinstance(trajectories, np.ndarray):
-        if n_states is None:
-            raise ValueError("index-array input requires n_states")
-        if trajectories.size == 0:
-            raise ValueError("empty trajectory set")
-        E, T1 = trajectories.shape
-        weights = gamma ** np.arange(T1 - 1)
-        mass = np.zeros((n_states, n_states))
-        flat = trajectories[:, :-1] * n_states + trajectories[:, 1:]
-        for t in range(T1 - 1):
-            mass.ravel()[:] += np.bincount(flat[:, t], minlength=n_states * n_states) * weights[t]
-        return StateTransitionOccupancy("empirical", gamma, mass=mass / E)
-
-    trajectories = [tr for tr in trajectories if not tr.aborted]
-    if not trajectories:
-        raise ValueError("empty trajectory set")
-    n_eps = len(trajectories)
-    if n_states is not None:
-        mass = np.zeros((n_states, n_states))
-        for tr in trajectories:
-            if tr.state_indices is None:
-                raise ValueError("tabular estimate requires trajectories with state indices")
-            idx = tr.state_indices
-            w = gamma ** np.arange(len(idx) - 1)
-            np.add.at(mass, (idx[:-1], idx[1:]), w)
-        return StateTransitionOccupancy("empirical", gamma, mass=mass / n_eps)
-
-    if bins is None:
-        raise ValueError("continuous estimate requires a BinSpec")
-    mass_map = {}
+    if isinstance(trajectories, np.ndarray) and n_states is None:
+        raise ValueError("index-array input requires n_states")
+    episodes = []
     for tr in trajectories:
-        for t in range(tr.n_steps):
-            key = (bins.index(tr.states[t]), bins.index(tr.states[t + 1]))
-            mass_map[key] = mass_map.get(key, 0.0) + gamma**t
-    for k in mass_map:
-        mass_map[k] /= n_eps
+        if isinstance(tr, np.ndarray):
+            episodes.append(tr)
+        elif tr.aborted:
+            continue
+        elif n_states is None:
+            episodes.append(tr.states)
+        elif tr.state_indices is None:
+            raise ValueError("tabular estimate requires trajectories with state indices")
+        else:
+            episodes.append(tr.state_indices)
+    lengths = np.array([len(ep) for ep in episodes], dtype=np.int64)
+    if not episodes or lengths.min() == 0:
+        raise ValueError("empty trajectory set")
+    if n_states is None and bins is None:
+        raise ValueError("continuous estimate requires a BinSpec")
+
+    states = np.concatenate(episodes)
+    if n_states is not None:
+        bad = (states < 0) | (states >= n_states)
+        if bad.any():
+            raise ValueError(f"state index {states[bad][0]} outside [0, {n_states})")
+        cells, n_cells = states, n_states
+    else:
+        grid = bins.indices(states)
+        n_cells = bins.bins ** grid.shape[1]
+        if n_cells * n_cells <= np.iinfo(np.int64).max:
+            cells = np.ravel_multi_index(grid.T, (bins.bins,) * grid.shape[1])
+        else:  # too many cells for int64 pair codes: number the visited ones
+            cells = np.unique(grid, axis=0, return_inverse=True)[1].ravel()
+            n_cells = len(states)
+    # trajectory-major positions of every s_t in `states`, and their t
+    ends = np.cumsum(lengths)
+    src = np.delete(np.arange(ends[-1]), ends - 1)
+    t = src - np.repeat(ends - lengths, lengths - 1)
+    weights = np.array([gamma**k for k in range(lengths.max() - 1)], dtype=np.float64)[t]
+    pairs = cells[src] * n_cells + cells[src + 1]
+    n_eps = len(episodes)
+
+    if n_states is not None:
+        mass = np.bincount(pairs, weights=weights, minlength=n_cells * n_cells)
+        return StateTransitionOccupancy("empirical", gamma,
+                                        mass=mass.reshape(n_cells, n_cells) / n_eps)
+    _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    mass = np.bincount(inverse, weights=weights, minlength=len(first)) / n_eps
+    order = np.argsort(first)
+    at = src[first[order]]
+    keys = zip(map(tuple, grid[at].tolist()), map(tuple, grid[at + 1].tolist()))
+    mass_map = dict(zip(keys, mass[order].tolist()))
     return StateTransitionOccupancy("empirical", gamma, mass_map=mass_map, bins=bins)
 
 

@@ -128,10 +128,6 @@ def make_policy(spec, hidden=(64, 64), seed=0, init_log_std=-0.5):
     return StochasticPolicy("gaussian", net, np.full(spec.action_dim, init_log_std))
 
 
-def policy_sample(policy, state, rng):
-    return policy.act(state, rng)
-
-
 def log_prob(policy, state, action):
     """Scalar log probability for a single (state, action) pair."""
     states = np.atleast_2d(np.asarray(state, dtype=np.float64))
@@ -261,10 +257,6 @@ class FvpOperator:
         if not np.all(np.isfinite(result)):
             raise FloatingPointError("non-finite Fisher-vector product")
         return result + self.damping * v
-
-
-def fisher_vector_product(policy, states, v, damping):
-    return FvpOperator(policy, states, damping)(v)
 
 
 def conjugate_gradient(apply_A, b, iters=10, tol=1e-10):

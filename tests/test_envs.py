@@ -78,14 +78,6 @@ class TestGridworld:
         sums = env.mdp.P.sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
-    def test_cyclic_variant_alternates_goals(self):
-        env = envs.gridworld(3, 1, cyclic_goals=((0, 0), (2, 0)), horizon=10)
-        assert env.mdp.n_states == 6
-        env.reset(0)  # at cell 0 = first goal, bit 0 active
-        _, r, _ = env.step(0)
-        assert r == 1.0            # paid for standing on the active goal
-        assert env.state_index >= 3  # goal handed off to the second one
-
     def test_value_iteration_policy_reaches_goal(self):
         env = envs.gridworld(5, 5, slip_prob=0.0, horizon=40)
         _, table = envs.value_iteration(env.mdp, env.spec.gamma)

@@ -7,7 +7,9 @@ and OpenBLAS at its default of 2 threads on a 2-CPU x86-64 machine. Changes
 to the hot paths must keep them:
 
 - gridworld bit for bit: its rollouts sample from the same Generators with
-  the same draws, so nothing may differ.
+  the same draws, so nothing may differ. Bit-identical holds at OpenBLAS's
+  default of 2 threads only: with OPENBLAS_NUM_THREADS=1 the gridworld
+  parameters differ in the last bits, so run this test at 2 threads.
 - point-mass within 1e-9 per entry: a batched GEMM row may differ from a
   one-row product in the last bit, and three TRPO steps grow that to about
   2e-14 here. A different BLAS thread count moves the same entries by up to

@@ -5,6 +5,9 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ifo_lab as il
 from ifo_lab import envs, imitation, trpo
@@ -113,6 +116,104 @@ class TestDemonstrationSetWithActions:
         path = tmp_path / "demos_a.bin"
         demos.save(path)
         with pytest.raises(ValueError):
+            DemonstrationSet.load(path)
+
+
+@st.composite
+def demo_files(draw):
+    """A random demonstration set of either format (arbitrary float bits,
+    zero-step trajectories included)."""
+    state_dim = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 4), max_size=3))
+    trajectories = [draw(hnp.arrays(np.float64, (n, state_dim))) for n in lengths]
+    fields = dict(env_id=draw(st.text(max_size=8)), state_dim=state_dim,
+                  trajectories=trajectories,
+                  recording_seed=draw(st.integers(-2**63, 2**63 - 1)),
+                  expert_mean_return=draw(st.floats()))
+    if draw(st.booleans()):
+        return DemonstrationSet(**fields)
+    if draw(st.booleans()):
+        actions = [draw(hnp.arrays(np.int64, (n - 1,))) for n in lengths]
+        return DemonstrationSetWithActions(action_kind="discrete", action_dim=1,
+                                           actions=actions, **fields)
+    action_dim = draw(st.integers(1, 2))
+    actions = [draw(hnp.arrays(np.float64, (n - 1, action_dim))) for n in lengths]
+    return DemonstrationSetWithActions(action_kind="box", action_dim=action_dim,
+                                       actions=actions, **fields)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+class TestDemoFileFormats:
+    @settings(max_examples=40, deadline=None)
+    @given(demo_files())
+    def test_roundtrip_is_bit_identical(self, tmp_path_factory, demos):
+        path = tmp_path_factory.mktemp("demos") / "d.bin"
+        demos.save(path)
+        loaded = type(demos).load(path)
+        assert loaded.env_id == demos.env_id
+        assert loaded.state_dim == demos.state_dim
+        assert loaded.recording_seed == demos.recording_seed
+        assert _bits(loaded.expert_mean_return) == _bits(demos.expert_mean_return)
+        assert [_bits(tr) for tr in loaded.trajectories] == [_bits(tr) for tr in demos.trajectories]
+        assert [tr.shape for tr in loaded.trajectories] == [tr.shape for tr in demos.trajectories]
+        if isinstance(demos, DemonstrationSetWithActions):
+            assert (loaded.action_kind, loaded.action_dim) == (demos.action_kind, demos.action_dim)
+            assert [(_bits(a), a.shape) for a in loaded.actions] == \
+                [(_bits(a), a.shape) for a in demos.actions]
+
+    @settings(max_examples=40, deadline=None)
+    @given(demo_files(), st.data())
+    def test_truncation_names_file_and_field(self, tmp_path_factory, demos, data):
+        path = tmp_path_factory.mktemp("demos") / "d.bin"
+        demos.save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(ValueError) as err:
+            type(demos).load(path)
+        assert str(path) in str(err.value)
+
+    @settings(max_examples=20, deadline=None)
+    @given(demo_files(), st.binary(min_size=1, max_size=16))
+    def test_trailing_bytes_rejected(self, tmp_path_factory, demos, extra):
+        path = tmp_path_factory.mktemp("demos") / "d.bin"
+        demos.save(path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match="trailing bytes") as err:
+            type(demos).load(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("with_actions", [False, True])
+    def test_truncated_field_is_named(self, tmp_path, with_actions):
+        states = [np.zeros((3, 2)), np.ones((2, 2))]
+        fields = dict(env_id="grid", state_dim=2, trajectories=states,
+                      recording_seed=1, expert_mean_return=0.5)
+        if with_actions:
+            demos = DemonstrationSetWithActions(
+                action_kind="box", action_dim=1,
+                actions=[np.zeros((2, 1)), np.ones((1, 1))], **fields)
+            header = 8 + 37
+        else:
+            demos = DemonstrationSet(**fields)
+            header = 8 + 32
+        path = tmp_path / "d.bin"
+        demos.save(path)
+        raw = path.read_bytes()
+        cuts = {header - 1: "header", header + 3: "env id",
+                header + 4 + 2: "trajectory 0 states",
+                len(raw) - 1: "trajectory 1 actions" if with_actions else "trajectory 1 states"}
+        for cut, field in cuts.items():
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=field):
+                type(demos).load(path)
+
+    def test_empty_trajectory_rejected(self, tmp_path):
+        demos = DemonstrationSet("grid", 2, [np.zeros((0, 2))], 1, 0.5)
+        path = tmp_path / "d.bin"
+        demos.save(path)
+        with pytest.raises(ValueError, match="trajectory 0 states"):
             DemonstrationSet.load(path)
 
 

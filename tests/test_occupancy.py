@@ -1,10 +1,111 @@
 """Occupancy machinery: the exact linear-system oracle, hand-derived cases,
-empirical estimator consistency, and occupancy distances."""
+empirical estimator consistency, and occupancy distances.
+
+The empirical estimator is checked against the per-transition loops it
+replaced, kept below as the oracle: binned masses must match them bit for
+bit and in insertion order. The old tabular loops took gamma^t from numpy's
+array power, which may differ from the scalar power by one ulp, so tabular
+paths are bit-identical with scalar powers and within 1e-14 of the loops
+as they were.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ifo_lab import envs, occupancy
+from ifo_lab import envs, imitation, occupancy
+
+
+def old_bin_index(bins, state):
+    lows = np.asarray(bins.lows)
+    highs = np.asarray(bins.highs)
+    frac = (np.asarray(state, float) - lows) / (highs - lows)
+    idx = np.clip((frac * bins.bins).astype(int), 0, bins.bins - 1)
+    return tuple(int(i) for i in idx)
+
+
+def numpy_powers(gamma, n):
+    return gamma ** np.arange(n)
+
+
+def scalar_powers(gamma, n):
+    return np.array([gamma**t for t in range(n)], dtype=np.float64)
+
+
+def old_empirical_occupancy(trajectories, gamma, bins=None, n_states=None,
+                            powers=numpy_powers):
+    """The per-transition estimator as it was before vectorization."""
+    if isinstance(trajectories, np.ndarray):
+        E, T1 = trajectories.shape
+        weights = powers(gamma, T1 - 1)
+        mass = np.zeros((n_states, n_states))
+        flat = trajectories[:, :-1] * n_states + trajectories[:, 1:]
+        for t in range(T1 - 1):
+            mass.ravel()[:] += np.bincount(flat[:, t], minlength=n_states * n_states) * weights[t]
+        return occupancy.StateTransitionOccupancy("empirical", gamma, mass=mass / E)
+    trajectories = [tr for tr in trajectories if not tr.aborted]
+    n_eps = len(trajectories)
+    if n_states is not None:
+        mass = np.zeros((n_states, n_states))
+        for tr in trajectories:
+            idx = tr.state_indices
+            np.add.at(mass, (idx[:-1], idx[1:]), powers(gamma, len(idx) - 1))
+        return occupancy.StateTransitionOccupancy("empirical", gamma, mass=mass / n_eps)
+    mass_map = {}
+    for tr in trajectories:
+        for t in range(tr.n_steps):
+            key = (old_bin_index(bins, tr.states[t]), old_bin_index(bins, tr.states[t + 1]))
+            mass_map[key] = mass_map.get(key, 0.0) + gamma**t
+    for k in mass_map:
+        mass_map[k] /= n_eps
+    return occupancy.StateTransitionOccupancy("empirical", gamma, mass_map=mass_map, bins=bins)
+
+
+def old_demo_occupancy(demos, gamma, n_states=None, bins=None, powers=numpy_powers):
+    """imitation.demo_occupancy's own loops as they were."""
+    if n_states is not None:
+        mass = np.zeros((n_states, n_states))
+        for tr in demos.trajectories:
+            idx = np.argmax(tr, axis=1)
+            np.add.at(mass, (idx[:-1], idx[1:]), powers(gamma, len(idx) - 1))
+        return occupancy.StateTransitionOccupancy(
+            "empirical", gamma, mass=mass / demos.n_trajectories)
+    mass_map = {}
+    for tr in demos.trajectories:
+        for t in range(len(tr) - 1):
+            key = (old_bin_index(bins, tr[t]), old_bin_index(bins, tr[t + 1]))
+            mass_map[key] = mass_map.get(key, 0.0) + gamma**t
+    for k in mass_map:
+        mass_map[k] /= demos.n_trajectories
+    return occupancy.StateTransitionOccupancy("empirical", gamma, mass_map=mass_map, bins=bins)
+
+
+@st.composite
+def episode_sets(draw):
+    """Variable-length episodes (zero-step and aborted ones included) with
+    continuous states on, between and outside the bin bounds, and tabular
+    indices, plus the BinSpec, n_states and gamma to estimate them with."""
+    dim = draw(st.integers(1, 3))
+    lows = draw(st.lists(st.floats(-3.0, 0.0), min_size=dim, max_size=dim))
+    widths = draw(st.lists(st.floats(0.1, 3.0), min_size=dim, max_size=dim))
+    bins = occupancy.BinSpec.from_bounds(lows, np.add(lows, widths), bins=draw(st.integers(1, 5)))
+    n_states = draw(st.integers(1, 5))
+    trajs = []
+    for k in range(draw(st.integers(1, 6))):
+        T = draw(st.integers(0, 8))
+        states = np.empty((T + 1, dim))
+        for i in range(T + 1):
+            for j in range(dim):
+                states[i, j] = draw(st.sampled_from([bins.lows[j], bins.highs[j]])
+                                    | st.floats(bins.lows[j] - 1.0, bins.highs[j] + 1.0))
+        aborted = k > 0 and draw(st.booleans())
+        if aborted:
+            states[-1] = np.nan
+        idx = np.array(draw(st.lists(st.integers(0, n_states - 1), min_size=T + 1, max_size=T + 1)))
+        trajs.append(envs.Trajectory(states=states, actions=np.zeros(T), rewards=np.zeros(T),
+                                     seed=k, state_indices=idx, aborted=aborted))
+    return trajs, bins, n_states, draw(st.floats(0.5, 0.999))
 
 
 def random_mdp(rng, n_states, n_actions):
@@ -140,6 +241,97 @@ class TestEmpiricalOccupancy:
             dists.append(occupancy.occupancy_distance(emp, exact))
         assert dists[-1] < 0.05
         assert dists[2] < dists[0]
+
+
+    def test_out_of_range_trajectory_index_rejected(self):
+        tr = envs.Trajectory(states=np.eye(3)[[0, 2]], actions=np.array([0]),
+                             rewards=np.zeros(1), seed=0,
+                             state_indices=np.array([0, -1]))
+        with pytest.raises(ValueError, match=r"state index -1 outside \[0, 3\)"):
+            occupancy.empirical_occupancy([tr], 0.9, n_states=3)
+
+    def test_out_of_range_array_index_rejected(self):
+        with pytest.raises(ValueError, match=r"state index 3 outside \[0, 3\)"):
+            occupancy.empirical_occupancy(np.array([[0, 3]]), 0.9, n_states=3)
+        with pytest.raises(ValueError, match=r"state index 7 outside \[0, 3\)"):
+            occupancy.empirical_occupancy(np.array([[7, 0], [1, 2]]), 0.9, n_states=3)
+
+
+class TestEstimatorParity:
+    @settings(max_examples=60, deadline=None)
+    @given(episode_sets())
+    def test_matches_per_transition_loops(self, case):
+        trajs, bins, n_states, gamma = case
+        live = [tr for tr in trajs if not tr.aborted]
+
+        new = occupancy.empirical_occupancy(trajs, gamma, bins=bins)
+        old = old_empirical_occupancy(trajs, gamma, bins=bins)
+        assert list(new.mass_map.items()) == list(old.mass_map.items())
+        assert new.total_mass() == old.total_mass()
+        for tr in live:
+            grid = bins.indices(tr.states)
+            assert [bins.index(x) for x in tr.states] == [old_bin_index(bins, x) for x in tr.states]
+            assert [bins.index(x) for x in tr.states] == [tuple(row) for row in grid.tolist()]
+
+        ref_new = occupancy.empirical_occupancy(live[-1:], gamma, bins=bins)
+        ref_old = old_empirical_occupancy(live[-1:], gamma, bins=bins)
+        if new.total_mass() > 0 and ref_new.total_mass() > 0:
+            assert (occupancy.occupancy_distance(new, ref_new)
+                    == occupancy.occupancy_distance(old, ref_old))
+
+        demos = imitation.DemonstrationSet("test", len(bins.lows), [tr.states for tr in live], 0, 0.0)
+        new = imitation.demo_occupancy(demos, gamma, bins=bins)
+        old = old_demo_occupancy(demos, gamma, bins=bins)
+        assert list(new.mass_map.items()) == list(old.mass_map.items())
+
+        new = occupancy.empirical_occupancy(trajs, gamma, n_states=n_states)
+        np.testing.assert_array_equal(
+            new.mass, old_empirical_occupancy(trajs, gamma, n_states=n_states,
+                                              powers=scalar_powers).mass)
+        np.testing.assert_allclose(
+            new.mass, old_empirical_occupancy(trajs, gamma, n_states=n_states).mass,
+            rtol=1e-14, atol=0.0)
+
+        one_hot = imitation.DemonstrationSet(
+            "test", n_states, [np.eye(n_states)[tr.state_indices] for tr in live], 0, 0.0)
+        new = imitation.demo_occupancy(one_hot, gamma, n_states=n_states)
+        np.testing.assert_array_equal(
+            new.mass, old_demo_occupancy(one_hot, gamma, n_states=n_states,
+                                         powers=scalar_powers).mass)
+        np.testing.assert_allclose(
+            new.mass, old_demo_occupancy(one_hot, gamma, n_states=n_states).mass,
+            rtol=1e-14, atol=0.0)
+
+        T1 = len(trajs[0].state_indices)
+        arr = np.array([tr.state_indices[:T1] for tr in trajs if len(tr.state_indices) >= T1])
+        np.testing.assert_allclose(
+            occupancy.empirical_occupancy(arr, gamma, n_states=n_states).mass,
+            old_empirical_occupancy(arr, gamma, n_states=n_states).mass,
+            rtol=0.0, atol=1e-12)
+
+    def test_grid_too_fine_for_int64_pair_codes(self):
+        # 16 bins over 16 dimensions: 2^64 cells per state
+        env = envs.PointMass(dim=8, horizon=30)
+        bins = occupancy.BinSpec.from_bounds(*env.state_bounds, bins=16)
+        trajs = envs.rollout(envs.RandomPolicy(env.spec), env, 5, seed=2)
+        new = occupancy.empirical_occupancy(trajs, 0.9, bins=bins)
+        old = old_empirical_occupancy(trajs, 0.9, bins=bins)
+        assert len(new.mass_map) > 10
+        assert list(new.mass_map.items()) == list(old.mass_map.items())
+
+    def test_point_mass_rollouts_match_bit_for_bit(self):
+        env = envs.PointMass(horizon=60)
+        bins = occupancy.BinSpec.from_bounds(*env.state_bounds, bins=16)
+        expert = imitation.record_demonstrations(envs.PointMassController(env), env, 4, 1)
+        trajs = envs.rollout(envs.RandomPolicy(env.spec), env, 12, seed=5)
+        new_ref = imitation.demo_occupancy(expert, 0.99, bins=bins)
+        old_ref = old_demo_occupancy(expert, 0.99, bins=bins)
+        new = occupancy.empirical_occupancy(trajs, 0.99, bins=bins)
+        old = old_empirical_occupancy(trajs, 0.99, bins=bins)
+        assert list(new.mass_map.items()) == list(old.mass_map.items())
+        assert list(new_ref.mass_map.items()) == list(old_ref.mass_map.items())
+        assert (occupancy.occupancy_distance(new, new_ref)
+                == occupancy.occupancy_distance(old, old_ref))
 
 
 class TestDistance:

@@ -244,7 +244,7 @@ class TestFisherVectorProduct:
     def test_zero_vector(self):
         policy = categorical_policy(seed=10)
         states = np.random.default_rng(10).normal(size=(5, 3))
-        out = trpo.fisher_vector_product(policy, states, np.zeros(policy.n_params), 0.1)
+        out = trpo.FvpOperator(policy, states, 0.1)(np.zeros(policy.n_params))
         np.testing.assert_array_equal(out, np.zeros(policy.n_params))
 
     def test_psd_plus_damping_bound(self):
@@ -252,7 +252,7 @@ class TestFisherVectorProduct:
         states = rng.normal(size=(6, 3))
         for policy in (categorical_policy(seed=11), gaussian_policy(seed=11)):
             v = rng.normal(size=policy.n_params)
-            fvp = trpo.fisher_vector_product(policy, states, v, 0.1)
+            fvp = trpo.FvpOperator(policy, states, 0.1)(v)
             assert float(v @ fvp) >= 0.1 * float(v @ v) - 1e-10
 
     @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
@@ -265,7 +265,7 @@ class TestFisherVectorProduct:
         rng = np.random.default_rng(12)
         states = rng.normal(size=(8, 3))
         v = rng.normal(size=policy.n_params)
-        fvp = trpo.fisher_vector_product(policy, states, v, damping=0.0)
+        fvp = trpo.FvpOperator(policy, states, 0.0)(v)
         eps = 1e-5
         plus, minus = policy.copy(), policy.copy()
         plus.set_flat(policy.flat_params() + eps * v)
