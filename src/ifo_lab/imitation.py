@@ -8,8 +8,6 @@ the observation-only code paths.
 """
 
 import json
-import math
-import os
 import struct
 import time
 import warnings
@@ -41,49 +39,24 @@ def _write_demo(path, magic, fmt, demos, extra=(), actions=None, action_dtype=No
                 fh.write(np.ascontiguousarray(actions[k], dtype=action_dtype).tobytes())
 
 
-class _DemoReader:
-    """Field-by-field reader of a demonstration file. Every read must find
-    the bytes the header promises and nothing may follow the last
-    trajectory; errors name the file and the field."""
+def _read_demo_header(reader, magic, what, fmt):
+    """The header fields after the magic, then the env id."""
+    reader.magic(magic, what)
+    fields = reader.unpack(fmt, "header")
+    if fields[0] != DEMO_FORMAT_VERSION:
+        raise reader.error("header", f"unsupported demo format version {fields[0]}")
+    try:
+        return fields + (reader.take(fields[1], "env id").decode("utf-8"),)
+    except UnicodeDecodeError:
+        raise reader.error("env id", "not UTF-8") from None
 
-    def __init__(self, fh, path):
-        self.fh, self.path, self.size = fh, path, os.fstat(fh.fileno()).st_size
 
-    def error(self, field, problem):
-        return ValueError(f"{self.path}: {field}: {problem}")
-
-    def take(self, n, field):
-        left = self.size - self.fh.tell()
-        if n > left:
-            raise self.error(field, f"truncated, {n} bytes promised, {left} left")
-        return self.fh.read(n)
-
-    def header(self, magic, what, fmt):
-        """The header fields after the magic, then the env id."""
-        if self.fh.read(len(magic)) != magic:
-            raise ValueError(f"{self.path}: not {what}")
-        fields = struct.unpack(fmt, self.take(struct.calcsize(fmt), "header"))
-        if fields[0] != DEMO_FORMAT_VERSION:
-            raise self.error("header", f"unsupported demo format version {fields[0]}")
-        try:
-            return fields + (self.take(fields[1], "env id").decode("utf-8"),)
-        except UnicodeDecodeError:
-            raise self.error("env id", "not UTF-8") from None
-
-    def array(self, dtype, shape, field):
-        data = self.take(8 * math.prod(shape), field)
-        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-
-    def states(self, k, state_dim):
-        field = f"trajectory {k} states"
-        (n_states,) = struct.unpack("<I", self.take(4, field))
-        if n_states == 0:
-            raise self.error(field, "no states")
-        return self.array("<f8", (n_states, state_dim), field)
-
-    def end(self):
-        if self.fh.tell() != self.size:
-            raise self.error("end", f"{self.size - self.fh.tell()} trailing bytes")
+def _read_states(reader, k, state_dim):
+    field = f"trajectory {k} states"
+    (n_states,) = reader.unpack("<I", field)
+    if n_states == 0:
+        raise reader.error(field, "no states")
+    return reader.array("<f8", (n_states, state_dim), field)
 
 
 @dataclass
@@ -122,11 +95,10 @@ class DemonstrationSet:
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            reader = _DemoReader(fh, path)
-            _, _, state_dim, n_traj, seed, mean_ret, env_id = reader.header(
-                DEMO_MAGIC, "a demonstration file", "<IIIIqd")
-            trajectories = [reader.states(k, state_dim) for k in range(n_traj)]
+        with nets.BinaryReader(path) as reader:
+            _, _, state_dim, n_traj, seed, mean_ret, env_id = _read_demo_header(
+                reader, DEMO_MAGIC, "a demonstration file", "<IIIIqd")
+            trajectories = [_read_states(reader, k, state_dim) for k in range(n_traj)]
             reader.end()
         return cls(env_id, state_dim, trajectories, seed, mean_ret)
 
@@ -166,16 +138,15 @@ class DemonstrationSetWithActions:
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            reader = _DemoReader(fh, path)
-            _, _, state_dim, n_traj, seed, mean_ret, kind, action_dim, env_id = reader.header(
-                DEMO_ACTIONS_MAGIC, "an action-retaining demonstration file", "<IIIIqdBI")
+        with nets.BinaryReader(path) as reader:
+            _, _, state_dim, n_traj, seed, mean_ret, kind, action_dim, env_id = _read_demo_header(
+                reader, DEMO_ACTIONS_MAGIC, "an action-retaining demonstration file", "<IIIIqdBI")
             if kind not in (0, 1):
                 raise reader.error("header", f"unknown action kind {kind}")
             action_kind = "discrete" if kind == 0 else "box"
             trajectories, actions = [], []
             for k in range(n_traj):
-                trajectories.append(reader.states(k, state_dim))
+                trajectories.append(_read_states(reader, k, state_dim))
                 T = len(trajectories[-1]) - 1
                 field = f"trajectory {k} actions"
                 actions.append(reader.array("<i8", (T,), field) if action_kind == "discrete"
@@ -392,13 +363,17 @@ def train_expert(env, config, iterations, seed):
     start = time.time()
     snapshot = policy.copy()
     for it in range(iterations):
-        trajs = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
-        batch = trpo.RolloutBatch.from_trajectories(trajs, policy)
-        trpo.compute_advantages(batch, vf, gamma, config.gae_lambda)
-        diag = trpo.trpo_update(policy, vf, batch, delta=config.delta,
-                                cg_iters=config.cg_iters, damping=config.damping,
-                                backtracks=config.backtracks)
-        if not _params_finite(policy):
+        try:
+            trajs = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
+            batch = trpo.RolloutBatch.from_trajectories(trajs, policy)
+            trpo.compute_advantages(batch, vf, gamma, config.gae_lambda)
+            diag = trpo.trpo_update(policy, vf, batch, delta=config.delta,
+                                    cg_iters=config.cg_iters, damping=config.damping,
+                                    backtracks=config.backtracks)
+            finite = _params_finite(policy)
+        except FloatingPointError:
+            finite = False
+        if not finite:
             policy = snapshot
             report.aborted = True
             break
@@ -461,29 +436,32 @@ def _adversarial_train(env, config, seed, expert_x, expert_mean, algorithm,
     start = time.time()
     snapshot = policy.copy()
     for it in range(config.iterations):
-        trajs = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
-        batch = trpo.RolloutBatch.from_trajectories(trajs, policy)
-        env_return = float(np.mean([tr.total_return for tr in trajs]))
-        if input_mode == "state_transition":
-            imit_x = adversary.pair_features(batch.states, batch.next_states)
-        else:
-            imit_x = adversary.pair_features(
-                batch.states, _action_features(spec, batch.actions))
-        disc_loss = None
-        for _ in range(config.d_steps):
-            idx = rng.integers(len(expert_x), size=len(imit_x))
-            disc_loss = adversary.disc_update(disc, imit_x, expert_x[idx])
-        # reward from the just-updated discriminator
-        d_vals, _ = adversary.disc_values(disc, imit_x)
-        batch.rewards = -np.log(d_vals)
-        if not np.all(np.isfinite(batch.rewards)):
-            report.aborted = True
-            break
-        trpo.compute_advantages(batch, vf, gamma, config.gae_lambda)
-        diag = trpo.trpo_update(policy, vf, batch, delta=config.delta,
-                                cg_iters=config.cg_iters, damping=config.damping,
-                                backtracks=config.backtracks)
-        if not _params_finite(policy):
+        try:
+            trajs = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
+            batch = trpo.RolloutBatch.from_trajectories(trajs, policy)
+            env_return = float(np.mean([tr.total_return for tr in trajs]))
+            if input_mode == "state_transition":
+                imit_x = adversary.pair_features(batch.states, batch.next_states)
+            else:
+                imit_x = adversary.pair_features(
+                    batch.states, _action_features(spec, batch.actions))
+            disc_loss = None
+            for _ in range(config.d_steps):
+                idx = rng.integers(len(expert_x), size=len(imit_x))
+                disc_loss = adversary.disc_update(disc, imit_x, expert_x[idx])
+            # reward from the just-updated discriminator
+            d_vals, _ = adversary.disc_values(disc, imit_x)
+            batch.rewards = -np.log(d_vals)
+            if not np.all(np.isfinite(batch.rewards)):
+                raise FloatingPointError("non-finite reward")
+            trpo.compute_advantages(batch, vf, gamma, config.gae_lambda)
+            diag = trpo.trpo_update(policy, vf, batch, delta=config.delta,
+                                    cg_iters=config.cg_iters, damping=config.damping,
+                                    backtracks=config.backtracks)
+            finite = _params_finite(policy)
+        except FloatingPointError:
+            finite = False
+        if not finite:
             policy = snapshot
             report.aborted = True
             break

@@ -4,9 +4,26 @@ finite-difference gradient oracles.
 Everything is float64 numpy. Weights are stored (in_dim, out_dim) so a batch
 of row vectors propagates as ``x @ W + b``. Forward passes return a cache
 that is sufficient for an exact backward pass; no autodiff anywhere.
+
+A cache marked with ``keep_workspace`` also keeps, for as long as the cache
+lives, each hidden layer's activation derivative and the arrays into which
+``mlp_jvp`` and ``mlp_backward`` write their hidden-layer products. Repeated
+products over one batch, such as the Fisher-vector products of one TRPO
+step, then allocate no (N, hidden) arrays. That matters because the
+allocator hands a freed array of a megabyte back to the operating system,
+so every fresh one is paid for again in page faults, which cost more than
+the arithmetic. The results are bit-identical to those through a plain
+cache, and returned arrays are always fresh. Caches used once keep nothing:
+kept arrays in every cache would raise peak memory for no reuse.
+
+``BinaryReader`` is the one reader of the checkpoint and demonstration
+formats: truncated, padded or corrupt files fail with a ValueError that
+names the file and the field.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -117,15 +134,47 @@ def _act(z, tag):
     return np.where(z > 0.0, z, LEAKY_SLOPE * z)
 
 
+def keep_workspace(cache):
+    """Let mlp_jvp and mlp_backward keep work arrays in this forward cache.
+
+    Through such a cache each hidden layer's activation derivative is
+    computed once and kept, and the hidden-layer products of every call are
+    written into kept arrays, so repeated products over one batch stop
+    allocating (N, hidden) arrays. The results are bit-identical to those
+    through a plain cache, and returned arrays are never reused. The kept
+    arrays live as long as the cache. Returns the cache.
+    """
+    cache["workspace"] = {}
+    return cache
+
+
+def _work(cache, key, shape):
+    """The kept work array `key` of the cache's workspace, made on first use;
+    None (a fresh result) when the cache keeps no workspace."""
+    workspace = cache.get("workspace")
+    if workspace is None:
+        return None
+    buf = workspace.get(key)
+    if buf is None:
+        buf = workspace[key] = np.empty(shape)
+    return buf
+
+
 def _act_deriv(cache, k, tag):
-    """Derivative of hidden layer k's activation at its pre-activation."""
-    if tag == "tanh":
-        h = cache["inputs"][k + 1]  # tanh(preacts[k]), kept by the forward pass
-        return 1.0 - h * h
-    z = cache["preacts"][k]
-    if tag == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+    """Derivative of hidden layer k's activation at its pre-activation,
+    computed once and kept if the cache keeps a workspace."""
+    workspace = cache.get("workspace", {})  # a plain cache keeps nothing
+    deriv = workspace.get(("deriv", k))
+    if deriv is None:
+        if tag == "tanh":
+            h = cache["inputs"][k + 1]  # tanh(preacts[k]), kept by the forward pass
+            deriv = 1.0 - h * h
+        elif tag == "relu":
+            deriv = (cache["preacts"][k] > 0.0).astype(np.float64)
+        else:
+            deriv = np.where(cache["preacts"][k] > 0.0, 1.0, LEAKY_SLOPE)
+        workspace[("deriv", k)] = deriv
+    return deriv
 
 
 def clamped_sigmoid(z):
@@ -192,9 +241,8 @@ def mlp_backward(params, cache, output_grad):
         w_grads[k] = x_k.T @ delta
         b_grads[k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ params.weights[k].T) * _act_deriv(
-                cache, k - 1, params.activation
-            )
+            delta = np.matmul(delta, params.weights[k].T, out=_work(cache, k - 1, x_k.shape))
+            np.multiply(delta, _act_deriv(cache, k - 1, params.activation), out=delta)
         else:
             delta = delta @ params.weights[k].T
     grads = []
@@ -217,13 +265,18 @@ def mlp_jvp(params, cache, tangents):
         raise ValueError("tangent list does not mirror parameter arrays")
     dh = None
     for k in range(n_layers):
+        hidden = k < n_layers - 1
         x_k = cache["inputs"][k]
         dw, db = tangents[2 * k], tangents[2 * k + 1]
-        dz = x_k @ dw + db
+        shape = (len(x_k), params.weights[k].shape[1])
+        # the output layer's tangent is returned, so only hidden ones are kept
+        dz = np.matmul(x_k, dw, out=_work(cache, k, shape) if hidden else None)
+        np.add(dz, db, out=dz)
         if dh is not None:
-            dz = dz + dh @ params.weights[k]
-        if k < n_layers - 1:
-            dh = dz * _act_deriv(cache, k, params.activation)
+            np.add(dz, np.matmul(dh, params.weights[k], out=_work(cache, ("dh@W", k), shape)),
+                   out=dz)
+        if hidden:
+            dh = np.multiply(dz, _act_deriv(cache, k, params.activation), out=dz)
     return dz[0] if cache["single"] else dz
 
 
@@ -310,20 +363,73 @@ def save_mlp(path, params, extra=None):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+class BinaryReader:
+    """Field-by-field reader of a binary file, the one reader of the
+    checkpoint and demonstration formats. Every read must find the bytes it
+    asks for and nothing may follow the last field; errors are ValueErrors
+    that name the file and the field. Use it as a context manager."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fh = open(path, "rb")
+        self.size = os.fstat(self.fh.fileno()).st_size
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def error(self, field, problem):
+        return ValueError(f"{self.path}: {field}: {problem}")
+
+    def magic(self, magic, what):
+        found = self.fh.read(len(magic))
+        if found != magic:
+            raise ValueError(f"{self.path}: not {what} (bad magic {found!r})")
+
+    def take(self, n, field):
+        left = self.size - self.fh.tell()
+        if n > left:
+            raise self.error(field, f"truncated, {n} bytes promised, {left} left")
+        return self.fh.read(n)
+
+    def unpack(self, fmt, field):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def array(self, dtype, shape, field):
+        dtype = np.dtype(dtype)
+        data = self.take(dtype.itemsize * math.prod(shape), field)
+        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+    def end(self):
+        left = self.size - self.fh.tell()
+        if left:
+            raise self.error("trailing bytes", f"{left} bytes after the last field")
+
+
 def load_mlp(path):
     """Inverse of save_mlp. Returns (params, extra)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a network checkpoint (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        sizes = header["layer_sizes"]
+    with BinaryReader(path) as reader:
+        reader.magic(CHECKPOINT_MAGIC, "a network checkpoint")
+        (hlen,) = reader.unpack("<I", "header")
+        blob = reader.take(hlen, "header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            sizes = header["layer_sizes"]
+            activation, output_transform = header["activation"], header["output_transform"]
+        except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as err:
+            raise reader.error("header", f"not a checkpoint header ({err!r})") from None
+        if not (isinstance(sizes, list) and len(sizes) > 1
+                and all(type(n) is int and n > 0 for n in sizes)):
+            raise reader.error("header", f"bad layer sizes {sizes!r}")
         weights, biases = [], []
         for k in range(len(sizes) - 1):
-            w = np.frombuffer(fh.read(8 * sizes[k] * sizes[k + 1]), dtype="<f8")
-            weights.append(w.reshape(sizes[k], sizes[k + 1]).copy())
-            b = np.frombuffer(fh.read(8 * sizes[k + 1]), dtype="<f8")
-            biases.append(b.copy())
-    params = MlpParams(weights, biases, header["activation"], header["output_transform"])
+            weights.append(reader.array("<f8", (sizes[k], sizes[k + 1]), f"layer {k} weights"))
+            biases.append(reader.array("<f8", (sizes[k + 1],), f"layer {k} biases"))
+        reader.end()
+        try:
+            params = MlpParams(weights, biases, activation, output_transform)
+        except ValueError as err:
+            raise reader.error("header", str(err)) from None
     return params, header.get("extra", {})

@@ -228,6 +228,8 @@ class FvpOperator:
 
     Exact: the metric is J^T A J where J is the network Jacobian (applied
     by forward-mode JVP) and A the closed-form distribution-space Fisher.
+    The cache keeps a workspace (see nets.keep_workspace), so the operator
+    holds a few (len(states), hidden) arrays for as long as it lives.
     """
 
     def __init__(self, policy, states, damping):
@@ -235,6 +237,7 @@ class FvpOperator:
         self.damping = damping
         self.states = np.atleast_2d(states)
         self.out, self.cache = policy.dist(self.states)
+        nets.keep_workspace(self.cache)
         if policy.kind == "categorical":
             self.p = _softmax(self.out)
 
@@ -398,6 +401,7 @@ def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
     fvp = FvpOperator(policy, batch.states, damping)
     x = conjugate_gradient(fvp, g, iters=cg_iters)
     shs = float(x @ fvp(x))
+    del fvp  # frees its workspace before the line search's forward passes
     if shs <= 0 or not np.isfinite(shs):
         if value_fn is not None:
             value_fn.fit(batch.states, batch.returns)

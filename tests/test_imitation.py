@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ifo_lab as il
-from ifo_lab import envs, imitation, trpo
+from ifo_lab import envs, imitation, nets, trpo
 from ifo_lab.envs import PointMassController, TabularPolicy, value_iteration
 from ifo_lab.imitation import (DemonstrationSet, DemonstrationSetWithActions,
                                TrainConfig, TrainReport, _EarlyStopper,
@@ -359,6 +359,63 @@ class TestGaifoTrain:
         # small-output init keeps the point mass nearly still, which beats
         # the uniform-random anchor; "near zero" here means far from expert
         assert report.scaled_score < 0.9
+
+
+def _poison_iteration_2(monkeypatch, point):
+    """Make the third iteration of a trainer meet a non-finite value at
+    `point`. Returns the policy parameters seen at the start of each
+    iteration; the last of them is the snapshot an abort must return."""
+    seen = []
+    collect = imitation.collect_batch
+
+    def collect_batch(policy, env, min_steps, seed):
+        seen.append(policy.flat_params().copy())
+        if point == "rollout" and len(seen) == 3:
+            policy.net.weights[0][0, 0] = np.nan
+        return collect(policy, env, min_steps, seed)
+
+    monkeypatch.setattr(imitation, "collect_batch", collect_batch)
+    if point == "value net":
+        fit = trpo.ValueFunction.fit
+
+        def fit_then_poison(self, states, targets):
+            fit(self, states, targets)
+            if len(seen) == 2:
+                self.net.weights[0][0, 0] = np.nan
+
+        monkeypatch.setattr(trpo.ValueFunction, "fit", fit_then_poison)
+    if point == "fisher product":
+        jvp = nets.mlp_jvp
+
+        def poisoned_jvp(params, cache, tangents):
+            out = jvp(params, cache, tangents)
+            return out * np.nan if len(seen) == 3 else out
+
+        monkeypatch.setattr(nets, "mlp_jvp", poisoned_jvp)
+    return seen
+
+
+class TestNonFiniteAbort:
+    """A non-finite value in the rollout, the value net or the TRPO step ends
+    the run as aborted with the last finite policy, not with an exception."""
+
+    @pytest.mark.parametrize("point", ["rollout", "value net", "fisher product"])
+    @pytest.mark.parametrize("trainer", ["expert", "gaifo"])
+    def test_aborts_with_last_finite_snapshot(self, monkeypatch, gridworld_demos,
+                                              trainer, point):
+        env, _, demos = gridworld_demos
+        cfg = TrainConfig(iterations=5, batch_size=128, hidden=(16,),
+                          eval_every=2, early_stop=False)
+        seen = _poison_iteration_2(monkeypatch, point)
+        if trainer == "expert":
+            policy, report = il.train_expert(env, cfg, cfg.iterations, seed=3)
+        else:
+            policy, report = il.gaifo_train(env, demos, cfg, 3)
+        assert report.aborted
+        assert len(seen) == 3 and len(report.rows) == 2
+        np.testing.assert_array_equal(policy.flat_params(), seen[-1])
+        assert np.all(np.isfinite(policy.flat_params()))
+        assert np.isfinite(report.final_return)
 
 
 class TestGailTrain:

@@ -1,5 +1,9 @@
 """Network substrate: forward pass, exact backprop vs finite differences,
-forward-mode JVP, Adam, and checkpoint round-trips."""
+forward-mode JVP, caches that keep a workspace, Adam, and checkpoint
+round-trips and corruption."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -140,6 +144,41 @@ class TestJvp:
         np.testing.assert_allclose(jvp, fd, rtol=1e-5, atol=1e-8)
 
 
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestWorkspaceCache:
+    """Products through a cache that keeps a workspace equal those through a
+    plain cache bit for bit, and no later call changes an earlier result."""
+
+    @pytest.mark.parametrize("activation", nets.HIDDEN_ACTIVATIONS)
+    @pytest.mark.parametrize("output_transform", nets.OUTPUT_TRANSFORMS)
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_bit_identical_to_plain_cache(self, activation, output_transform, rows):
+        rng = np.random.default_rng(21)
+        net = nets.init_mlp([3, 6, 5, 4, 2], activation, output_transform, rng=rng)
+        x = rng.normal(size=3 if rows is None else (rows, 3))
+        _, plain = nets.mlp_forward(net, x)
+        _, kept = nets.mlp_forward(net, x)
+        assert nets.keep_workspace(kept) is kept
+        out_shape = (2,) if rows is None else (rows, 2)
+        returned = []
+        for _ in range(3):
+            tangents = [rng.normal(size=a.shape) for a in net.arrays()]
+            g = rng.normal(size=out_shape)
+            jvp = nets.mlp_jvp(net, kept, tangents)
+            grads, input_grad = nets.mlp_backward(net, kept, g)
+            got = [jvp, *grads, input_grad]
+            plain_grads, plain_input_grad = nets.mlp_backward(net, plain, g)
+            assert _bits(got) == _bits([nets.mlp_jvp(net, plain, tangents),
+                                        *plain_grads, plain_input_grad])
+            returned.append((got, _bits(got)))
+        assert "workspace" not in plain and kept["workspace"]
+        for got, bits in returned:
+            assert _bits(got) == bits
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         net = nets.init_mlp([2, 3, 1], rng=np.random.default_rng(0))
@@ -222,3 +261,48 @@ class TestCheckpoint:
         path.write_bytes(b"NOTANET!" + b"\0" * 32)
         with pytest.raises(ValueError):
             nets.load_mlp(path)
+
+    def _saved(self, tmp_path):
+        net = nets.init_mlp([3, 4, 2], rng=np.random.default_rng(5))
+        path = tmp_path / "net.mlp"
+        nets.save_mlp(path, net)
+        return net, path, path.read_bytes()
+
+    def test_truncation_at_every_byte_names_file_and_field(self, tmp_path):
+        net, path, raw = self._saved(tmp_path)
+        magic = len(nets.CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<I", raw[magic:magic + 4])
+        ends = [(magic, "not a network checkpoint"), (magic + 4 + hlen, "header")]
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            ends.append((ends[-1][0] + w.nbytes, f"layer {k} weights"))
+            ends.append((ends[-1][0] + b.nbytes, f"layer {k} biases"))
+        assert ends[-1][0] == len(raw)
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError) as err:
+                nets.load_mlp(path)
+            field = next(name for end, name in ends if cut < end)
+            assert str(err.value).startswith(f"{path}: {field}")
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 4, b"\xff" * 8])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        _, path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + extra)
+        with pytest.raises(ValueError, match=f"trailing bytes: {len(extra)} bytes") as err:
+            nets.load_mlp(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header", [
+        b"{not json", b"\xff\xfe", b"[]", b'{"layer_sizes": [3, 2]}',
+        json.dumps({"layer_sizes": [3, -2], "activation": "tanh",
+                    "output_transform": "identity"}).encode(),
+        json.dumps({"layer_sizes": [3, 2], "activation": "swish",
+                    "output_transform": "identity"}).encode(),
+    ])
+    def test_corrupt_header_names_file_and_field(self, tmp_path, header):
+        path = tmp_path / "net.mlp"
+        path.write_bytes(nets.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
+                         + b"\0" * 64)
+        with pytest.raises(ValueError) as err:
+            nets.load_mlp(path)
+        assert str(err.value).startswith(f"{path}: header: ")

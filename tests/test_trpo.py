@@ -3,6 +3,8 @@ differences, GAE against a brute-force reference, conjugate gradient against
 dense solves, Fisher-vector products against finite-difference
 Hessian-vector products, and the update contract itself."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,57 @@ class TestFisherVectorProduct:
                - trpo.mean_kl_grad(policy, minus, states)) / (2 * eps)
         err = np.abs(fvp - hvp).max() / max(np.abs(hvp).max(), 1e-12)
         assert err < 1e-3
+
+
+class TestFvpWorkspace:
+    """The operator's cache keeps a workspace: repeated products equal those
+    through a plain cache bit for bit and stop allocating hidden-layer
+    arrays."""
+
+    @staticmethod
+    def policy_and_states(kind, rows, obs_dim, out_dim, hidden):
+        make = categorical_policy if kind == "categorical" else gaussian_policy
+        policy = make(obs_dim, out_dim, hidden=hidden, seed=13)
+        states = np.random.default_rng(13).normal(size=(rows, obs_dim))
+        return policy, states
+
+    @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+    def test_repeated_products_bit_identical_to_plain_cache(self, kind):
+        policy, states = self.policy_and_states(kind, 40, 3, 4, (16, 8))
+        fvp = trpo.FvpOperator(policy, states, 0.1)
+        plain = trpo.FvpOperator(policy, states, 0.1)
+        plain.cache = policy.dist(states)[1]
+        rng = np.random.default_rng(14)
+        results = []
+        for _ in range(4):
+            v = rng.normal(size=policy.n_params)
+            got = fvp(v)
+            assert got.tobytes() == plain(v).tobytes()
+            results.append((got, got.copy()))
+        assert "workspace" in fvp.cache and "workspace" not in plain.cache
+        for got, copy in results:
+            np.testing.assert_array_equal(got, copy)
+
+    @pytest.mark.parametrize("kind, rows, obs_dim, out_dim", [
+        ("gaussian", 2200, 4, 2),       # point-mass TRPO batch
+        ("categorical", 1050, 25, 4),   # 5x5 gridworld TRPO batch
+    ])
+    def test_repeated_products_allocate_less_than_one_hidden_array(
+            self, kind, rows, obs_dim, out_dim):
+        # with a plain cache each product allocates about fifteen (rows, 64)
+        # arrays; through the workspace it allocates none after the first
+        policy, states = self.policy_and_states(kind, rows, obs_dim, out_dim, (64, 64))
+        fvp = trpo.FvpOperator(policy, states, 0.1)
+        v = np.random.default_rng(15).normal(size=policy.n_params)
+        fvp(v)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                fvp(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * 64 * 8
 
 
 class TestSurrogate:
