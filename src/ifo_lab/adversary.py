@@ -26,25 +26,11 @@ class Discriminator:
         if input_mode not in ("state_transition", "state_action"):
             raise ValueError(f"unknown input mode {input_mode!r}")
         self.input_mode = input_mode
-        self.input_dim = input_dim
         self.params = nets.init_mlp(
             [input_dim, *hidden, 1], activation="leaky_relu",
             output_transform="sigmoid", rng=np.random.default_rng(seed),
         )
-        self.adam = nets.AdamState.for_params(self.params, alpha=lr)
-
-    def save(self, path):
-        nets.save_mlp(path, self.params, extra={"input_mode": self.input_mode})
-
-    @classmethod
-    def load(cls, path):
-        params, extra = nets.load_mlp(path)
-        d = cls.__new__(cls)
-        d.params = params
-        d.input_mode = extra["input_mode"]
-        d.input_dim = params.in_dim
-        d.adam = nets.AdamState.for_params(params)
-        return d
+        self.adam = nets.AdamState(self.params, alpha=lr)
 
 
 def pair_features(first, second):
@@ -54,18 +40,6 @@ def pair_features(first, second):
     if len(first) != len(second):
         raise ValueError(f"batch sizes differ: {len(first)} vs {len(second)}")
     return np.concatenate([first, second], axis=1)
-
-
-def disc_forward(d, s, s_next):
-    """D(s, s') in (0, 1); accepts single vectors or batches."""
-    s = np.asarray(s, dtype=np.float64)
-    single = s.ndim == 1
-    x = pair_features(s, s_next)
-    if x.shape[1] != d.input_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != discriminator input dim {d.input_dim}")
-    out, _ = nets.mlp_forward(d.params, x)
-    out = out[:, 0]
-    return float(out[0]) if single else out
 
 
 def disc_values(d, features):
@@ -111,10 +85,11 @@ def disc_update(d, imitator_batch, expert_batch):
     return loss
 
 
-def policy_reward(d, s, s_next):
-    """-log D(s, s') per transition; high where D mistakes the imitator
-    for the expert."""
-    return -np.log(disc_forward(d, s, s_next))
+def policy_reward(d, features):
+    """-log D per row of transition features; high where D mistakes the
+    imitator for the expert."""
+    d_vals, _ = disc_values(d, features)
+    return -np.log(d_vals)
 
 
 def g_fn(x):

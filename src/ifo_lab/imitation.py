@@ -1,6 +1,10 @@
-"""Training loops: expert training, demonstration recording, adversarial
-imitation from state-only demonstrations, the action-aware adversarial
-baseline, behavioral cloning from observation, and scaled-score evaluation.
+"""Training: demonstration recording, one TRPO training loop, behavioral
+cloning from observation, and scaled-score evaluation.
+
+The loop takes a reward hook. Expert training runs it without one and keeps
+the environment reward; adversarial imitation from state-only
+demonstrations (GAIfO) and the action-aware baseline (GAIL) pass a hook that
+steps a discriminator on each fresh rollout and pays -log D per transition.
 
 State-only demonstrations never contain actions; the action-retaining
 recording path exists solely for the action-aware baseline and never feeds
@@ -74,10 +78,6 @@ class DemonstrationSet:
     def n_trajectories(self):
         return len(self.trajectories)
 
-    @property
-    def n_transitions(self):
-        return sum(len(tr) - 1 for tr in self.trajectories)
-
     def subset(self, n):
         if not 1 <= n <= self.n_trajectories:
             raise ValueError(f"cannot take {n} of {self.n_trajectories} trajectories")
@@ -119,17 +119,6 @@ class DemonstrationSetWithActions:
     @property
     def n_trajectories(self):
         return len(self.trajectories)
-
-    def subset(self, n):
-        return DemonstrationSetWithActions(
-            self.env_id, self.state_dim, self.action_kind, self.action_dim,
-            self.trajectories[:n], self.actions[:n],
-            self.recording_seed, self.expert_mean_return)
-
-    def state_only(self):
-        return DemonstrationSet(self.env_id, self.state_dim,
-                                [tr.copy() for tr in self.trajectories],
-                                self.recording_seed, self.expert_mean_return)
 
     def save(self, path):
         discrete = self.action_kind == "discrete"
@@ -262,11 +251,18 @@ def scaled_score(mean, random_mean, expert_mean):
     return (mean - random_mean) / denom
 
 
+def _record(expert, env, n_trajectories, seed):
+    """Deterministic expert rollouts and the expert's mean return over at
+    least ten more episodes."""
+    trajs = rollout(expert, env, n_trajectories, seed, deterministic=True)
+    mean_ret, _ = evaluate(expert, env, max(n_trajectories, 10), seed + 1)
+    return trajs, mean_ret
+
+
 def record_demonstrations(expert, env, n_trajectories, seed):
     """Record state-only trajectories; the action stream is discarded at
     recording time, not merely hidden."""
-    trajs = rollout(expert, env, n_trajectories, seed, deterministic=True)
-    mean_ret, _ = evaluate(expert, env, max(n_trajectories, 10), seed + 1)
+    trajs, mean_ret = _record(expert, env, n_trajectories, seed)
     return DemonstrationSet(
         env_id=env.spec.env_id, state_dim=env.spec.obs_dim,
         trajectories=[tr.states.copy() for tr in trajs],
@@ -276,8 +272,7 @@ def record_demonstrations(expert, env, n_trajectories, seed):
 
 def record_demonstrations_with_actions(expert, env, n_trajectories, seed):
     """Action-retaining recording path for the action-aware baseline only."""
-    trajs = rollout(expert, env, n_trajectories, seed, deterministic=True)
-    mean_ret, _ = evaluate(expert, env, max(n_trajectories, 10), seed + 1)
+    trajs, mean_ret = _record(expert, env, n_trajectories, seed)
     spec = env.spec
     return DemonstrationSetWithActions(
         env_id=spec.env_id, state_dim=spec.obs_dim,
@@ -332,9 +327,7 @@ class _EarlyStopper:
 def policy_to_tabular(policy, n_states):
     """Action distribution of an MLP policy evaluated at every one-hot state."""
     out, _ = policy.dist(np.eye(n_states))
-    z = out - out.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return trpo._softmax(out)
 
 
 def demo_occupancy(demos, gamma, n_states=None, bins=None):
@@ -345,12 +338,25 @@ def demo_occupancy(demos, gamma, n_states=None, bins=None):
     return occupancy.empirical_occupancy(episodes, gamma, bins=bins, n_states=n_states)
 
 
-def _params_finite(policy):
-    return np.all(np.isfinite(policy.flat_params()))
+def _occupancy_bins(env, config):
+    """The grid of binned occupancy tracking: a BinSpec on continuous envs
+    with state bounds, None elsewhere."""
+    if env.spec.state_count == 0 and hasattr(env, "state_bounds"):
+        return BinSpec.from_bounds(*env.state_bounds, bins=config.occupancy_bins)
+    return None
 
 
-def train_expert(env, config, iterations, seed):
-    """TRPO on the environment's true reward."""
+def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=None):
+    """The one training loop: rollout, per-transition rewards, advantages and
+    a TRPO step (which fits the value baseline) per iteration.
+
+    reward(batch) returns (rewards, disc_loss) for the fresh batch; None
+    keeps the environment reward. A FloatingPointError anywhere in an
+    iteration, or non-finite policy parameters after it, ends the run as
+    report.aborted with the last finite policy. With occupancy_ref, each row
+    records the L1 distance of the policy's occupancy from it: exact on
+    tabular envs, binned from the rollout elsewhere. Returns (policy, report).
+    """
     spec = env.spec
     gamma = config.gamma if config.gamma is not None else spec.gamma
     policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed,
@@ -358,7 +364,9 @@ def train_expert(env, config, iterations, seed):
     vf = trpo.ValueFunction(spec.obs_dim, hidden=config.hidden, lr=config.vf_lr,
                             epochs=config.vf_epochs, minibatch=config.vf_minibatch,
                             seed=seed + 1)
-    report = TrainReport("expert", seed)
+    report = TrainReport(algorithm, seed)
+    tabular = spec.state_count > 0
+    bins = _occupancy_bins(env, config)
     stopper = _EarlyStopper(max(1, config.early_stop_window // config.eval_every))
     start = time.time()
     snapshot = policy.copy()
@@ -366,99 +374,15 @@ def train_expert(env, config, iterations, seed):
         try:
             trajs = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
             batch = trpo.RolloutBatch.from_trajectories(trajs, policy)
+            disc_loss = mean_reward = ""
+            if reward is not None:
+                batch.rewards, disc_loss = reward(batch)
+                mean_reward = float(batch.rewards.mean())
             trpo.compute_advantages(batch, vf, gamma, config.gae_lambda)
             diag = trpo.trpo_update(policy, vf, batch, delta=config.delta,
                                     cg_iters=config.cg_iters, damping=config.damping,
                                     backtracks=config.backtracks)
-            finite = _params_finite(policy)
-        except FloatingPointError:
-            finite = False
-        if not finite:
-            policy = snapshot
-            report.aborted = True
-            break
-        snapshot = policy.copy()
-        mean_ret = float(np.mean([tr.total_return for tr in trajs]))
-        eval_ret = ""
-        if (it + 1) % config.eval_every == 0 or it == iterations - 1:
-            eval_ret, _ = evaluate(policy, env, config.eval_episodes,
-                                   _iteration_seed(seed + 7, it))
-        report.add_row(iteration=it, mean_return=mean_ret, kl=diag["kl"],
-                       accepted=diag["accepted"], eval_return=eval_ret)
-        if eval_ret != "" and config.early_stop and it >= config.early_stop_min_iters \
-                and stopper.update(eval_ret):
-            break
-    report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0] \
-        if iterations > 0 else None
-    report.wall_clock = time.time() - start
-    return policy, report
-
-
-def _action_features(spec, actions):
-    """Discriminator action features: one-hot for discrete, raw for box."""
-    if spec.action_kind == "discrete":
-        acts = np.asarray(actions, dtype=int)
-        feats = np.zeros((len(acts), spec.n_actions))
-        feats[np.arange(len(acts)), acts] = 1.0
-        return feats
-    return np.atleast_2d(np.asarray(actions, dtype=np.float64))
-
-
-def _adversarial_train(env, config, seed, expert_x, expert_mean, algorithm,
-                       input_mode, occupancy_ref=None):
-    """Shared adversarial loop: rollout, discriminator Adam step(s) on the
-    fresh rollout, TRPO on the per-transition reward -log D."""
-    spec = env.spec
-    gamma = config.gamma if config.gamma is not None else spec.gamma
-    rng = np.random.default_rng(seed)
-    policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed,
-                              init_log_std=config.init_log_std)
-    vf = trpo.ValueFunction(spec.obs_dim, hidden=config.hidden, lr=config.vf_lr,
-                            epochs=config.vf_epochs, minibatch=config.vf_minibatch,
-                            seed=seed + 1)
-    if input_mode == "state_transition":
-        disc_in = 2 * spec.obs_dim
-    else:
-        disc_in = spec.obs_dim + (spec.n_actions if spec.action_kind == "discrete"
-                                  else spec.action_dim)
-    disc = adversary.Discriminator(disc_in, input_mode=input_mode,
-                                   hidden=config.hidden, lr=config.disc_lr,
-                                   seed=seed + 2)
-    report = TrainReport(algorithm, seed)
-    report.random_mean = evaluate(RandomPolicy(spec), env, config.eval_episodes,
-                                  seed + 3)[0]
-    report.expert_mean = expert_mean
-    tabular = spec.state_count > 0
-    bins = None
-    if config.track_occupancy and not tabular and hasattr(env, "state_bounds"):
-        bins = BinSpec.from_bounds(*env.state_bounds, bins=config.occupancy_bins)
-    stopper = _EarlyStopper(max(1, config.early_stop_window // config.eval_every))
-    start = time.time()
-    snapshot = policy.copy()
-    for it in range(config.iterations):
-        try:
-            trajs = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
-            batch = trpo.RolloutBatch.from_trajectories(trajs, policy)
-            env_return = float(np.mean([tr.total_return for tr in trajs]))
-            if input_mode == "state_transition":
-                imit_x = adversary.pair_features(batch.states, batch.next_states)
-            else:
-                imit_x = adversary.pair_features(
-                    batch.states, _action_features(spec, batch.actions))
-            disc_loss = None
-            for _ in range(config.d_steps):
-                idx = rng.integers(len(expert_x), size=len(imit_x))
-                disc_loss = adversary.disc_update(disc, imit_x, expert_x[idx])
-            # reward from the just-updated discriminator
-            d_vals, _ = adversary.disc_values(disc, imit_x)
-            batch.rewards = -np.log(d_vals)
-            if not np.all(np.isfinite(batch.rewards)):
-                raise FloatingPointError("non-finite reward")
-            trpo.compute_advantages(batch, vf, gamma, config.gae_lambda)
-            diag = trpo.trpo_update(policy, vf, batch, delta=config.delta,
-                                    cg_iters=config.cg_iters, damping=config.damping,
-                                    backtracks=config.backtracks)
-            finite = _params_finite(policy)
+            finite = np.all(np.isfinite(policy.flat_params()))
         except FloatingPointError:
             finite = False
         if not finite:
@@ -475,21 +399,79 @@ def _adversarial_train(env, config, seed, expert_x, expert_mean, algorithm,
                 occ = occupancy.empirical_occupancy(trajs, gamma, bins=bins)
             occ_dist = occupancy_distance(occ, occupancy_ref, metric="l1")
         eval_ret = ""
-        if (it + 1) % config.eval_every == 0 or it == config.iterations - 1:
+        if (it + 1) % config.eval_every == 0 or it == iterations - 1:
             eval_ret, _ = evaluate(policy, env, config.eval_episodes,
                                    _iteration_seed(seed + 7, it))
-        report.add_row(iteration=it, mean_return=env_return, disc_loss=disc_loss,
-                       mean_reward=float(batch.rewards.mean()), kl=diag["kl"],
+        report.add_row(iteration=it, mean_return=float(np.mean([tr.total_return for tr in trajs])),
+                       disc_loss=disc_loss, mean_reward=mean_reward, kl=diag["kl"],
                        occupancy_distance=occ_dist, accepted=diag["accepted"],
                        eval_return=eval_ret)
         if eval_ret != "" and config.early_stop and it >= config.early_stop_min_iters \
                 and stopper.update(eval_ret):
             break
     report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0]
-    report.scaled_score = scaled_score(report.final_return, report.random_mean,
-                                       report.expert_mean)
     report.wall_clock = time.time() - start
-    return policy, disc, report
+    return policy, report
+
+
+def train_expert(env, config, iterations, seed):
+    """TRPO on the environment's true reward."""
+    return _train(env, config, iterations, seed, "expert")
+
+
+def _check_demos(env, demos, kind, trainer):
+    if not isinstance(demos, kind):
+        raise TypeError(f"{trainer} takes a {kind.__name__}, not a {type(demos).__name__}")
+    if demos.env_id != env.spec.env_id:
+        raise ValueError(f"demo env id {demos.env_id!r} != env {env.spec.env_id!r}")
+
+
+def _scored(report, env, config, seed, expert_mean):
+    """Anchor the report's final return between a random policy's and the
+    expert's."""
+    report.random_mean = evaluate(RandomPolicy(env.spec), env, config.eval_episodes,
+                                  seed + 3)[0]
+    report.expert_mean = expert_mean
+    report.scaled_score = scaled_score(report.final_return, report.random_mean, expert_mean)
+    return report
+
+
+def _action_features(spec, actions):
+    """Discriminator action features: one-hot for discrete, raw for box."""
+    if spec.action_kind == "discrete":
+        acts = np.asarray(actions, dtype=int)
+        feats = np.zeros((len(acts), spec.n_actions))
+        feats[np.arange(len(acts)), acts] = 1.0
+        return feats
+    return np.atleast_2d(np.asarray(actions, dtype=np.float64))
+
+
+def _adversarial_reward(env, config, seed, expert_x, input_mode):
+    """The reward hook of the adversarial trainers. On each fresh rollout it
+    takes d_steps Adam steps of one discriminator, each against as many
+    resampled expert rows, then pays -log D from the updated discriminator."""
+    spec = env.spec
+    rng = np.random.default_rng(seed)
+    disc = adversary.Discriminator(expert_x.shape[1], input_mode=input_mode,
+                                   hidden=config.hidden, lr=config.disc_lr,
+                                   seed=seed + 2)
+
+    def reward(batch):
+        if input_mode == "state_transition":
+            imit_x = adversary.pair_features(batch.states, batch.next_states)
+        else:
+            imit_x = adversary.pair_features(batch.states,
+                                             _action_features(spec, batch.actions))
+        disc_loss = None
+        for _ in range(config.d_steps):
+            idx = rng.integers(len(expert_x), size=len(imit_x))
+            disc_loss = adversary.disc_update(disc, imit_x, expert_x[idx])
+        rewards = adversary.policy_reward(disc, imit_x)
+        if not np.all(np.isfinite(rewards)):
+            raise FloatingPointError("non-finite reward")
+        return rewards, disc_loss
+
+    return reward
 
 
 def gaifo_train(env, demos, config, seed, expert_occupancy=None):
@@ -498,39 +480,27 @@ def gaifo_train(env, demos, config, seed, expert_occupancy=None):
     The discriminator scores (s, s') transitions; the imitator's reward is
     -log D(s, s') per transition.
     """
-    if not isinstance(demos, DemonstrationSet):
-        raise TypeError("gaifo_train takes a state-only DemonstrationSet")
-    if demos.env_id != env.spec.env_id:
-        raise ValueError(f"demo env id {demos.env_id!r} != env {env.spec.env_id!r}")
-    s, s_next = demos.transition_pairs()
-    expert_x = adversary.pair_features(s, s_next)
+    _check_demos(env, demos, DemonstrationSet, "gaifo_train")
     gamma = config.gamma if config.gamma is not None else env.spec.gamma
     occ_ref = expert_occupancy
-    if occ_ref is None and config.track_occupancy:
-        if env.spec.state_count > 0:
-            occ_ref = demo_occupancy(demos, gamma, n_states=env.spec.state_count)
-        elif hasattr(env, "state_bounds"):
-            bins = BinSpec.from_bounds(*env.state_bounds, bins=config.occupancy_bins)
-            occ_ref = demo_occupancy(demos, gamma, bins=bins)
-    policy, _, report = _adversarial_train(
-        env, config, seed, expert_x, demos.expert_mean_return, "gaifo",
-        "state_transition", occupancy_ref=occ_ref)
-    return policy, report
+    bins = _occupancy_bins(env, config)
+    if occ_ref is None and config.track_occupancy and (env.spec.state_count > 0 or bins is not None):
+        occ_ref = demo_occupancy(demos, gamma, n_states=env.spec.state_count or None, bins=bins)
+    expert_x = adversary.pair_features(*demos.transition_pairs())
+    reward = _adversarial_reward(env, config, seed, expert_x, "state_transition")
+    policy, report = _train(env, config, config.iterations, seed, "gaifo", reward, occ_ref)
+    return policy, _scored(report, env, config, seed, demos.expert_mean_return)
 
 
 def gail_train(env, demos, config, seed):
     """Action-aware adversarial baseline: discriminator over (s, a) pairs."""
-    if not isinstance(demos, DemonstrationSetWithActions):
-        raise TypeError("gail_train needs demonstrations with actions")
-    if demos.env_id != env.spec.env_id:
-        raise ValueError(f"demo env id {demos.env_id!r} != env {env.spec.env_id!r}")
+    _check_demos(env, demos, DemonstrationSetWithActions, "gail_train")
     s = np.concatenate([tr[:-1] for tr in demos.trajectories])
     acts = np.concatenate([np.asarray(a) for a in demos.actions])
     expert_x = adversary.pair_features(s, _action_features(env.spec, acts))
-    policy, _, report = _adversarial_train(
-        env, config, seed, expert_x, demos.expert_mean_return, "gail",
-        "state_action", occupancy_ref=None)
-    return policy, report
+    reward = _adversarial_reward(env, config, seed, expert_x, "state_action")
+    policy, report = _train(env, config, config.iterations, seed, "gail", reward)
+    return policy, _scored(report, env, config, seed, demos.expert_mean_return)
 
 
 def fit_inverse_model(states, actions, next_states, spec, config, seed):
@@ -551,28 +521,12 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
     out_dim = spec.n_actions if discrete else spec.action_dim
     net = nets.init_mlp([x.shape[1], *config.inverse_hidden, out_dim],
                         activation="tanh", rng=rng)
-    adam = nets.AdamState.for_params(net, alpha=config.inverse_lr)
     if discrete:
         y = np.asarray(actions, dtype=int)
     else:
         y = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    mb = 256
-    for _ in range(config.inverse_epochs):
-        perm = rng.permutation(train_idx)
-        for start in range(0, len(perm), mb):
-            idx = perm[start : start + mb]
-            out, cache = nets.mlp_forward(net, x[idx])
-            if discrete:
-                z = out - out.max(axis=1, keepdims=True)
-                p = np.exp(z)
-                p /= p.sum(axis=1, keepdims=True)
-                head = p.copy()
-                head[np.arange(len(idx)), y[idx]] -= 1.0
-                head /= len(idx)
-            else:
-                head = (out - y[idx]) / len(idx)
-            grads, _ = nets.mlp_backward(net, cache, head)
-            nets.adam_step(adam, net, grads)
+    nets.fit_supervised(net, nets.AdamState(net, alpha=config.inverse_lr), x, y, rng,
+                        config.inverse_epochs, 256, rows=train_idx)
 
     def predict(s, s_next):
         feats = np.concatenate([np.atleast_2d(s), np.atleast_2d(s_next)], axis=1)
@@ -592,24 +546,18 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
 def bco_train(env, demos, config, seed):
     """Behavioral cloning from observation: exploration -> inverse dynamics
     model -> action inference on demo pairs -> behavioral cloning."""
-    if not isinstance(demos, DemonstrationSet):
-        raise TypeError("bco_train takes a state-only DemonstrationSet")
-    if demos.env_id != env.spec.env_id:
-        raise ValueError(f"demo env id {demos.env_id!r} != env {env.spec.env_id!r}")
+    _check_demos(env, demos, DemonstrationSet, "bco_train")
     if config.exploration_steps <= 0:
         raise ValueError("exploration budget must be positive")
     spec = env.spec
     report = TrainReport("bco", seed)
-    report.random_mean = evaluate(RandomPolicy(spec), env, config.eval_episodes,
-                                  seed + 3)[0]
-    report.expert_mean = demos.expert_mean_return
     start = time.time()
 
     # phase 1: self-supervised exploration with a random policy
     trajs = collect_batch(RandomPolicy(spec), env, config.exploration_steps,
                           seed + 11)
     batch = trpo.RolloutBatch.from_trajectories(trajs)
-    net, predict, val_metric = fit_inverse_model(
+    _, predict, val_metric = fit_inverse_model(
         batch.states, batch.actions, batch.next_states, spec, config, seed + 13)
     report.extras["inverse_val_metric"] = val_metric
     if val_metric > config.inverse_val_threshold:
@@ -623,30 +571,10 @@ def bco_train(env, demos, config, seed):
     # phase 3: behavioral cloning on (s, inferred action)
     policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed,
                               init_log_std=config.init_log_std)
-    adam = nets.AdamState.for_params(policy.net, alpha=config.bc_lr)
-    rng = np.random.default_rng(seed + 17)
-    mb = 256
-    n = len(s)
-    for epoch in range(config.bc_epochs):
-        perm = rng.permutation(n)
-        for start_i in range(0, n, mb):
-            idx = perm[start_i : start_i + mb]
-            out, cache = nets.mlp_forward(policy.net, s[idx])
-            if spec.action_kind == "discrete":
-                z = out - out.max(axis=1, keepdims=True)
-                p = np.exp(z)
-                p /= p.sum(axis=1, keepdims=True)
-                head = p.copy()
-                head[np.arange(len(idx)), inferred[idx]] -= 1.0
-                head /= len(idx)
-            else:
-                head = (out - inferred[idx]) / len(idx)
-            grads, _ = nets.mlp_backward(policy.net, cache, head)
-            nets.adam_step(adam, policy.net, grads)
+    nets.fit_supervised(policy.net, nets.AdamState(policy.net, alpha=config.bc_lr), s,
+                        inferred, np.random.default_rng(seed + 17), config.bc_epochs, 256)
     report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0]
-    report.scaled_score = scaled_score(report.final_return, report.random_mean,
-                                       report.expert_mean)
     report.add_row(iteration=0, mean_return=report.final_return,
                    eval_return=report.final_return)
     report.wall_clock = time.time() - start
-    return policy, report
+    return policy, _scored(report, env, config, seed, demos.expert_mean_return)

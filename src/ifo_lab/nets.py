@@ -1,5 +1,5 @@
-"""Dense multi-layer perceptrons with exact manual backprop, Adam, and
-finite-difference gradient oracles.
+"""Dense multi-layer perceptrons with exact manual backprop, Adam, the one
+supervised-fit routine, and finite-difference gradient oracles.
 
 Everything is float64 numpy. Weights are stored (in_dim, out_dim) so a batch
 of row vectors propagates as ``x @ W + b``. Forward passes return a cache
@@ -15,6 +15,11 @@ so every fresh one is paid for again in page faults, which cost more than
 the arithmetic. The results are bit-identical to those through a plain
 cache, and returned arrays are always fresh. Caches used once keep nothing:
 kept arrays in every cache would raise peak memory for no reuse.
+
+``fit_supervised`` is the one minibatch-Adam fit: the value baseline, the
+inverse dynamics model and behavioral cloning all train through it, with
+softmax cross-entropy for integer labels and squared error for float
+targets.
 
 ``BinaryReader`` is the one reader of the checkpoint and demonstration
 formats: truncated, padded or corrupt files fail with a ValueError that
@@ -281,29 +286,24 @@ def mlp_jvp(params, cache, tangents):
 
 
 class AdamState:
-    """First/second-moment state for a fixed list of parameter arrays."""
+    """First/second-moment state for the parameter arrays of an MlpParams."""
 
-    def __init__(self, shapes, alpha=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, alpha=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.step_count = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = [np.zeros(a.shape) for a in params.arrays()]
+        self.v = [np.zeros(a.shape) for a in params.arrays()]
         self.alpha = alpha
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
 
-    @classmethod
-    def for_params(cls, params, **kw):
-        arrays = params.arrays() if isinstance(params, MlpParams) else params
-        return cls([a.shape for a in arrays], **kw)
-
 
 def adam_step(state, params, grads):
-    """One bias-corrected Adam update, in place. Returns (params, state).
-
-    params may be an MlpParams or a list of arrays; grads must mirror it.
+    """One bias-corrected Adam update of an MlpParams, in place; grads mirror
+    params.arrays(). Returns (params, state). A non-finite gradient raises
+    FloatingPointError before anything changes.
     """
-    arrays = params.arrays() if isinstance(params, MlpParams) else params
+    arrays = params.arrays()
     if len(grads) != len(arrays):
         raise ValueError("gradient list does not mirror parameter arrays")
     for a, g in zip(arrays, grads):
@@ -311,7 +311,7 @@ def adam_step(state, params, grads):
         if g.shape != a.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {a.shape}")
         if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient entries")
+            raise FloatingPointError("non-finite gradient entries")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
@@ -323,6 +323,44 @@ def adam_step(state, params, grads):
         v += (1.0 - state.beta2) * g * g
         a -= state.alpha * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
     return params, state
+
+
+def _softmax_xent_grad(out, labels):
+    """Gradient of the mean softmax cross-entropy w.r.t. the logits."""
+    z = out - out.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(len(labels)), labels] -= 1.0
+    p /= len(labels)
+    return p
+
+
+def _squared_error_grad(out, targets):
+    """Gradient of half the mean squared error w.r.t. the output."""
+    return (out - targets) / len(targets)
+
+
+def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None):
+    """Minibatch Adam on a supervised loss, in place.
+
+    Integer y holds class labels and the loss is softmax cross-entropy over
+    the outputs; float y holds regression targets, (n,) for a one-output net
+    or (n, out_dim), and the loss is half the mean squared error. Each epoch
+    visits the `rows` of x (all of them by default) in the order of
+    rng.permutation, taking one Adam step per minibatch of rows.
+    """
+    if np.issubdtype(y.dtype, np.integer):
+        output_grad = _softmax_xent_grad
+    else:
+        output_grad = _squared_error_grad
+        y = y.reshape(len(y), -1)
+    for _ in range(epochs):
+        order = rng.permutation(len(x) if rows is None else rows)
+        for start in range(0, len(order), minibatch):
+            idx = order[start : start + minibatch]
+            out, cache = mlp_forward(net, x[idx])
+            grads, _ = mlp_backward(net, cache, output_grad(out, y[idx]))
+            adam_step(adam, net, grads)
 
 
 def finite_diff_grad(f, x, h=1e-5):

@@ -16,7 +16,6 @@ summed in trajectory-major order, bit-identical to adding the transitions
 one at a time; binned keys keep the order in which they first appear.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,6 @@ class BinSpec:
         highs = np.asarray(self.highs)
         frac = (np.asarray(states, float) - lows) / (highs - lows)
         return np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
-
-    def index(self, state):
-        return tuple(int(i) for i in self.indices(np.asarray(state, float)[None])[0])
 
 
 class StateTransitionOccupancy:
@@ -80,20 +76,6 @@ class StateTransitionOccupancy:
             mass_map={k: v / total for k, v in self.mass_map.items()}, bins=self.bins,
         )
 
-    def to_csv(self, path):
-        """Rows (i, j, mass); for binned occupancies i, j are bin tuples."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "mass"])
-            if self.mass is not None:
-                for i in range(self.mass.shape[0]):
-                    for j in range(self.mass.shape[1]):
-                        if self.mass[i, j] != 0.0:
-                            writer.writerow([i, j, repr(float(self.mass[i, j]))])
-            else:
-                for (bi, bj), v in sorted(self.mass_map.items()):
-                    writer.writerow([bi, bj, repr(float(v))])
-
 
 def exact_occupancy(mdp, policy_table, gamma):
     """Exact discounted state-transition occupancy of a tabular policy.
@@ -122,13 +104,6 @@ def exact_occupancy(mdp, policy_table, gamma):
     if mdp.terminal is not None and mdp.terminal.any():
         rho[mdp.terminal] = 0.0
     return StateTransitionOccupancy("exact-tabular", gamma, mass=rho)
-
-
-def exact_visitation(mdp, policy_table, gamma):
-    """Discounted state visitation d(s) = sum_t gamma^t P(s_t = s | pi)."""
-    table = np.asarray(policy_table, dtype=np.float64)
-    P_pi = np.einsum("sa,sat->st", table, mdp.P)
-    return np.linalg.solve(np.eye(mdp.n_states) - gamma * P_pi.T, mdp.p0)
 
 
 def empirical_occupancy(trajectories, gamma, bins=None, n_states=None):

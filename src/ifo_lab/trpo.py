@@ -128,14 +128,6 @@ def make_policy(spec, hidden=(64, 64), seed=0, init_log_std=-0.5):
     return StochasticPolicy("gaussian", net, np.full(spec.action_dim, init_log_std))
 
 
-def log_prob(policy, state, action):
-    """Scalar log probability for a single (state, action) pair."""
-    states = np.atleast_2d(np.asarray(state, dtype=np.float64))
-    if policy.kind == "categorical":
-        return float(policy.log_prob(states, [int(action)])[0])
-    return float(policy.log_prob(states, np.atleast_2d(action))[0])
-
-
 def _softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -301,13 +293,12 @@ class RolloutBatch:
     returns: np.ndarray = None
 
     @classmethod
-    def from_trajectories(cls, trajectories, policy=None, rewards=None):
+    def from_trajectories(cls, trajectories, policy=None):
         trajectories = [tr for tr in trajectories if not tr.aborted and tr.n_steps > 0]
         states = np.concatenate([tr.states[:-1] for tr in trajectories])
         next_states = np.concatenate([tr.states[1:] for tr in trajectories])
         actions = np.concatenate([np.asarray(tr.actions) for tr in trajectories])
-        if rewards is None:
-            rewards = np.concatenate([tr.rewards for tr in trajectories])
+        rewards = np.concatenate([tr.rewards for tr in trajectories])
         dones = np.concatenate([
             np.arange(tr.n_steps) == tr.n_steps - 1 for tr in trajectories
         ])
@@ -355,7 +346,7 @@ class ValueFunction:
                  minibatch=256, seed=0):
         self.net = nets.init_mlp([obs_dim, *hidden, 1], activation="tanh",
                                  rng=np.random.default_rng(seed))
-        self.adam = nets.AdamState.for_params(self.net, alpha=lr)
+        self.adam = nets.AdamState(self.net, alpha=lr)
         self.epochs = epochs
         self.minibatch = minibatch
         self._rng = np.random.default_rng(seed + 1)
@@ -365,17 +356,9 @@ class ValueFunction:
         return out[:, 0]
 
     def fit(self, states, targets):
-        states = np.atleast_2d(states)
-        targets = np.asarray(targets, dtype=np.float64)
-        n = len(states)
-        for _ in range(self.epochs):
-            order = self._rng.permutation(n)
-            for start in range(0, n, self.minibatch):
-                idx = order[start : start + self.minibatch]
-                out, cache = nets.mlp_forward(self.net, states[idx])
-                err = (out[:, 0] - targets[idx])[:, None]
-                grads, _ = nets.mlp_backward(self.net, cache, err / len(idx))
-                nets.adam_step(self.adam, self.net, grads)
+        nets.fit_supervised(self.net, self.adam, np.atleast_2d(states),
+                            np.asarray(targets, dtype=np.float64), self._rng,
+                            self.epochs, self.minibatch)
 
 
 def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,

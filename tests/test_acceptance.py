@@ -289,8 +289,7 @@ def test_criterion_5_trust_region_contract(capfd, point_mass_setup):
         imit_x = adversary.pair_features(batch.states, batch.next_states)
         idx = rng.integers(len(expert_x), size=len(imit_x))
         adversary.disc_update(disc, imit_x, expert_x[idx])
-        batch.rewards = adversary.policy_reward(disc, batch.states,
-                                                batch.next_states)
+        batch.rewards = adversary.policy_reward(disc, imit_x)
         trpo.compute_advantages(batch, vf, spec.gamma, 0.97)
         old = policy.copy()
         base = trpo.surrogate_loss(policy, batch.states, batch.actions,

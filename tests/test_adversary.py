@@ -15,12 +15,13 @@ class TestDiscForward:
     def test_zero_network_gives_half(self):
         d = make_disc()
         d.params.set_flat(np.zeros(d.params.n_params))
-        assert adversary.disc_forward(d, np.ones(2), np.ones(2)) == 0.5
+        vals, _ = adversary.disc_values(d, adversary.pair_features(np.ones(2), np.ones(2)))
+        assert vals.tolist() == [0.5]
 
     def test_output_in_open_interval(self):
         d = make_disc()
         s = np.random.default_rng(0).normal(size=(50, 2)) * 30
-        vals = adversary.disc_forward(d, s, s)
+        vals, _ = adversary.disc_values(d, adversary.pair_features(s, s))
         assert np.all(vals > 0) and np.all(vals < 1)
 
     def test_matches_sigmoid_of_raw_forward(self):
@@ -32,12 +33,13 @@ class TestDiscForward:
         probe.output_transform = "identity"
         logit, _ = nets.mlp_forward(probe, x)
         expect = float(nets.clamped_sigmoid(logit)[0])
-        assert adversary.disc_forward(d, s, s_next) == pytest.approx(expect)
+        vals, _ = adversary.disc_values(d, adversary.pair_features(s, s_next))
+        assert vals[0] == pytest.approx(expect)
 
     def test_dim_mismatch_rejected(self):
         d = make_disc(input_dim=4)
         with pytest.raises(ValueError):
-            adversary.disc_forward(d, np.ones(3), np.ones(3))
+            adversary.disc_values(d, adversary.pair_features(np.ones(3), np.ones(3)))
 
 
 class TestDiscLoss:
@@ -112,22 +114,14 @@ class TestDiscTraining:
 
         np.testing.assert_array_equal(run(), run())
 
-    def test_checkpoint_roundtrip(self, tmp_path):
-        d = make_disc(seed=6, input_mode="state_action")
-        path = tmp_path / "disc.mlp"
-        d.save(path)
-        loaded = adversary.Discriminator.load(path)
-        assert loaded.input_mode == "state_action"
-        np.testing.assert_array_equal(loaded.params.flatten(), d.params.flatten())
-
 
 class TestPolicyReward:
     def test_reward_is_negative_log_d(self):
         d = make_disc(seed=7)
         rng = np.random.default_rng(4)
-        s, s_next = rng.normal(size=2), rng.normal(size=2)
-        dv = adversary.disc_forward(d, s, s_next)
-        assert adversary.policy_reward(d, s, s_next) == pytest.approx(-np.log(dv))
+        x = adversary.pair_features(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
+        dv, _ = adversary.disc_values(d, x)
+        np.testing.assert_allclose(adversary.policy_reward(d, x), -np.log(dv), rtol=1e-15)
 
     def test_hand_values(self):
         assert -np.log(0.5) == pytest.approx(np.log(2))
@@ -136,8 +130,8 @@ class TestPolicyReward:
     def test_reward_finite_under_extreme_logits(self):
         d = make_disc()
         d.params.set_flat(np.full(d.params.n_params, 50.0))
-        r = adversary.policy_reward(d, np.ones(2) * 100, np.ones(2) * 100)
-        assert np.isfinite(r)
+        r = adversary.policy_reward(d, np.ones(4) * 100)
+        assert r.shape == (1,) and np.all(np.isfinite(r))
 
 
 class TestGFn:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ifo_lab import envs
-from ifo_lab.occupancy import exact_visitation
+from ifo_lab.occupancy import exact_occupancy
 from ifo_lab.trpo import make_policy
 
 
@@ -232,7 +232,7 @@ class TestRollout:
         for t in range(81):
             emp += np.bincount(states[:, t], minlength=16) * weights[t]
         emp /= emp.sum()
-        exact = exact_visitation(env.mdp, table, 0.9)
+        exact = exact_occupancy(env.mdp, table, 0.9).mass.sum(axis=1)
         exact = exact / exact.sum()
         assert np.abs(emp - exact).sum() < 0.05
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ifo_lab as il
-from ifo_lab import envs, imitation, nets, trpo
+from ifo_lab import adversary, envs, imitation, nets, trpo
 from ifo_lab.envs import PointMassController, TabularPolicy, value_iteration
 from ifo_lab.imitation import (DemonstrationSet, DemonstrationSetWithActions,
                                TrainConfig, TrainReport, _EarlyStopper,
@@ -71,7 +71,7 @@ class TestDemonstrationSet:
     def test_transition_pairs_are_consecutive(self, point_mass_demos):
         _, _, demos = point_mass_demos
         s, s_next = demos.transition_pairs()
-        assert len(s) == len(s_next) == demos.n_transitions
+        assert len(s) == len(s_next) == sum(len(tr) - 1 for tr in demos.trajectories)
         np.testing.assert_array_equal(s[1], demos.trajectories[0][1])
         np.testing.assert_array_equal(s_next[0], demos.trajectories[0][1])
 
@@ -102,13 +102,6 @@ class TestDemonstrationSetWithActions:
         assert loaded.action_kind == "discrete"
         for a, b in zip(demos.actions, loaded.actions):
             np.testing.assert_array_equal(np.asarray(a, int), b)
-
-    def test_state_only_projection_drops_actions(self, point_mass_demos):
-        env, expert, _ = point_mass_demos
-        demos = record_demonstrations_with_actions(expert, env, 2, 0)
-        stripped = demos.state_only()
-        assert isinstance(stripped, DemonstrationSet)
-        assert not hasattr(stripped, "actions")
 
     def test_formats_not_interchangeable(self, tmp_path, point_mass_demos):
         env, expert, _ = point_mass_demos
@@ -384,6 +377,28 @@ def _poison_iteration_2(monkeypatch, point):
                 self.net.weights[0][0, 0] = np.nan
 
         monkeypatch.setattr(trpo.ValueFunction, "fit", fit_then_poison)
+    if point == "value gradient":
+        fit = trpo.ValueFunction.fit
+        backward = nets.mlp_backward
+
+        def nan_backward(params, cache, output_grad):
+            grads, input_grad = backward(params, cache, output_grad)
+            return [g * np.nan for g in grads], input_grad
+
+        def fit_with_nan_gradient(self, states, targets):
+            if len(seen) == 3:
+                monkeypatch.setattr(nets, "mlp_backward", nan_backward)
+            fit(self, states, targets)
+
+        monkeypatch.setattr(trpo.ValueFunction, "fit", fit_with_nan_gradient)
+    if point == "discriminator gradient":
+        loss_grad = adversary.disc_loss_grad
+
+        def nan_loss_grad(d, imitator_batch, expert_batch):
+            loss, grads = loss_grad(d, imitator_batch, expert_batch)
+            return loss, [g * np.nan for g in grads] if len(seen) == 3 else grads
+
+        monkeypatch.setattr(adversary, "disc_loss_grad", nan_loss_grad)
     if point == "fisher product":
         jvp = nets.mlp_jvp
 
@@ -396,11 +411,15 @@ def _poison_iteration_2(monkeypatch, point):
 
 
 class TestNonFiniteAbort:
-    """A non-finite value in the rollout, the value net or the TRPO step ends
-    the run as aborted with the last finite policy, not with an exception."""
+    """A non-finite value in the rollout, a gradient, the value net or the
+    TRPO step ends the run as aborted with the last finite policy, not with
+    an exception."""
 
-    @pytest.mark.parametrize("point", ["rollout", "value net", "fisher product"])
-    @pytest.mark.parametrize("trainer", ["expert", "gaifo"])
+    @pytest.mark.parametrize("trainer,point", [
+        (trainer, point) for trainer in ("expert", "gaifo")
+        for point in ("rollout", "value net", "value gradient", "fisher product",
+                      "discriminator gradient")
+        if (trainer, point) != ("expert", "discriminator gradient")])
     def test_aborts_with_last_finite_snapshot(self, monkeypatch, gridworld_demos,
                                               trainer, point):
         env, _, demos = gridworld_demos

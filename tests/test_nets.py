@@ -183,7 +183,7 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         net = nets.init_mlp([2, 3, 1], rng=np.random.default_rng(0))
         before = net.flatten()
-        state = nets.AdamState.for_params(net)
+        state = nets.AdamState(net)
         nets.adam_step(state, net, [np.zeros_like(a) for a in net.arrays()])
         assert state.step_count == 1
         np.testing.assert_array_equal(net.flatten(), before)
@@ -192,22 +192,22 @@ class TestAdam:
         # scalar param 0, grad 1, alpha 0.1: bias-corrected first step is
         # exactly -alpha * g / (|g| + eps') which is -0.1 up to epsilon
         net = nets.MlpParams([np.array([[0.0]])], [np.array([0.0])])
-        state = nets.AdamState.for_params(net, alpha=0.1)
+        state = nets.AdamState(net, alpha=0.1)
         nets.adam_step(state, net, [np.array([[1.0]]), np.array([0.0])])
         assert net.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_rejects_non_finite_gradients(self):
         net = nets.init_mlp([2, 2], rng=np.random.default_rng(0))
-        state = nets.AdamState.for_params(net)
+        state = nets.AdamState(net)
         bad = [np.full_like(a, np.nan) for a in net.arrays()]
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             nets.adam_step(state, net, bad)
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(42)
             net = nets.init_mlp([3, 4, 1], rng=rng)
-            state = nets.AdamState.for_params(net, alpha=0.01)
+            state = nets.AdamState(net, alpha=0.01)
             x = np.random.default_rng(1).normal(size=(8, 3))
             for _ in range(10):
                 out, cache = nets.mlp_forward(net, x)
@@ -219,7 +219,7 @@ class TestAdam:
 
     def test_second_moments_nonnegative(self):
         net = nets.init_mlp([2, 2], rng=np.random.default_rng(0))
-        state = nets.AdamState.for_params(net)
+        state = nets.AdamState(net)
         grads = [np.random.default_rng(3).normal(size=a.shape) for a in net.arrays()]
         nets.adam_step(state, net, grads)
         assert all(np.all(v >= 0) for v in state.v)

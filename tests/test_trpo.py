@@ -37,15 +37,15 @@ class TestPolicyDistribution:
     def test_uniform_categorical_log_prob(self):
         policy = categorical_policy(n_actions=4)
         policy.net.set_flat(np.zeros(policy.net.n_params))  # uniform logits
-        lp = trpo.log_prob(policy, np.ones(3), 2)
-        assert lp == pytest.approx(np.log(0.25))
+        lp = policy.log_prob(np.ones((1, 3)), [2])
+        assert lp[0] == pytest.approx(np.log(0.25))
 
     def test_standard_normal_log_prob_peak(self):
         policy = gaussian_policy(action_dim=1, init_log_std=0.0)
         policy.net.set_flat(np.zeros(policy.net.n_params))  # mean 0
         policy.log_std = np.zeros(1)
-        lp = trpo.log_prob(policy, np.ones(3), np.zeros(1))
-        assert lp == pytest.approx(-0.5 * np.log(2 * np.pi))
+        lp = policy.log_prob(np.ones((1, 3)), np.zeros((1, 1)))
+        assert lp[0] == pytest.approx(-0.5 * np.log(2 * np.pi))
 
     def test_gaussian_tiny_std_acts_at_mean(self):
         policy = gaussian_policy(action_dim=2)
@@ -81,18 +81,17 @@ class TestPolicyDistribution:
     def test_log_prob_gradient_matches_fd(self):
         for policy, action in ((categorical_policy(seed=2), 1),
                                (gaussian_policy(seed=2), np.array([0.3, -0.7]))):
-            state = np.random.default_rng(1).normal(size=3)
+            states = np.random.default_rng(1).normal(size=(1, 3))
+            actions = [action] if policy.kind == "categorical" else action[None, :]
 
-            def f(flat, policy=policy, action=action):
+            def f(flat, policy=policy, actions=actions):
                 probe = policy.copy()
                 probe.set_flat(flat)
-                return trpo.log_prob(probe, state, action)
+                return float(probe.log_prob(states, actions)[0])
 
             # FD probe of log_std must stay off the clamp boundary
-            grad_an = trpo.surrogate_grad(
-                policy, state[None, :],
-                [action] if policy.kind == "categorical" else action[None, :],
-                np.array([1.0]), np.array([trpo.log_prob(policy, state, action)]))
+            grad_an = trpo.surrogate_grad(policy, states, actions, np.array([1.0]),
+                                          policy.log_prob(states, actions))
             fd = nets.finite_diff_grad(f, policy.flat_params())
             err = np.abs(grad_an - fd).max() / max(np.abs(fd).max(), 1e-12)
             assert err < 1e-4
