@@ -225,6 +225,81 @@ class TestAdam:
         assert all(np.all(v >= 0) for v in state.v)
 
 
+class TestFitSupervised:
+    def _net(self, out_dim):
+        return nets.init_mlp([3, 8, out_dim], rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_loss_gradient_matches_finite_differences(self, labels):
+        # the loss whose gradient fit_supervised feeds to the backward pass:
+        # mean softmax cross-entropy, or half the mean squared error
+        rng = np.random.default_rng(1)
+        net = self._net(4)
+        x = rng.normal(size=(6, 3))
+        y = rng.integers(4, size=6) if labels else rng.normal(size=(6, 4))
+
+        def loss(flat):
+            probe = net.copy()
+            probe.set_flat(flat)
+            out, _ = nets.mlp_forward(probe, x)
+            if labels:
+                logp = out - np.log(np.exp(out).sum(axis=1, keepdims=True))
+                return float(-logp[np.arange(6), y].mean())
+            return float(0.5 * ((out - y) ** 2).sum(axis=1).mean())
+
+        out, cache = nets.mlp_forward(net, x)
+        head = (nets._softmax_xent_grad(out, y) if labels
+                else nets._squared_error_grad(out, y))
+        grads, _ = nets.mlp_backward(net, cache, head)
+        analytic = np.concatenate([g.ravel() for g in grads])
+        fd = nets.finite_diff_grad(loss, net.flatten())
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+    def test_vector_targets_fit_a_one_output_net_like_column_targets(self):
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(50, 3)), rng.normal(size=50)
+        fitted = []
+        for targets in (y, y[:, None]):
+            net = self._net(1)
+            nets.fit_supervised(net, nets.AdamState(net), x, targets,
+                                np.random.default_rng(3), epochs=3, minibatch=16)
+            fitted.append(net.flatten())
+        np.testing.assert_array_equal(fitted[0], fitted[1])
+
+    def test_only_the_given_rows_are_visited(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(40, 3)), rng.integers(3, size=40)
+        rows = np.arange(10, 40)
+        poisoned = y.copy()
+        poisoned[:10] = (y[:10] + 1) % 3
+        fitted = []
+        for labels in (y, poisoned):
+            net = self._net(3)
+            nets.fit_supervised(net, nets.AdamState(net), x, labels,
+                                np.random.default_rng(5), epochs=2, minibatch=8, rows=rows)
+            fitted.append(net.flatten())
+        np.testing.assert_array_equal(fitted[0], fitted[1])
+
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_fit_lowers_the_loss(self, labels):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(64, 3))
+        y = (x[:, 0] > 0).astype(int) if labels else x[:, :2] * 0.5
+        net = self._net(2)
+
+        def loss():
+            out, _ = nets.mlp_forward(net, x)
+            if labels:
+                logp = out - np.log(np.exp(out).sum(axis=1, keepdims=True))
+                return -logp[np.arange(64), y].mean()
+            return np.mean((out - y) ** 2)
+
+        before = loss()
+        nets.fit_supervised(net, nets.AdamState(net, alpha=1e-2), x, y,
+                            np.random.default_rng(7), epochs=20, minibatch=16)
+        assert loss() < 0.5 * before
+
+
 class TestFiniteDiff:
     def test_quadratic(self):
         grad = nets.finite_diff_grad(lambda x: float(x[0] ** 2), np.array([3.0]))
