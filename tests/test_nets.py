@@ -2,6 +2,7 @@
 forward-mode JVP, caches that keep a workspace, Adam, and checkpoint
 round-trips and corruption."""
 
+import hashlib
 import json
 import struct
 
@@ -317,7 +318,91 @@ class TestFiniteDiff:
             nets.finite_diff_grad(f, np.zeros(3))
 
 
+class TestFlatLayout:
+    """One network's parameters in the checkpoint's order, W0 row-major, b0,
+    W1, b1, ..., with weights[k] and biases[k] reading and writing them."""
+
+    def _net(self):
+        return nets.init_mlp([3, 5, 4, 2], rng=np.random.default_rng(12))
+
+    def test_flatten_is_the_layer_order_concatenation(self):
+        net = self._net()
+        parts = []
+        for w, b in zip(net.weights, net.biases):
+            parts += [w.ravel(), b]
+        np.testing.assert_array_equal(net.flatten(), np.concatenate(parts))
+        assert net.flatten().shape == (net.n_params,)
+
+    def test_writes_through_arrays_show_in_flatten(self):
+        net = self._net()
+        net.weights[1][2, 3] = 7.0
+        net.biases[2][1] = -3.0
+        flat = net.flatten()
+        assert flat[3 * 5 + 5 + 2 * 4 + 3] == 7.0
+        assert flat[-1] == -3.0
+
+    def test_set_flat_shows_in_arrays(self):
+        net = self._net()
+        vec = np.arange(net.n_params, dtype=np.float64)
+        net.set_flat(vec)
+        np.testing.assert_array_equal(net.weights[0], vec[:15].reshape(3, 5))
+        np.testing.assert_array_equal(net.biases[0], vec[15:20])
+        np.testing.assert_array_equal(net.biases[-1], vec[-2:])
+
+    def test_flatten_returns_a_copy(self):
+        net = self._net()
+        before = net.flatten()
+        flat = net.flatten()
+        flat[:] = 0.0
+        np.testing.assert_array_equal(net.flatten(), before)
+
+    def test_copy_is_independent(self):
+        net = self._net()
+        twin = net.copy()
+        before = net.flatten()
+        twin.weights[0][0, 0] += 1.0
+        twin.set_flat(np.zeros(twin.n_params))
+        np.testing.assert_array_equal(net.flatten(), before)
+        net.biases[0][0] = 5.0
+        assert twin.biases[0][0] == 0.0
+        assert (twin.activation, twin.output_transform) == (net.activation,
+                                                            net.output_transform)
+
+    def test_weights_are_c_contiguous(self):
+        net = self._net()
+        for net in (net, net.copy()):
+            assert all(w.flags.c_contiguous for w in net.weights)
+            assert all(b.flags.c_contiguous for b in net.biases)
+
+
 class TestCheckpoint:
+    # SHA-256 of the checkpoint bytes of seeded networks; the format and the
+    # parameter layout must not change them
+    SHA256 = {
+        "categorical policy": "d0b9c30b8794dde4747a83dfed3b2bb4729c02d9c2ecedaa1722996e034cc785",
+        "gaussian policy": "aeddd6f05da96288c209406f820381e2a90c800e940fddcfa0bf7bf9366a8005",
+        "sigmoid discriminator":
+            "0e8549f4b30e6410c58bbb31e2d838da1b92fa2d63f7eececa346f74a4538bf5",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SHA256))
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, kind):
+        from ifo_lab import adversary, trpo
+        path = tmp_path / "net.mlp"
+        if kind == "categorical policy":
+            net = nets.init_mlp([25, 16, 16, 4], rng=np.random.default_rng(31), out_gain=0.01)
+            trpo.StochasticPolicy("categorical", net).save(path)
+        elif kind == "gaussian policy":
+            net = nets.init_mlp([4, 8, 2], rng=np.random.default_rng(32), out_gain=0.01)
+            trpo.StochasticPolicy("gaussian", net, np.array([-0.5, 0.25])).save(path)
+        else:
+            # one Adam step, so the biases are nonzero and the step is pinned too
+            disc = adversary.Discriminator(8, hidden=(16, 16), seed=33)
+            rng = np.random.default_rng(34)
+            adversary.disc_update(disc, rng.normal(size=(20, 8)), rng.normal(size=(30, 8)))
+            nets.save_mlp(path, disc.params, extra={"role": "discriminator"})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SHA256[kind]
+
     def test_roundtrip_bit_identical(self, tmp_path):
         net = nets.init_mlp([3, 16, 2], activation="leaky_relu",
                             output_transform="sigmoid",
