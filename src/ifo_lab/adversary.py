@@ -47,35 +47,35 @@ def disc_values(d, features):
     return out[:, 0], cache
 
 
+def _batches(imitator_batch, expert_batch):
+    imitator_batch = np.atleast_2d(imitator_batch)
+    expert_batch = np.atleast_2d(expert_batch)
+    if len(imitator_batch) == 0 or len(expert_batch) == 0:
+        raise ValueError("both batches must be nonempty")
+    return imitator_batch, expert_batch
+
+
 def disc_loss(d, imitator_batch, expert_batch):
     """-(mean log D on imitator + mean log(1 - D) on expert).
 
     Minimizing drives D -> 1 on imitator data and D -> 0 on expert data.
     Batches are (n, input_dim) feature matrices (see pair_features).
     """
-    imitator_batch = np.atleast_2d(imitator_batch)
-    expert_batch = np.atleast_2d(expert_batch)
-    if len(imitator_batch) == 0 or len(expert_batch) == 0:
-        raise ValueError("both batches must be nonempty")
+    imitator_batch, expert_batch = _batches(imitator_batch, expert_batch)
     di, _ = disc_values(d, imitator_batch)
     de, _ = disc_values(d, expert_batch)
     return float(-(np.mean(np.log(di)) + np.mean(np.log(1.0 - de))))
 
 
 def disc_loss_grad(d, imitator_batch, expert_batch):
-    """Loss value and exact gradient w.r.t. discriminator parameters."""
-    imitator_batch = np.atleast_2d(imitator_batch)
-    expert_batch = np.atleast_2d(expert_batch)
-    if len(imitator_batch) == 0 or len(expert_batch) == 0:
-        raise ValueError("both batches must be nonempty")
+    """Loss value and exact flat gradient w.r.t. discriminator parameters."""
+    imitator_batch, expert_batch = _batches(imitator_batch, expert_batch)
     di, ci = disc_values(d, imitator_batch)
     de, ce = disc_values(d, expert_batch)
     loss = float(-(np.mean(np.log(di)) + np.mean(np.log(1.0 - de))))
-    gi = (-1.0 / (len(di) * di))[:, None]
-    ge = (1.0 / (len(de) * (1.0 - de)))[:, None]
-    grads_i, _ = nets.mlp_backward(d.params, ci, gi)
-    grads_e, _ = nets.mlp_backward(d.params, ce, ge)
-    return loss, [a + b for a, b in zip(grads_i, grads_e)]
+    grads_i = nets.mlp_backward(d.params, ci, (-1.0 / (len(di) * di))[:, None])
+    grads_e = nets.mlp_backward(d.params, ce, (1.0 / (len(de) * (1.0 - de)))[:, None])
+    return loss, grads_i + grads_e
 
 
 def disc_update(d, imitator_batch, expert_batch):

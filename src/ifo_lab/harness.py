@@ -248,8 +248,7 @@ def _self_checks():
         return float(np.sum(w * out))
 
     out, cache = nets.mlp_forward(net, x)
-    grads, _ = nets.mlp_backward(net, cache, w)
-    flat_grad = np.concatenate([g.ravel() for g in grads])
+    flat_grad = nets.mlp_backward(net, cache, w)
     fd = nets.finite_diff_grad(loss_flat, net.flatten())
     rel = np.abs(flat_grad - fd).max() / max(np.abs(fd).max(), 1e-12)
     checks.append(("mlp-gradient", rel < 1e-6, f"max rel err {rel:.2e}"))

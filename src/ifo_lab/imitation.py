@@ -545,36 +545,43 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
 
 def bco_train(env, demos, config, seed):
     """Behavioral cloning from observation: exploration -> inverse dynamics
-    model -> action inference on demo pairs -> behavioral cloning."""
+    model -> action inference on demo pairs -> behavioral cloning.
+
+    A FloatingPointError in any phase ends the run as report.aborted with
+    the policy as it stood (Adam raises before a non-finite step).
+    """
     _check_demos(env, demos, DemonstrationSet, "bco_train")
     if config.exploration_steps <= 0:
         raise ValueError("exploration budget must be positive")
     spec = env.spec
     report = TrainReport("bco", seed)
     start = time.time()
-
-    # phase 1: self-supervised exploration with a random policy
-    trajs = collect_batch(RandomPolicy(spec), env, config.exploration_steps,
-                          seed + 11)
-    batch = trpo.RolloutBatch.from_trajectories(trajs)
-    _, predict, val_metric = fit_inverse_model(
-        batch.states, batch.actions, batch.next_states, spec, config, seed + 13)
-    report.extras["inverse_val_metric"] = val_metric
-    if val_metric > config.inverse_val_threshold:
-        warnings.warn(f"inverse model validation metric {val_metric:.3f} above "
-                      f"threshold {config.inverse_val_threshold}; continuing")
-
-    # phase 2: infer actions on demonstration pairs
-    s, s_next = demos.transition_pairs()
-    inferred = predict(s, s_next)
-
-    # phase 3: behavioral cloning on (s, inferred action)
     policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed,
                               init_log_std=config.init_log_std)
-    nets.fit_supervised(policy.net, nets.AdamState(policy.net, alpha=config.bc_lr), s,
-                        inferred, np.random.default_rng(seed + 17), config.bc_epochs, 256)
+    try:
+        # phase 1: self-supervised exploration with a random policy
+        trajs = collect_batch(RandomPolicy(spec), env, config.exploration_steps,
+                              seed + 11)
+        batch = trpo.RolloutBatch.from_trajectories(trajs)
+        _, predict, val_metric = fit_inverse_model(
+            batch.states, batch.actions, batch.next_states, spec, config, seed + 13)
+        report.extras["inverse_val_metric"] = val_metric
+        if val_metric > config.inverse_val_threshold:
+            warnings.warn(f"inverse model validation metric {val_metric:.3f} above "
+                          f"threshold {config.inverse_val_threshold}; continuing")
+
+        # phase 2: infer actions on demonstration pairs
+        s, s_next = demos.transition_pairs()
+        inferred = predict(s, s_next)
+
+        # phase 3: behavioral cloning on (s, inferred action)
+        nets.fit_supervised(policy.net, nets.AdamState(policy.net, alpha=config.bc_lr), s,
+                            inferred, np.random.default_rng(seed + 17), config.bc_epochs, 256)
+    except FloatingPointError:
+        report.aborted = True
     report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0]
-    report.add_row(iteration=0, mean_return=report.final_return,
-                   eval_return=report.final_return)
+    if not report.aborted:
+        report.add_row(iteration=0, mean_return=report.final_return,
+                       eval_return=report.final_return)
     report.wall_clock = time.time() - start
     return policy, _scored(report, env, config, seed, demos.expert_mean_return)

@@ -5,6 +5,14 @@ Everything is float64 numpy. Weights are stored (in_dim, out_dim) so a batch
 of row vectors propagates as ``x @ W + b``. Forward passes return a cache
 that is sufficient for an exact backward pass; no autodiff anywhere.
 
+A network's parameters live in one contiguous vector, ``MlpParams.flat``, in
+the checkpoint's order: W0 row-major, b0, W1, b1, and so on.
+``weights[k]`` and ``biases[k]`` are reshaped views into it, so a write
+through either shows in both. Parameter gradients (``mlp_backward``),
+tangents (``mlp_jvp``), Adam's moments and TRPO's search directions are flat
+vectors in the same layout, and ``MlpParams.views`` gives the per-layer
+views of any of them.
+
 A cache marked with ``keep_workspace`` also keeps, for as long as the cache
 lives, each hidden layer's activation derivative and the arrays into which
 ``mlp_jvp`` and ``mlp_backward`` write their hidden-layer products. Repeated
@@ -42,11 +50,13 @@ CHECKPOINT_MAGIC = b"IFONET1\n"
 
 
 class MlpParams:
-    """Layered affine parameters plus activation/output tags.
+    """Layered affine parameters in one flat vector plus activation/output
+    tags.
 
     weights[k] has shape (in_k, out_k); consecutive dims must chain. The
     activation applies after every layer except the last; the output
-    transform applies after the last layer.
+    transform applies after the last layer. The constructor copies the
+    given arrays into `flat`; weights and biases are views into it.
     """
 
     def __init__(self, weights, biases, activation="tanh", output_transform="identity"):
@@ -56,64 +66,58 @@ class MlpParams:
             raise ValueError(f"unknown output transform {output_transform!r}")
         if len(weights) != len(biases) or not weights:
             raise ValueError("weights and biases must be nonempty and aligned")
-        self.weights = [np.array(w, dtype=np.float64) for w in weights]
-        self.biases = [np.array(b, dtype=np.float64) for b in biases]
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        for k, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
                 raise ValueError(
                     f"layer {k}: weight {w.shape} and bias {b.shape} do not form an affine map"
                 )
-            if k > 0 and self.weights[k - 1].shape[1] != w.shape[0]:
+            if k > 0 and weights[k - 1].shape[1] != w.shape[0]:
                 raise ValueError(
-                    f"layer {k - 1} output dim {self.weights[k - 1].shape[1]} "
+                    f"layer {k - 1} output dim {weights[k - 1].shape[1]} "
                     f"!= layer {k} input dim {w.shape[0]}"
                 )
+        self.layer_sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
         self.activation = activation
         self.output_transform = output_transform
+        self.flat = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+        self.weights, self.biases = self.views(self.flat)
+        for view, a in zip(self.weights + self.biases, weights + biases):
+            view[...] = a
 
-    @property
-    def layer_sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+    def views(self, vec):
+        """(weights, biases): per-layer reshaped views of a flat vector in
+        this network's layout, such as `flat` or a flat gradient."""
+        weights, biases, i = [], [], 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(vec[i : i + n_in * n_out].reshape(n_in, n_out))
+            biases.append(vec[i + n_in * n_out : i + (n_in + 1) * n_out])
+            i += (n_in + 1) * n_out
+        return weights, biases
 
     @property
     def in_dim(self):
-        return self.weights[0].shape[0]
+        return self.layer_sizes[0]
 
     @property
     def out_dim(self):
-        return self.weights[-1].shape[1]
+        return self.layer_sizes[-1]
 
     @property
     def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def arrays(self):
-        """Parameter arrays in a fixed order: W0, b0, W1, b1, ..."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return self.flat.size
 
     def copy(self):
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-            self.output_transform,
-        )
+        return MlpParams(self.weights, self.biases, self.activation, self.output_transform)
 
     def flatten(self):
-        return np.concatenate([a.ravel() for a in self.arrays()])
+        return self.flat.copy()
 
     def set_flat(self, vec):
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_params,):
-            raise ValueError(f"flat vector shape {vec.shape} != ({self.n_params},)")
-        i = 0
-        for a in self.arrays():
-            a[...] = vec[i : i + a.size].reshape(a.shape)
-            i += a.size
+        if np.shape(vec) != self.flat.shape:
+            raise ValueError(f"flat vector shape {np.shape(vec)} != ({self.n_params},)")
+        self.flat[:] = vec
 
 
 def init_mlp(layer_sizes, activation="tanh", output_transform="identity",
@@ -221,10 +225,8 @@ def mlp_forward(params, x):
 
 
 def mlp_backward(params, cache, output_grad):
-    """Exact gradients of sum(output * output_grad) w.r.t. params and input.
-
-    Returns (grads, input_grad) with grads ordered like params.arrays().
-    """
+    """Exact gradient of sum(output * output_grad) w.r.t. the parameters, as
+    one fresh flat vector in the layout of params.flat."""
     g = np.asarray(output_grad, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
@@ -239,44 +241,37 @@ def mlp_backward(params, cache, output_grad):
         delta = g * s * (1.0 - s)
     else:
         delta = g
-    w_grads = [None] * n_layers
-    b_grads = [None] * n_layers
+    grad = np.empty(params.n_params)
+    w_grads, b_grads = params.views(grad)
     for k in range(n_layers - 1, -1, -1):
         x_k = cache["inputs"][k]
-        w_grads[k] = x_k.T @ delta
-        b_grads[k] = delta.sum(axis=0)
+        np.matmul(x_k.T, delta, out=w_grads[k])
+        np.sum(delta, axis=0, out=b_grads[k])
         if k > 0:
             delta = np.matmul(delta, params.weights[k].T, out=_work(cache, k - 1, x_k.shape))
             np.multiply(delta, _act_deriv(cache, k - 1, params.activation), out=delta)
-        else:
-            delta = delta @ params.weights[k].T
-    grads = []
-    for wg, bg in zip(w_grads, b_grads):
-        grads.append(wg)
-        grads.append(bg)
-    input_grad = delta[0] if cache["single"] else delta
-    return grads, input_grad
+    return grad
 
 
-def mlp_jvp(params, cache, tangents):
+def mlp_jvp(params, cache, tangent):
     """Forward-mode directional derivative of the output w.r.t. params.
 
-    tangents is ordered like params.arrays(). The input is held fixed.
-    Output transforms are ignored (returns the tangent of the final
+    tangent is a flat vector in the layout of params.flat. The input is held
+    fixed. Output transforms are ignored (returns the tangent of the final
     pre-activation), which is what Fisher-vector products need.
     """
+    if np.shape(tangent) != params.flat.shape:
+        raise ValueError(f"tangent shape {np.shape(tangent)} != ({params.n_params},)")
     n_layers = len(params.weights)
-    if len(tangents) != 2 * n_layers:
-        raise ValueError("tangent list does not mirror parameter arrays")
+    dws, dbs = params.views(tangent)
     dh = None
     for k in range(n_layers):
         hidden = k < n_layers - 1
         x_k = cache["inputs"][k]
-        dw, db = tangents[2 * k], tangents[2 * k + 1]
         shape = (len(x_k), params.weights[k].shape[1])
         # the output layer's tangent is returned, so only hidden ones are kept
-        dz = np.matmul(x_k, dw, out=_work(cache, k, shape) if hidden else None)
-        np.add(dz, db, out=dz)
+        dz = np.matmul(x_k, dws[k], out=_work(cache, k, shape) if hidden else None)
+        np.add(dz, dbs[k], out=dz)
         if dh is not None:
             np.add(dz, np.matmul(dh, params.weights[k], out=_work(cache, ("dh@W", k), shape)),
                    out=dz)
@@ -286,43 +281,36 @@ def mlp_jvp(params, cache, tangents):
 
 
 class AdamState:
-    """First/second-moment state for the parameter arrays of an MlpParams."""
+    """First/second-moment state for the flat parameters of an MlpParams."""
 
     def __init__(self, params, alpha=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.step_count = 0
-        self.m = [np.zeros(a.shape) for a in params.arrays()]
-        self.v = [np.zeros(a.shape) for a in params.arrays()]
+        self.m = np.zeros(params.n_params)
+        self.v = np.zeros(params.n_params)
         self.alpha = alpha
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
 
 
-def adam_step(state, params, grads):
-    """One bias-corrected Adam update of an MlpParams, in place; grads mirror
-    params.arrays(). Returns (params, state). A non-finite gradient raises
-    FloatingPointError before anything changes.
+def adam_step(state, params, grad):
+    """One bias-corrected Adam update of params.flat, in place, by a flat
+    gradient. A non-finite gradient raises FloatingPointError before anything
+    changes.
     """
-    arrays = params.arrays()
-    if len(grads) != len(arrays):
-        raise ValueError("gradient list does not mirror parameter arrays")
-    for a, g in zip(arrays, grads):
-        g = np.asarray(g)
-        if g.shape != a.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {a.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient entries")
+    if np.shape(grad) != params.flat.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} != ({params.n_params},)")
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite gradient entries")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        a -= state.alpha * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
-    return params, state
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad * grad
+    params.flat -= state.alpha * (state.m / c1) / (np.sqrt(state.v / c2) + state.epsilon)
 
 
 def _softmax_xent_grad(out, labels):
@@ -359,8 +347,7 @@ def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None):
         for start in range(0, len(order), minibatch):
             idx = order[start : start + minibatch]
             out, cache = mlp_forward(net, x[idx])
-            grads, _ = mlp_backward(net, cache, output_grad(out, y[idx]))
-            adam_step(adam, net, grads)
+            adam_step(adam, net, mlp_backward(net, cache, output_grad(out, y[idx])))
 
 
 def finite_diff_grad(f, x, h=1e-5):
@@ -397,8 +384,7 @@ def save_mlp(path, params, extra=None):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for a in params.arrays():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 class BinaryReader:

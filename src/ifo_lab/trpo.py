@@ -67,8 +67,7 @@ class StochasticPolicy:
 
     def dist(self, states):
         """Network head (logits or means) for a batch of states, plus cache."""
-        out, cache = nets.mlp_forward(self.net, np.atleast_2d(states))
-        return out, cache
+        return nets.mlp_forward(self.net, np.atleast_2d(states))
 
     def act(self, obs, rng, deterministic=False):
         """Sample an action for one observation with one Generator, or one
@@ -165,15 +164,12 @@ def mean_kl_grad(policy_old, policy_new, states):
     old, _ = policy_old.dist(states)
     new, cache = policy_new.dist(states)
     if policy_new.kind == "categorical":
-        head_grad = (_softmax(new) - _softmax(old)) / n
-        grads, _ = nets.mlp_backward(policy_new.net, cache, head_grad)
-        return np.concatenate([g.ravel() for g in grads])
+        return nets.mlp_backward(policy_new.net, cache, (_softmax(new) - _softmax(old)) / n)
     so = np.exp(policy_old.log_std)
     sn = np.exp(policy_new.log_std)
-    head_grad = (new - old) / sn**2 / n
-    grads, _ = nets.mlp_backward(policy_new.net, cache, head_grad)
+    grads = nets.mlp_backward(policy_new.net, cache, (new - old) / sn**2 / n)
     dlog_std = np.mean(1.0 - (so**2 + (old - new) ** 2) / sn**2, axis=0)
-    return np.concatenate([g.ravel() for g in grads] + [dlog_std])
+    return np.concatenate([grads, dlog_std])
 
 
 def surrogate_loss(policy, states, actions, advantages, old_logp):
@@ -193,26 +189,12 @@ def surrogate_grad(policy, states, actions, advantages, old_logp):
         actions = np.asarray(actions, dtype=int)
         one_hot = np.zeros_like(out)
         one_hot[np.arange(n), actions] = 1.0
-        head_grad = w * (one_hot - _softmax(out))
-        grads, _ = nets.mlp_backward(policy.net, cache, head_grad)
-        return np.concatenate([g.ravel() for g in grads])
+        return nets.mlp_backward(policy.net, cache, w * (one_hot - _softmax(out)))
     acts = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     var = np.exp(2.0 * policy.log_std)
-    head_grad = w * (acts - out) / var
-    grads, _ = nets.mlp_backward(policy.net, cache, head_grad)
+    grads = nets.mlp_backward(policy.net, cache, w * (acts - out) / var)
     dlog_std = (w * ((acts - out) ** 2 / var - 1.0)).sum(axis=0)
-    return np.concatenate([g.ravel() for g in grads] + [dlog_std])
-
-
-def _split_flat(policy, v):
-    """Split a flat vector into net-shaped tangents (+ log_std tangent)."""
-    tangents = []
-    i = 0
-    for a in policy.net.arrays():
-        tangents.append(v[i : i + a.size].reshape(a.shape))
-        i += a.size
-    rest = v[i:]
-    return tangents, rest
+    return np.concatenate([grads, dlog_std])
 
 
 class FvpOperator:
@@ -237,18 +219,16 @@ class FvpOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.policy.n_params,):
             raise ValueError(f"vector length {v.shape} != ({self.policy.n_params},)")
-        n = len(self.states)
-        tangents, rest = _split_flat(self.policy, v)
-        du = nets.mlp_jvp(self.policy.net, self.cache, tangents)
+        n, n_net = len(self.states), self.policy.net.n_params
+        du = nets.mlp_jvp(self.policy.net, self.cache, v[:n_net])
         if self.policy.kind == "categorical":
             # logit-space Fisher: diag(p) - p p^T
             au = self.p * du - self.p * (self.p * du).sum(axis=1, keepdims=True)
-            grads, _ = nets.mlp_backward(self.policy.net, self.cache, au / n)
-            result = np.concatenate([g.ravel() for g in grads])
+            result = nets.mlp_backward(self.policy.net, self.cache, au / n)
         else:
             var = np.exp(2.0 * self.policy.log_std)
-            grads, _ = nets.mlp_backward(self.policy.net, self.cache, du / var / n)
-            result = np.concatenate([g.ravel() for g in grads] + [2.0 * rest])
+            grads = nets.mlp_backward(self.policy.net, self.cache, du / var / n)
+            result = np.concatenate([grads, 2.0 * v[n_net:]])
         if not np.all(np.isfinite(result)):
             raise FloatingPointError("non-finite Fisher-vector product")
         return result + self.damping * v
@@ -365,29 +345,28 @@ def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
                 damping=0.1, backtracks=10):
     """One natural-gradient step with KL-constrained backtracking.
 
-    Accepts the first backtracked step with nonnegative surrogate
-    improvement and mean KL <= delta; otherwise leaves the policy
-    unchanged. Fits the value baseline on batch.returns afterwards.
-    Returns a diagnostics dict.
+    Fits the value baseline on batch.returns first (the policy step reads
+    neither the baseline nor the returns). Then accepts the first
+    backtracked step with nonnegative surrogate improvement and mean KL <=
+    delta; otherwise leaves the policy unchanged. Returns a diagnostics
+    dict.
     """
     if batch.advantages is None or batch.logps is None:
         raise ValueError("batch needs logps and advantages (see compute_advantages)")
+    if value_fn is not None:
+        value_fn.fit(batch.states, batch.returns)
     diag = {"accepted": False, "kl": 0.0, "improvement": 0.0,
             "step_frac": 0.0, "backtracks_used": 0}
     g = surrogate_grad(policy, batch.states, batch.actions,
                        batch.advantages, batch.logps)
     diag["grad_norm"] = float(np.linalg.norm(g))
     if diag["grad_norm"] < 1e-12:
-        if value_fn is not None:
-            value_fn.fit(batch.states, batch.returns)
         return diag
     fvp = FvpOperator(policy, batch.states, damping)
     x = conjugate_gradient(fvp, g, iters=cg_iters)
     shs = float(x @ fvp(x))
     del fvp  # frees its workspace before the line search's forward passes
     if shs <= 0 or not np.isfinite(shs):
-        if value_fn is not None:
-            value_fn.fit(batch.states, batch.returns)
         return diag
     full_step = np.sqrt(2.0 * delta / shs) * x
     old_flat = policy.flat_params()
@@ -407,6 +386,4 @@ def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
     else:
         policy.set_flat(old_flat)
         diag["backtracks_used"] = backtracks
-    if value_fn is not None:
-        value_fn.fit(batch.states, batch.returns)
     return diag

@@ -382,8 +382,7 @@ def _poison_iteration_2(monkeypatch, point):
         backward = nets.mlp_backward
 
         def nan_backward(params, cache, output_grad):
-            grads, input_grad = backward(params, cache, output_grad)
-            return [g * np.nan for g in grads], input_grad
+            return backward(params, cache, output_grad) * np.nan
 
         def fit_with_nan_gradient(self, states, targets):
             if len(seen) == 3:
@@ -396,14 +395,14 @@ def _poison_iteration_2(monkeypatch, point):
 
         def nan_loss_grad(d, imitator_batch, expert_batch):
             loss, grads = loss_grad(d, imitator_batch, expert_batch)
-            return loss, [g * np.nan for g in grads] if len(seen) == 3 else grads
+            return loss, grads * np.nan if len(seen) == 3 else grads
 
         monkeypatch.setattr(adversary, "disc_loss_grad", nan_loss_grad)
     if point == "fisher product":
         jvp = nets.mlp_jvp
 
-        def poisoned_jvp(params, cache, tangents):
-            out = jvp(params, cache, tangents)
+        def poisoned_jvp(params, cache, tangent):
+            out = jvp(params, cache, tangent)
             return out * np.nan if len(seen) == 3 else out
 
         monkeypatch.setattr(nets, "mlp_jvp", poisoned_jvp)
@@ -435,6 +434,35 @@ class TestNonFiniteAbort:
         np.testing.assert_array_equal(policy.flat_params(), seen[-1])
         assert np.all(np.isfinite(policy.flat_params()))
         assert np.isfinite(report.final_return)
+
+
+class TestBcoNonFiniteAbort:
+    """A non-finite gradient in BCO's inverse-model fit or in cloning ends
+    the run as aborted with the policy as it stood, not with an exception."""
+
+    @pytest.mark.parametrize("fit_index,point", [(0, "inverse model"), (1, "cloning")])
+    def test_nan_gradient_aborts(self, monkeypatch, gridworld_demos, fit_index, point):
+        env, _, demos = gridworld_demos
+        cfg = TrainConfig(exploration_steps=500, inverse_epochs=2, bc_epochs=2,
+                          hidden=(16,), eval_episodes=3, inverse_val_threshold=1.0)
+        fit, backward = nets.fit_supervised, nets.mlp_backward
+        fits = []
+
+        def nan_backward(params, cache, output_grad):
+            return backward(params, cache, output_grad) * np.nan
+
+        def fit_supervised(net, *args, **kwargs):
+            if len(fits) == fit_index:
+                monkeypatch.setattr(nets, "mlp_backward", nan_backward)
+            fits.append(point)
+            fit(net, *args, **kwargs)
+
+        monkeypatch.setattr(nets, "fit_supervised", fit_supervised)
+        policy, report = il.bco_train(env, demos, cfg, 4)
+        assert report.aborted and fits[-1] == point and report.rows == []
+        initial = trpo.make_policy(env.spec, hidden=cfg.hidden, seed=4)
+        np.testing.assert_array_equal(policy.flat_params(), initial.flat_params())
+        assert np.isfinite(report.final_return) and np.isfinite(report.scaled_score)
 
 
 class TestGailTrain:

@@ -12,10 +12,6 @@ import pytest
 from ifo_lab import nets
 
 
-def flat_grads(grads):
-    return np.concatenate([g.ravel() for g in grads])
-
-
 def loss_on_flat(net, x, weights):
     """Scalar probe loss sum(weights * output) as a function of flat params."""
 
@@ -87,17 +83,16 @@ class TestBackward:
         x = np.array([1.5, -2.0])
         g = np.array([0.7, -0.3])
         _, cache = nets.mlp_forward(net, x)
-        grads, input_grad = nets.mlp_backward(net, cache, g)
-        np.testing.assert_allclose(grads[0], np.outer(x, g))
-        np.testing.assert_allclose(grads[1], g)
-        np.testing.assert_allclose(input_grad, net.weights[0] @ g)
+        (w_grad,), (b_grad,) = net.views(nets.mlp_backward(net, cache, g))
+        np.testing.assert_allclose(w_grad, np.outer(x, g))
+        np.testing.assert_allclose(b_grad, g)
 
     def test_zero_output_grad_gives_zero_param_grads(self):
         net = nets.init_mlp([3, 4, 2], rng=np.random.default_rng(0))
         x = np.ones(3)
         _, cache = nets.mlp_forward(net, x)
-        grads, _ = nets.mlp_backward(net, cache, np.zeros(2))
-        assert all(np.all(g == 0.0) for g in grads)
+        grad = nets.mlp_backward(net, cache, np.zeros(2))
+        assert grad.shape == (net.n_params,) and np.all(grad == 0.0)
 
     @pytest.mark.parametrize("activation", nets.HIDDEN_ACTIVATIONS)
     def test_three_layer_matches_finite_differences(self, activation):
@@ -106,9 +101,9 @@ class TestBackward:
         x = rng.normal(size=(4, 3))
         w = rng.normal(size=(4, 2))
         _, cache = nets.mlp_forward(net, x)
-        grads, _ = nets.mlp_backward(net, cache, w)
+        grad = nets.mlp_backward(net, cache, w)
         fd = nets.finite_diff_grad(loss_on_flat(net, x, w), net.flatten())
-        err = np.abs(flat_grads(grads) - fd).max() / max(np.abs(fd).max(), 1e-12)
+        err = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert err < 1e-4
 
     def test_sigmoid_output_gradient_matches_fd(self):
@@ -118,9 +113,9 @@ class TestBackward:
         x = rng.normal(size=(5, 2))
         w = rng.normal(size=(5, 1))
         _, cache = nets.mlp_forward(net, x)
-        grads, _ = nets.mlp_backward(net, cache, w)
+        grad = nets.mlp_backward(net, cache, w)
         fd = nets.finite_diff_grad(loss_on_flat(net, x, w), net.flatten())
-        err = np.abs(flat_grads(grads) - fd).max() / max(np.abs(fd).max(), 1e-12)
+        err = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert err < 1e-4
 
 
@@ -131,12 +126,7 @@ class TestJvp:
         x = rng.normal(size=(6, 3))
         _, cache = nets.mlp_forward(net, x)
         v = rng.normal(size=net.n_params)
-        tangents = []
-        offset = 0
-        for arr in net.arrays():
-            tangents.append(v[offset : offset + arr.size].reshape(arr.shape))
-            offset += arr.size
-        jvp = nets.mlp_jvp(net, cache, tangents)
+        jvp = nets.mlp_jvp(net, cache, v)
         eps = 1e-6
         plus, minus = net.copy(), net.copy()
         plus.set_flat(net.flatten() + eps * v)
@@ -166,14 +156,11 @@ class TestWorkspaceCache:
         out_shape = (2,) if rows is None else (rows, 2)
         returned = []
         for _ in range(3):
-            tangents = [rng.normal(size=a.shape) for a in net.arrays()]
+            tangent = rng.normal(size=net.n_params)
             g = rng.normal(size=out_shape)
-            jvp = nets.mlp_jvp(net, kept, tangents)
-            grads, input_grad = nets.mlp_backward(net, kept, g)
-            got = [jvp, *grads, input_grad]
-            plain_grads, plain_input_grad = nets.mlp_backward(net, plain, g)
-            assert _bits(got) == _bits([nets.mlp_jvp(net, plain, tangents),
-                                        *plain_grads, plain_input_grad])
+            got = [nets.mlp_jvp(net, kept, tangent), nets.mlp_backward(net, kept, g)]
+            assert _bits(got) == _bits([nets.mlp_jvp(net, plain, tangent),
+                                        nets.mlp_backward(net, plain, g)])
             returned.append((got, _bits(got)))
         assert "workspace" not in plain and kept["workspace"]
         for got, bits in returned:
@@ -185,7 +172,7 @@ class TestAdam:
         net = nets.init_mlp([2, 3, 1], rng=np.random.default_rng(0))
         before = net.flatten()
         state = nets.AdamState(net)
-        nets.adam_step(state, net, [np.zeros_like(a) for a in net.arrays()])
+        nets.adam_step(state, net, np.zeros(net.n_params))
         assert state.step_count == 1
         np.testing.assert_array_equal(net.flatten(), before)
 
@@ -194,15 +181,18 @@ class TestAdam:
         # exactly -alpha * g / (|g| + eps') which is -0.1 up to epsilon
         net = nets.MlpParams([np.array([[0.0]])], [np.array([0.0])])
         state = nets.AdamState(net, alpha=0.1)
-        nets.adam_step(state, net, [np.array([[1.0]]), np.array([0.0])])
+        nets.adam_step(state, net, np.array([1.0, 0.0]))
         assert net.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_rejects_non_finite_gradients(self):
         net = nets.init_mlp([2, 2], rng=np.random.default_rng(0))
         state = nets.AdamState(net)
-        bad = [np.full_like(a, np.nan) for a in net.arrays()]
+        before = net.flatten()
+        bad = np.full(net.n_params, np.nan)
         with pytest.raises(FloatingPointError):
             nets.adam_step(state, net, bad)
+        assert state.step_count == 0
+        np.testing.assert_array_equal(net.flatten(), before)
 
     def test_deterministic_trajectories(self):
         def run():
@@ -212,8 +202,7 @@ class TestAdam:
             x = np.random.default_rng(1).normal(size=(8, 3))
             for _ in range(10):
                 out, cache = nets.mlp_forward(net, x)
-                grads, _ = nets.mlp_backward(net, cache, out / len(out))
-                nets.adam_step(state, net, grads)
+                nets.adam_step(state, net, nets.mlp_backward(net, cache, out / len(out)))
             return net.flatten()
 
         np.testing.assert_array_equal(run(), run())
@@ -221,9 +210,8 @@ class TestAdam:
     def test_second_moments_nonnegative(self):
         net = nets.init_mlp([2, 2], rng=np.random.default_rng(0))
         state = nets.AdamState(net)
-        grads = [np.random.default_rng(3).normal(size=a.shape) for a in net.arrays()]
-        nets.adam_step(state, net, grads)
-        assert all(np.all(v >= 0) for v in state.v)
+        nets.adam_step(state, net, np.random.default_rng(3).normal(size=net.n_params))
+        assert np.all(state.v >= 0)
 
 
 class TestFitSupervised:
@@ -251,8 +239,7 @@ class TestFitSupervised:
         out, cache = nets.mlp_forward(net, x)
         head = (nets._softmax_xent_grad(out, y) if labels
                 else nets._squared_error_grad(out, y))
-        grads, _ = nets.mlp_backward(net, cache, head)
-        analytic = np.concatenate([g.ravel() for g in grads])
+        analytic = nets.mlp_backward(net, cache, head)
         fd = nets.finite_diff_grad(loss, net.flatten())
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
 
@@ -368,6 +355,15 @@ class TestFlatLayout:
         assert (twin.activation, twin.output_transform) == (net.activation,
                                                             net.output_transform)
 
+    def test_views_share_the_flat_vector(self):
+        net = self._net()
+        assert all(np.shares_memory(a, net.flat) for a in net.weights + net.biases)
+        vec = np.arange(net.n_params, dtype=np.float64)
+        weights, biases = net.views(vec)
+        assert [w.shape for w in weights] == [w.shape for w in net.weights]
+        assert [b.shape for b in biases] == [b.shape for b in net.biases]
+        assert all(np.shares_memory(a, vec) for a in weights + biases)
+
     def test_weights_are_c_contiguous(self):
         net = self._net()
         for net in (net, net.copy()):
@@ -413,8 +409,7 @@ class TestCheckpoint:
         assert extra["tag"] == "x"
         assert loaded.activation == net.activation
         assert loaded.output_transform == net.output_transform
-        for a, b in zip(net.arrays(), loaded.arrays()):
-            np.testing.assert_array_equal(a, b)
+        assert loaded.flatten().tobytes() == net.flatten().tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mlp"
