@@ -135,6 +135,13 @@ class TestJvp:
         np.testing.assert_allclose(jvp, fd, rtol=1e-5, atol=1e-8)
 
 
+    def test_rejects_a_tangent_of_another_shape(self):
+        net = nets.init_mlp([3, 4, 2], rng=np.random.default_rng(0))
+        _, cache = nets.mlp_forward(net, np.ones(3))
+        with pytest.raises(ValueError):
+            nets.mlp_jvp(net, cache, np.zeros(net.n_params - 1))
+
+
 def _bits(arrays):
     return [(a.shape, a.tobytes()) for a in arrays]
 
@@ -193,6 +200,11 @@ class TestAdam:
             nets.adam_step(state, net, bad)
         assert state.step_count == 0
         np.testing.assert_array_equal(net.flatten(), before)
+
+    def test_rejects_a_gradient_of_another_shape(self):
+        net = nets.init_mlp([2, 2], rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            nets.adam_step(nets.AdamState(net), net, np.zeros((1, net.n_params)))
 
     def test_deterministic_trajectories(self):
         def run():
