@@ -51,8 +51,7 @@ print(f"  bound violations   : {len(check['bound_violations'])}")
 # transitions. After some Adam steps the network's output on a probe point
 # should approach the density ratio a / (a + b) at that point.
 
-disc = adversary.Discriminator(2, input_mode="state_transition",
-                               hidden=(32, 32), lr=1e-3, seed=1)
+disc = adversary.Discriminator(2, hidden=(32, 32), lr=1e-3, seed=1)
 learner = rng.normal(loc=[-0.5, 0.0], scale=0.8, size=(4_000, 2))
 demonstrator = rng.normal(loc=[+0.5, 0.0], scale=0.8, size=(4_000, 2))
 

@@ -14,18 +14,13 @@ from . import nets
 
 
 class Discriminator:
-    """Sigmoid-output MLP over transition features.
-
-    input_mode "state_transition" scores concat(s, s'); "state_action"
-    scores concat(s, a) for the action-aware baseline. Outputs are clamped
-    into (0, 1) by nets.clamped_sigmoid, so log D and log(1 - D) are finite.
+    """Sigmoid-output MLP over transition features: concat(s, s') for
+    GAIfO, concat(s, a) for the action-aware baseline (see pair_features).
+    Outputs are clamped into (0, 1) by nets.clamped_sigmoid, so log D and
+    log(1 - D) are finite.
     """
 
-    def __init__(self, input_dim, input_mode="state_transition",
-                 hidden=(64, 64), lr=3e-4, seed=0):
-        if input_mode not in ("state_transition", "state_action"):
-            raise ValueError(f"unknown input mode {input_mode!r}")
-        self.input_mode = input_mode
+    def __init__(self, input_dim, hidden=(64, 64), lr=3e-4, seed=0):
         self.params = nets.init_mlp(
             [input_dim, *hidden, 1], activation="leaky_relu",
             output_transform="sigmoid", rng=np.random.default_rng(seed),
@@ -35,24 +30,19 @@ class Discriminator:
 
 def pair_features(first, second):
     """Stack (s, s') or (s, a) rows into discriminator inputs."""
-    first = np.atleast_2d(np.asarray(first, dtype=np.float64))
-    second = np.atleast_2d(np.asarray(second, dtype=np.float64))
     if len(first) != len(second):
         raise ValueError(f"batch sizes differ: {len(first)} vs {len(second)}")
     return np.concatenate([first, second], axis=1)
 
 
 def disc_values(d, features):
-    out, cache = nets.mlp_forward(d.params, np.atleast_2d(features))
+    out, cache = nets.mlp_forward(d.params, features)
     return out[:, 0], cache
 
 
-def _batches(imitator_batch, expert_batch):
-    imitator_batch = np.atleast_2d(imitator_batch)
-    expert_batch = np.atleast_2d(expert_batch)
+def _check_batches(imitator_batch, expert_batch):
     if len(imitator_batch) == 0 or len(expert_batch) == 0:
         raise ValueError("both batches must be nonempty")
-    return imitator_batch, expert_batch
 
 
 def disc_loss(d, imitator_batch, expert_batch):
@@ -61,7 +51,7 @@ def disc_loss(d, imitator_batch, expert_batch):
     Minimizing drives D -> 1 on imitator data and D -> 0 on expert data.
     Batches are (n, input_dim) feature matrices (see pair_features).
     """
-    imitator_batch, expert_batch = _batches(imitator_batch, expert_batch)
+    _check_batches(imitator_batch, expert_batch)
     di, _ = disc_values(d, imitator_batch)
     de, _ = disc_values(d, expert_batch)
     return float(-(np.mean(np.log(di)) + np.mean(np.log(1.0 - de))))
@@ -69,7 +59,7 @@ def disc_loss(d, imitator_batch, expert_batch):
 
 def disc_loss_grad(d, imitator_batch, expert_batch):
     """Loss value and exact flat gradient w.r.t. discriminator parameters."""
-    imitator_batch, expert_batch = _batches(imitator_batch, expert_batch)
+    _check_batches(imitator_batch, expert_batch)
     di, ci = disc_values(d, imitator_batch)
     de, ce = disc_values(d, expert_batch)
     loss = float(-(np.mean(np.log(di)) + np.mean(np.log(1.0 - de))))

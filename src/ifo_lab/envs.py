@@ -1,25 +1,22 @@
-"""Seedable desk-scale environments with a uniform stepping interface.
+"""Seedable desk-scale environments that run a batch of episodes in lockstep.
 
 Environments expose:
-  reset(seed) -> observation
-  step(action) -> (observation, reward, done)
+  reset(seeds) -> (n, obs_dim) observations, one episode per seed
+  step(actions, episodes=None) -> (obs, rewards, dones)
   spec: EnvSpec
+step takes actions with a leading episode axis and returns arrays with that
+axis. With `episodes` it steps only the listed episodes, so that episodes
+can end independently; stepping an episode before reset or after its end is
+an error. One episode is a batch of one. Each episode draws from its own
+Generator, so a batch reproduces the same episodes run one by one.
 Tabular environments additionally expose .mdp (a TabularMDP) and
-.state_index (the current discrete state); their observations are one-hot.
-Continuous dynamics are integrated with fixed-step semi-implicit Euler.
+.state_index (the (n,) current discrete states); their observations are
+one-hot. Continuous dynamics are integrated with fixed-step semi-implicit
+Euler.
 
-Every environment also runs a batch of episodes in lockstep. reset with a
-sequence of n seeds returns (n, obs_dim) observations, and step then takes
-actions with a leading episode axis and returns (obs, rewards, dones) with
-that axis. step(actions, episodes) steps only the listed episodes, so that
-episodes can end independently; stepping an episode before reset or after
-its end is an error. State is held batched in both modes: reset with one
-seed is a batch of one whose outputs are unwrapped. Each episode draws from
-its own Generator, so a batch reproduces the same episodes run one by one.
-
-Policies follow the same convention: act(obs, rng) for one observation and
-one Generator, act(obs, rngs) for (n, obs_dim) observations and a sequence
-of n Generators, one per episode.
+Policies follow the same convention: act(obs, rngs) takes (n, obs_dim)
+observations and a sequence of n Generators, one per episode, and returns
+one action per row.
 """
 
 from dataclasses import dataclass
@@ -109,7 +106,7 @@ def sample_categorical(probs, rngs):
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or len(probs) != len(rngs):
-        raise ValueError(f"{probs.shape} probabilities for {len(rngs)} generators")
+        raise ValueError(f"{probs.shape} probabilities for {len(rngs)} Generators")
     if not np.all(probs >= 0.0):
         raise ValueError("probabilities are not non-negative")
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
@@ -128,33 +125,27 @@ def _row_dot(x):
 
 class _EpisodeBatch:
     """Reset/step bookkeeping shared by the environments: per-episode step
-    counts over a batch of episodes, of which a single episode is a batch
-    of one."""
+    counts over a batch of episodes."""
 
     _t = None
 
-    def _begin(self, seed):
+    def _begin(self, seeds):
         """Start one episode per seed; returns their Generators."""
-        self._single = np.ndim(seed) == 0
-        seeds = [seed] if self._single else list(seed)
         self._all = np.arange(len(seeds))
         self._t = np.zeros(len(seeds), dtype=int)
         return [np.random.default_rng(s) for s in seeds]
 
-    def _rows(self, action, episodes):
-        """(episode indices, actions with a leading episode axis) of a step."""
+    def _rows(self, actions, episodes):
+        """(episode indices, actions) of a step."""
         if self._t is None:
             raise RuntimeError("step before reset")
         if episodes is None:
             rows = self._all
-        elif self._single:
-            raise ValueError("episodes applies to a batch reset with a sequence of seeds")
         else:
             rows = np.asarray(episodes, dtype=int)
         if np.any(self._t[rows] >= self.spec.horizon):
             raise RuntimeError("step after episode end")
-        action = np.asarray(action)
-        return rows, action[None] if self._single else action
+        return rows, np.asarray(actions)
 
     def _advance(self, rows, ended=None):
         """Count one step of rows; returns their done flags. `ended` marks
@@ -165,14 +156,6 @@ class _EpisodeBatch:
             done |= ended
             self._t[rows[done]] = self.spec.horizon
         return done
-
-    def _out(self, x):
-        return x[0] if self._single else x
-
-    def _result(self, obs, reward, done):
-        if self._single:
-            return obs[0], float(reward[0]), bool(done[0])
-        return obs, reward, done
 
 
 class TabularEnv(_EpisodeBatch):
@@ -186,40 +169,32 @@ class TabularEnv(_EpisodeBatch):
             state_count=mdp.n_states,
         )
         self._eye = np.eye(mdp.n_states)
-        self._s = None
+        self.state_index = None  # (n,) current states of the episodes; None before reset
         self._rngs = None
 
-    @property
-    def state_index(self):
-        """Current state: an int after reset(seed), an (n,) array after a
-        batch reset; None before reset."""
-        if self._s is None:
-            return None
-        return int(self._s[0]) if self._single else self._s
-
-    def reset(self, seed):
-        self._rngs = self._begin(seed)
+    def reset(self, seeds):
+        self._rngs = self._begin(seeds)
         p0 = np.broadcast_to(self.mdp.p0, (len(self._rngs), self.mdp.n_states))
-        self._s = sample_categorical(p0, self._rngs)
-        return self._out(self._eye[self._s])
+        self.state_index = sample_categorical(p0, self._rngs)
+        return self._eye[self.state_index]
 
-    def step(self, action, episodes=None):
-        rows, a = self._rows(action, episodes)
+    def step(self, actions, episodes=None):
+        rows, a = self._rows(actions, episodes)
         if a.shape != rows.shape:
             raise ValueError(f"{a.shape} actions for {len(rows)} episodes")
         a = a.astype(int)
         bad = (a < 0) | (a >= self.mdp.n_actions)
         if np.any(bad):
             raise ValueError(f"action {a[bad][0]} outside 0..{self.mdp.n_actions - 1}")
-        s = self._s[rows]
+        s = self.state_index[rows]
         reward = self.mdp.R[s, a]
         s_next = sample_categorical(self.mdp.P[s, a], [self._rngs[i] for i in rows])
-        self._s[rows] = s_next
+        self.state_index[rows] = s_next
         terminal = None if self.mdp.terminal is None else self.mdp.terminal[s_next]
         done = self._advance(rows, terminal)
         if np.all(self._t >= self.spec.horizon):
             self._rngs = None  # every episode has ended; free their Generators
-        return self._result(self._eye[s_next], reward, done)
+        return self._eye[s_next], reward, done
 
 
 def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40, gamma=0.95):
@@ -283,15 +258,15 @@ class PointMass(_EpisodeBatch):
         self._pos = None
         self._vel = None
 
-    def reset(self, seed):
-        rngs = self._begin(seed)
+    def reset(self, seeds):
+        rngs = self._begin(seeds)
         self._pos = np.array([rng.uniform(-self.init_radius, self.init_radius, size=self.dim)
                               for rng in rngs]).reshape(len(rngs), self.dim)
         self._vel = np.zeros_like(self._pos)
-        return self._out(np.concatenate([self._pos, self._vel], axis=1))
+        return np.concatenate([self._pos, self._vel], axis=1)
 
-    def step(self, action, episodes=None):
-        rows, a = self._rows(action, episodes)
+    def step(self, actions, episodes=None):
+        rows, a = self._rows(actions, episodes)
         a = np.clip(a.astype(np.float64), self.spec.action_low, self.spec.action_high)
         if a.shape != (len(rows), self.dim):
             raise ValueError(f"action shape {a.shape} != ({len(rows)}, {self.dim})")
@@ -302,7 +277,7 @@ class PointMass(_EpisodeBatch):
         err = pos - self.target
         reward = -_row_dot(err) - self.action_cost * _row_dot(a)
         obs = np.concatenate([pos, vel], axis=1)
-        return self._result(obs, reward, self._advance(rows))
+        return obs, reward, self._advance(rows)
 
 
 class PendulumSwingup(_EpisodeBatch):
@@ -340,17 +315,16 @@ class PendulumSwingup(_EpisodeBatch):
     def energy(self):
         k = 0.5 * self.m * self.length**2 * self._omega**2
         p = self.m * self.g * self.length * np.cos(self._theta)
-        e = k + p
-        return float(e[0]) if self._single else e
+        return k + p
 
-    def reset(self, seed):
-        rngs = self._begin(seed)
+    def reset(self, seeds):
+        rngs = self._begin(seeds)
         self._theta = np.array([np.pi + rng.uniform(-0.05, 0.05) for rng in rngs])
         self._omega = np.array([rng.uniform(-0.05, 0.05) for rng in rngs])
-        return self._out(self._obs(self._theta, self._omega))
+        return self._obs(self._theta, self._omega)
 
-    def step(self, action, episodes=None):
-        rows, a = self._rows(action, episodes)
+    def step(self, actions, episodes=None):
+        rows, a = self._rows(actions, episodes)
         a = a.astype(np.float64)
         if a.size != len(rows):
             raise ValueError(f"action shape {a.shape}: one torque per episode expected")
@@ -364,15 +338,7 @@ class PendulumSwingup(_EpisodeBatch):
         self._theta[rows] = theta
         self._omega[rows] = omega
         reward = np.cos(theta) - self.torque_cost * u * u
-        return self._result(self._obs(theta, omega), reward, self._advance(rows))
-
-
-def generators(rng):
-    """(single, rngs) for a policy's act: one Generator acts as a batch of
-    one, a sequence of Generators as one per observation row."""
-    if isinstance(rng, np.random.Generator):
-        return True, [rng]
-    return False, rng
+        return self._obs(theta, omega), reward, self._advance(rows)
 
 
 class RandomPolicy:
@@ -381,15 +347,12 @@ class RandomPolicy:
     def __init__(self, spec):
         self.spec = spec
 
-    def act(self, obs, rng, deterministic=False):
+    def act(self, obs, rngs, deterministic=False):
         spec = self.spec
-        single, rngs = generators(rng)
         if spec.action_kind == "discrete":
-            a = np.array([r.integers(spec.n_actions) for r in rngs], dtype=int)
-            return int(a[0]) if single else a
-        a = np.array([r.uniform(spec.action_low, spec.action_high, size=spec.action_dim)
-                      for r in rngs]).reshape(len(rngs), spec.action_dim)
-        return a[0] if single else a
+            return np.array([r.integers(spec.n_actions) for r in rngs], dtype=int)
+        return np.array([r.uniform(spec.action_low, spec.action_high, size=spec.action_dim)
+                         for r in rngs]).reshape(len(rngs), spec.action_dim)
 
 
 class TabularPolicy:
@@ -403,11 +366,9 @@ class TabularPolicy:
         if np.any(self.table < 0) or np.max(np.abs(self.table.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("policy rows must be distributions")
 
-    def act(self, obs, rng, deterministic=False):
-        single, rngs = generators(rng)
-        rows = self.table[np.argmax(np.atleast_2d(obs), axis=1)]
-        a = np.argmax(rows, axis=1) if deterministic else sample_categorical(rows, rngs)
-        return int(a[0]) if single else a
+    def act(self, obs, rngs, deterministic=False):
+        rows = self.table[np.argmax(obs, axis=1)]
+        return np.argmax(rows, axis=1) if deterministic else sample_categorical(rows, rngs)
 
 
 class PointMassController:
@@ -419,8 +380,8 @@ class PointMassController:
         self.kp = kp
         self.kd = kd
 
-    def act(self, obs, rng, deterministic=False):
-        pos, vel = obs[..., : self.dim], obs[..., self.dim :]
+    def act(self, obs, rngs, deterministic=False):
+        pos, vel = obs[:, : self.dim], obs[:, self.dim :]
         return np.clip(self.kp * (self.target - pos) - self.kd * vel, -1.0, 1.0)
 
 

@@ -443,7 +443,7 @@ def _action_features(spec, actions):
         feats = np.zeros((len(acts), spec.n_actions))
         feats[np.arange(len(acts)), acts] = 1.0
         return feats
-    return np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    return np.asarray(actions, dtype=np.float64)
 
 
 def _adversarial_reward(env, config, seed, expert_x, input_mode):
@@ -452,9 +452,8 @@ def _adversarial_reward(env, config, seed, expert_x, input_mode):
     resampled expert rows, then pays -log D from the updated discriminator."""
     spec = env.spec
     rng = np.random.default_rng(seed)
-    disc = adversary.Discriminator(expert_x.shape[1], input_mode=input_mode,
-                                   hidden=config.hidden, lr=config.disc_lr,
-                                   seed=seed + 2)
+    disc = adversary.Discriminator(expert_x.shape[1], hidden=config.hidden,
+                                   lr=config.disc_lr, seed=seed + 2)
 
     def reward(batch):
         if input_mode == "state_transition":
@@ -506,13 +505,13 @@ def gail_train(env, demos, config, seed):
 def fit_inverse_model(states, actions, next_states, spec, config, seed):
     """Fit an inverse dynamics MLP (s, s') -> a on exploration data.
 
-    Returns (model params, predict function, validation metric). The metric
-    is error rate for discrete actions and RMS error for continuous ones.
+    Returns (predict function, validation metric). The metric is error rate
+    for discrete actions and RMS error for continuous ones.
     """
     n = len(states)
     if n == 0:
         raise ValueError("no exploration data")
-    x = np.concatenate([np.atleast_2d(states), np.atleast_2d(next_states)], axis=1)
+    x = np.concatenate([states, next_states], axis=1)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_val = max(1, n // 10)
@@ -524,12 +523,12 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
     if discrete:
         y = np.asarray(actions, dtype=int)
     else:
-        y = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+        y = np.asarray(actions, dtype=np.float64)
     nets.fit_supervised(net, nets.AdamState(net, alpha=config.inverse_lr), x, y, rng,
                         config.inverse_epochs, 256, rows=train_idx)
 
     def predict(s, s_next):
-        feats = np.concatenate([np.atleast_2d(s), np.atleast_2d(s_next)], axis=1)
+        feats = np.concatenate([s, s_next], axis=1)
         out, _ = nets.mlp_forward(net, feats)
         if discrete:
             return out.argmax(axis=1)
@@ -540,7 +539,7 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
         val_metric = float(np.mean(pred != y[val_idx]))
     else:
         val_metric = float(np.sqrt(np.mean((pred - y[val_idx]) ** 2)))
-    return net, predict, val_metric
+    return predict, val_metric
 
 
 def bco_train(env, demos, config, seed):
@@ -563,7 +562,7 @@ def bco_train(env, demos, config, seed):
         trajs = collect_batch(RandomPolicy(spec), env, config.exploration_steps,
                               seed + 11)
         batch = trpo.RolloutBatch.from_trajectories(trajs)
-        _, predict, val_metric = fit_inverse_model(
+        predict, val_metric = fit_inverse_model(
             batch.states, batch.actions, batch.next_states, spec, config, seed + 13)
         report.extras["inverse_val_metric"] = val_metric
         if val_metric > config.inverse_val_threshold:

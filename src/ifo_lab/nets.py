@@ -1,8 +1,9 @@
 """Dense multi-layer perceptrons with exact manual backprop, Adam, the one
 supervised-fit routine, and finite-difference gradient oracles.
 
-Everything is float64 numpy. Weights are stored (in_dim, out_dim) so a batch
-of row vectors propagates as ``x @ W + b``. Forward passes return a cache
+Everything is float64 numpy. Weights are stored (in_dim, out_dim) and every
+pass takes a leading batch axis: a (batch, in_dim) input propagates as
+``x @ W + b``, and one row is a batch of one. Forward passes return a cache
 that is sufficient for an exact backward pass; no autodiff anywhere.
 
 A network's parameters live in one contiguous vector, ``MlpParams.flat``, in
@@ -193,17 +194,15 @@ def clamped_sigmoid(z):
 
 
 def mlp_forward(params, x):
-    """Forward pass; accepts a single vector or a (batch, in_dim) matrix.
+    """Forward pass over a (batch, in_dim) matrix.
 
     Returns (output, cache). The cache records per-layer inputs and
     pre-activations and is what mlp_backward / mlp_jvp consume.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
+    h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.in_dim:
         raise ValueError(
-            f"input shape {x.shape} does not match first layer input dim {params.in_dim}"
+            f"input shape {h.shape} does not match first layer input dim {params.in_dim}"
         )
     inputs, preacts = [], []
     n_layers = len(params.weights)
@@ -218,18 +217,16 @@ def mlp_forward(params, x):
         out = clamped_sigmoid(z)
     else:
         out = z
-    cache = {"inputs": inputs, "preacts": preacts, "single": single}
+    cache = {"inputs": inputs, "preacts": preacts}
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in forward pass output")
-    return (out[0] if single else out), cache
+    return out, cache
 
 
 def mlp_backward(params, cache, output_grad):
     """Exact gradient of sum(output * output_grad) w.r.t. the parameters, as
     one fresh flat vector in the layout of params.flat."""
     g = np.asarray(output_grad, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     n_layers = len(params.weights)
     if len(cache["inputs"]) != n_layers or cache["preacts"][-1].shape != g.shape:
         raise ValueError(
@@ -277,7 +274,7 @@ def mlp_jvp(params, cache, tangent):
                    out=dz)
         if hidden:
             dh = np.multiply(dz, _act_deriv(cache, k, params.activation), out=dz)
-    return dz[0] if cache["single"] else dz
+    return dz
 
 
 class AdamState:

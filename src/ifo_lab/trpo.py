@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .envs import generators, sample_categorical
+from .envs import sample_categorical
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -67,24 +67,20 @@ class StochasticPolicy:
 
     def dist(self, states):
         """Network head (logits or means) for a batch of states, plus cache."""
-        return nets.mlp_forward(self.net, np.atleast_2d(states))
+        return nets.mlp_forward(self.net, states)
 
-    def act(self, obs, rng, deterministic=False):
-        """Sample an action for one observation with one Generator, or one
-        action per row of (n, obs_dim) observations with n Generators."""
-        single, rngs = generators(rng)
-        obs = np.asarray(obs, dtype=np.float64)
-        out, _ = nets.mlp_forward(self.net, obs[None] if single else obs)
+    def act(self, obs, rngs, deterministic=False):
+        """One action per row of (n, obs_dim) observations, row i drawn with
+        rngs[i]; deterministic acts at the argmax or the mean."""
+        out, _ = nets.mlp_forward(self.net, obs)
         if self.kind == "categorical":
             if deterministic:
-                a = np.argmax(out, axis=1)
-            else:
-                a = sample_categorical(_softmax(out), rngs)
-            return int(a[0]) if single else a
+                return np.argmax(out, axis=1)
+            return sample_categorical(_softmax(out), rngs)
         if not deterministic:
             noise = np.array([r.standard_normal(out.shape[1]) for r in rngs])
             out = out + np.exp(self.log_std) * noise
-        return out[0] if single else out
+        return out
 
     def log_prob(self, states, actions):
         """Exact log density/mass of actions under the policy."""
@@ -96,7 +92,7 @@ class StochasticPolicy:
             actions = np.asarray(actions, dtype=int)
             logp_all = out - _logsumexp(out)
             return logp_all[np.arange(len(out)), actions]
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+        actions = np.asarray(actions, dtype=np.float64)
         std = np.exp(self.log_std)
         z = (actions - out) / std
         return (-0.5 * (z * z).sum(axis=1) - self.log_std.sum()
@@ -142,7 +138,6 @@ def mean_kl(policy_old, policy_new, states):
     """Closed-form KL(old || new) averaged over states."""
     if policy_old.kind != policy_new.kind:
         raise ValueError("policies must share a distribution kind")
-    states = np.atleast_2d(states)
     old, _ = policy_old.dist(states)
     new, _ = policy_new.dist(states)
     if policy_old.kind == "categorical":
@@ -159,7 +154,6 @@ def mean_kl(policy_old, policy_new, states):
 
 def mean_kl_grad(policy_old, policy_new, states):
     """Flat gradient of mean_kl w.r.t. the new policy's parameters."""
-    states = np.atleast_2d(states)
     n = len(states)
     old, _ = policy_old.dist(states)
     new, cache = policy_new.dist(states)
@@ -174,13 +168,12 @@ def mean_kl_grad(policy_old, policy_new, states):
 
 def surrogate_loss(policy, states, actions, advantages, old_logp):
     """Importance-weighted advantage objective mean(ratio * A); maximized."""
-    logp = policy.log_prob(np.atleast_2d(states), actions)
+    logp = policy.log_prob(states, actions)
     return float(np.mean(np.exp(logp - old_logp) * advantages))
 
 
 def surrogate_grad(policy, states, actions, advantages, old_logp):
     """Flat gradient of the surrogate objective."""
-    states = np.atleast_2d(states)
     n = len(states)
     out, cache = policy.dist(states)
     logp = policy._log_prob_from(out, actions)
@@ -190,7 +183,7 @@ def surrogate_grad(policy, states, actions, advantages, old_logp):
         one_hot = np.zeros_like(out)
         one_hot[np.arange(n), actions] = 1.0
         return nets.mlp_backward(policy.net, cache, w * (one_hot - _softmax(out)))
-    acts = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    acts = np.asarray(actions, dtype=np.float64)
     var = np.exp(2.0 * policy.log_std)
     grads = nets.mlp_backward(policy.net, cache, w * (acts - out) / var)
     dlog_std = (w * ((acts - out) ** 2 / var - 1.0)).sum(axis=0)
@@ -209,7 +202,7 @@ class FvpOperator:
     def __init__(self, policy, states, damping):
         self.policy = policy
         self.damping = damping
-        self.states = np.atleast_2d(states)
+        self.states = states
         self.out, self.cache = policy.dist(self.states)
         nets.keep_workspace(self.cache)
         if policy.kind == "categorical":
@@ -332,11 +325,11 @@ class ValueFunction:
         self._rng = np.random.default_rng(seed + 1)
 
     def predict(self, states):
-        out, _ = nets.mlp_forward(self.net, np.atleast_2d(states))
+        out, _ = nets.mlp_forward(self.net, states)
         return out[:, 0]
 
     def fit(self, states, targets):
-        nets.fit_supervised(self.net, self.adam, np.atleast_2d(states),
+        nets.fit_supervised(self.net, self.adam, states,
                             np.asarray(targets, dtype=np.float64), self._rng,
                             self.epochs, self.minibatch)
 

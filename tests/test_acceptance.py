@@ -105,16 +105,14 @@ def test_criterion_1_gradient_exactness(capfd):
         fd = nets.finite_diff_grad(loss_flat, net.flatten())
         worst = max(worst, _rel_err(analytic, fd))
 
-        disc = adversary.Discriminator(6, input_mode="state_transition",
-                                       hidden=(8,), seed=3)
+        disc = adversary.Discriminator(6, hidden=(8,), seed=3)
         disc.params.activation = activation
         imit = rng.normal(size=(5, 6))
         expert = rng.normal(size=(5, 6))
         _, analytic = adversary.disc_loss_grad(disc, imit, expert)
 
         def dloss_flat(flat, disc=disc, imit=imit, expert=expert):
-            probe = adversary.Discriminator(6, input_mode="state_transition",
-                                            hidden=(8,), seed=3)
+            probe = adversary.Discriminator(6, hidden=(8,), seed=3)
             probe.params.activation = disc.params.activation
             probe.params.set_flat(flat)
             return adversary.disc_loss(probe, imit, expert)
@@ -129,7 +127,7 @@ def test_criterion_1_gradient_exactness(capfd):
         policy = trpo.StochasticPolicy(kind, net, log_std=log_std)
         states = rng.normal(size=(16, 3))
         act_rng = np.random.default_rng(5)
-        actions = np.array([policy.act(s, act_rng) for s in states])
+        actions = np.array([policy.act(s[None], [act_rng])[0] for s in states])
         advantages = rng.normal(size=16)
         old_logp = policy.log_prob(states, actions)
 
@@ -274,9 +272,7 @@ def test_criterion_5_trust_region_contract(capfd, point_mass_setup):
 
     policy = trpo.make_policy(spec, hidden=(64, 64), seed=0)
     vf = trpo.ValueFunction(spec.obs_dim, hidden=(64, 64), seed=1)
-    disc = adversary.Discriminator(2 * spec.obs_dim,
-                                   input_mode="state_transition",
-                                   hidden=(64, 64), seed=2)
+    disc = adversary.Discriminator(2 * spec.obs_dim, hidden=(64, 64), seed=2)
     rng = np.random.default_rng(3)
     accepted = 0
     kl_ok = True
@@ -308,7 +304,7 @@ def test_criterion_5_trust_region_contract(capfd, point_mass_setup):
     bandit = trpo.StochasticPolicy("categorical", net)
     states = np.zeros((256, 3))
     act_rng = np.random.default_rng(0)
-    actions = np.array([bandit.act(st, act_rng) for st in states])
+    actions = np.array([bandit.act(st[None], [act_rng])[0] for st in states])
     rewards = (actions == 0).astype(float)
     batch = trpo.RolloutBatch(states=states, actions=actions, rewards=rewards,
                               next_states=states,
@@ -399,8 +395,8 @@ def test_criterion_8_baseline_integrity(capfd):
     cfg = TrainConfig(inverse_epochs=20)
     trajs = collect_batch(RandomPolicy(env.spec), env, 20_000, 11)
     batch = trpo.RolloutBatch.from_trajectories(trajs)
-    _, _, val_error = fit_inverse_model(batch.states, batch.actions,
-                                        batch.next_states, env.spec, cfg, 13)
+    _, val_error = fit_inverse_model(batch.states, batch.actions,
+                                     batch.next_states, env.spec, cfg, 13)
     accuracy = 1.0 - val_error
 
     env5 = il.gridworld(width=5, height=5, horizon=50)

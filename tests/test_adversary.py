@@ -15,7 +15,8 @@ class TestDiscForward:
     def test_zero_network_gives_half(self):
         d = make_disc()
         d.params.set_flat(np.zeros(d.params.n_params))
-        vals, _ = adversary.disc_values(d, adversary.pair_features(np.ones(2), np.ones(2)))
+        x = adversary.pair_features(np.ones((1, 2)), np.ones((1, 2)))
+        vals, _ = adversary.disc_values(d, x)
         assert vals.tolist() == [0.5]
 
     def test_output_in_open_interval(self):
@@ -27,19 +28,20 @@ class TestDiscForward:
     def test_matches_sigmoid_of_raw_forward(self):
         d = make_disc(seed=3)
         rng = np.random.default_rng(1)
-        s, s_next = rng.normal(size=2), rng.normal(size=2)
-        x = np.concatenate([s, s_next])
+        s, s_next = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+        x = np.concatenate([s, s_next], axis=1)
         probe = d.params.copy()
         probe.output_transform = "identity"
         logit, _ = nets.mlp_forward(probe, x)
-        expect = float(nets.clamped_sigmoid(logit)[0])
+        expect = float(nets.clamped_sigmoid(logit)[0, 0])
         vals, _ = adversary.disc_values(d, adversary.pair_features(s, s_next))
         assert vals[0] == pytest.approx(expect)
 
     def test_dim_mismatch_rejected(self):
         d = make_disc(input_dim=4)
         with pytest.raises(ValueError):
-            adversary.disc_values(d, adversary.pair_features(np.ones(3), np.ones(3)))
+            adversary.disc_values(d, adversary.pair_features(np.ones((1, 3)),
+                                                             np.ones((1, 3))))
 
 
 class TestDiscLoss:
@@ -129,7 +131,7 @@ class TestPolicyReward:
     def test_reward_finite_under_extreme_logits(self):
         d = make_disc()
         d.params.set_flat(np.full(d.params.n_params, 50.0))
-        r = adversary.policy_reward(d, np.ones(4) * 100)
+        r = adversary.policy_reward(d, np.ones((1, 4)) * 100)
         assert r.shape == (1,) and np.all(np.isfinite(r))
 
 

@@ -41,37 +41,37 @@ class TestTabularMDP:
 class TestGridworld:
     def test_deterministic_moves(self):
         env = envs.gridworld(5, 5, slip_prob=0.0)
-        env.reset(0)
-        assert env.state_index == 0  # cell (0, 0) for every seed
-        env.step(0)  # right
-        assert env.state_index == 1
-        env.step(2)  # up
-        assert env.state_index == 6
+        env.reset([0])
+        assert env.state_index.tolist() == [0]  # cell (0, 0) for every seed
+        env.step([0])  # right
+        assert env.state_index.tolist() == [1]
+        env.step([2])  # up
+        assert env.state_index.tolist() == [6]
 
     def test_walls_bump(self):
         env = envs.gridworld(3, 3, slip_prob=0.0)
-        env.reset(0)
-        env.step(1)  # left from the left edge
-        assert env.state_index == 0
-        env.step(3)  # down from the bottom edge
-        assert env.state_index == 0
+        env.reset([0])
+        env.step([1])  # left from the left edge
+        assert env.state_index.tolist() == [0]
+        env.step([3])  # down from the bottom edge
+        assert env.state_index.tolist() == [0]
 
     def test_reward_only_on_goal(self):
         env = envs.gridworld(2, 1, goal=(1, 0), slip_prob=0.0, horizon=3)
-        env.reset(0)
-        _, r0, _ = env.step(0)   # move onto the goal: reward paid for standing on start
-        assert r0 == 0.0
-        _, r1, _ = env.step(0)   # standing on the goal now
-        assert r1 == 1.0
+        env.reset([0])
+        _, r0, _ = env.step([0])   # move onto the goal: reward paid for standing on start
+        assert r0.tolist() == [0.0]
+        _, r1, _ = env.step([0])   # standing on the goal now
+        assert r1.tolist() == [1.0]
 
     def test_step_after_done_rejected(self):
         env = envs.gridworld(2, 2, horizon=2)
-        env.reset(0)
-        env.step(0)
-        _, _, done = env.step(0)
-        assert done
+        env.reset([0])
+        env.step([0])
+        _, _, done = env.step([0])
+        assert done[0]
         with pytest.raises(RuntimeError):
-            env.step(0)
+            env.step([0])
 
     def test_transition_rows_stochastic_with_slip(self):
         env = envs.gridworld(4, 4, slip_prob=0.3)
@@ -93,31 +93,31 @@ class TestGridworld:
 class TestPointMass:
     def test_zero_force_at_rest_stays(self):
         env = envs.PointMass(init_radius=0.0)
-        obs = env.reset(0)
-        np.testing.assert_array_equal(obs, np.zeros(4))
-        obs, reward, _ = env.step(np.zeros(2))
-        np.testing.assert_array_equal(obs, np.zeros(4))
-        assert reward == 0.0
+        obs = env.reset([0])
+        np.testing.assert_array_equal(obs, np.zeros((1, 4)))
+        obs, reward, _ = env.step(np.zeros((1, 2)))
+        np.testing.assert_array_equal(obs, np.zeros((1, 4)))
+        assert reward.tolist() == [0.0]
 
     def test_semi_implicit_euler_hand_step(self):
         env = envs.PointMass(init_radius=0.0, dt=0.05)
-        env.reset(0)
-        obs, reward, _ = env.step(np.array([1.0, 0.0]))
+        env.reset([0])
+        obs, reward, _ = env.step(np.array([[1.0, 0.0]]))
         # v' = v + dt*a = [0.05, 0]; x' = x + dt*v' = [0.0025, 0]
-        np.testing.assert_allclose(obs, [0.0025, 0.0, 0.05, 0.0])
-        assert reward == pytest.approx(-(0.0025**2) - 0.01 * 1.0)
+        np.testing.assert_allclose(obs, [[0.0025, 0.0, 0.05, 0.0]])
+        assert reward[0] == pytest.approx(-(0.0025**2) - 0.01 * 1.0)
 
     def test_actions_clipped_to_bounds(self):
         env = envs.PointMass(init_radius=0.0)
-        env.reset(0)
-        big, _, _ = env.step(np.array([100.0, 0.0]))
-        env.reset(0)
-        unit, _, _ = env.step(np.array([1.0, 0.0]))
+        env.reset([0])
+        big, _, _ = env.step(np.array([[100.0, 0.0]]))
+        env.reset([0])
+        unit, _, _ = env.step(np.array([[1.0, 0.0]]))
         np.testing.assert_array_equal(big, unit)
 
     def test_reset_deterministic_in_seed(self):
         env = envs.PointMass()
-        np.testing.assert_array_equal(env.reset(7), env.reset(7))
+        np.testing.assert_array_equal(env.reset([7]), env.reset([7]))
 
     def test_pd_controller_homes_in(self):
         env = envs.PointMass()
@@ -130,15 +130,15 @@ class TestPointMass:
 class TestPendulum:
     def test_reset_deterministic_and_hanging(self):
         env = envs.PendulumSwingup()
-        obs = env.reset(7)
-        np.testing.assert_array_equal(obs, env.reset(7))
-        assert obs[0] < -0.99  # cos(theta) near -1: hanging down
+        obs = env.reset([7])
+        np.testing.assert_array_equal(obs, env.reset([7]))
+        assert obs[0, 0] < -0.99  # cos(theta) near -1: hanging down
 
     def test_trajectory_matches_rk4_oracle(self):
         # zero-torque motion vs a 1000-substep RK4 integration of the same
         # ODE; semi-implicit Euler at dt=0.05 tracks it to ~3e-3 here
         env = envs.PendulumSwingup(damping=0.05)
-        env.reset(7)
+        env.reset([7])
         theta, omega = env._theta[0], env._omega[0]
 
         def deriv(y):
@@ -150,7 +150,7 @@ class TestPendulum:
         thetas, omegas = [theta], [omega]
         ref = [y.copy()]
         for _ in range(40):
-            env.step([0.0])
+            env.step([[0.0]])
             thetas.append(env._theta[0])
             omegas.append(env._omega[0])
             for _ in range(1000):
@@ -166,34 +166,34 @@ class TestPendulum:
 
     def test_energy_conserved_without_damping_or_torque(self):
         env = envs.PendulumSwingup(damping=0.0)
-        env.reset(7)
-        e0 = env.energy()
+        env.reset([7])
+        (e0,) = env.energy()
         drift = []
         for _ in range(200):
-            env.step([0.0])
-            drift.append(abs(env.energy() - e0))
+            env.step([[0.0]])
+            drift.append(abs(env.energy()[0] - e0))
         assert max(drift) < 0.01
 
     def test_damping_dissipates_energy(self):
         env = envs.PendulumSwingup(damping=0.05)
-        env.reset(3)
+        env.reset([3])
         for _ in range(20):  # pump with max torque to get it moving
-            env.step([2.0])
-        e_start = env.energy()
+            env.step([[2.0]])
+        (e_start,) = env.energy()
         energies = [e_start]
         for _ in range(100):
-            env.step([0.0])
-            energies.append(env.energy())
+            env.step([[0.0]])
+            energies.append(env.energy()[0])
         # net dissipation, with per-step discretization wobble bounded
         assert energies[-1] < e_start - 0.1
         assert np.diff(energies).max() < 0.05
 
     def test_torque_clipped(self):
         env = envs.PendulumSwingup(max_torque=2.0)
-        env.reset(0)
-        big, _, _ = env.step([100.0])
-        env.reset(0)
-        capped, _, _ = env.step([2.0])
+        env.reset([0])
+        big, _, _ = env.step([[100.0]])
+        env.reset([0])
+        capped, _, _ = env.step([[2.0]])
         np.testing.assert_array_equal(big, capped)
 
 
@@ -214,7 +214,7 @@ class TestRollout:
 
     def test_non_finite_action_aborts_episode(self):
         class BadPolicy:
-            def act(self, obs, rng, deterministic=False):
+            def act(self, obs, rngs, deterministic=False):
                 return np.array([np.nan, 0.0])
 
         env = envs.PointMass()
@@ -255,7 +255,7 @@ class TestBatchedStepping:
         env = envs.PointMass()
         obs = env.reset([3, 4, 5])
         assert obs.shape == (3, 4)
-        np.testing.assert_array_equal(obs[1], envs.PointMass().reset(4))
+        np.testing.assert_array_equal(obs[1:2], envs.PointMass().reset([4]))
         obs, rewards, dones = env.step(np.zeros((3, 2)))
         assert obs.shape == (3, 4) and rewards.shape == (3,) and dones.shape == (3,)
 
@@ -279,7 +279,7 @@ class TestBatchedStepping:
     def test_step_before_reset_rejected(self):
         for env in (envs.gridworld(2, 2), envs.PointMass(), envs.PendulumSwingup()):
             with pytest.raises(RuntimeError):
-                env.step(0)
+                env.step([0])
 
     def test_action_shapes_and_ranges_checked(self):
         env = envs.PointMass()
@@ -295,15 +295,9 @@ class TestBatchedStepping:
         with pytest.raises(ValueError):
             grid.step(np.array([0]))
         pend = envs.PendulumSwingup()
-        pend.reset(0)
+        pend.reset([0])
         with pytest.raises(ValueError):
-            pend.step([1.0, 2.0])
-
-    def test_episodes_argument_needs_batch_reset(self):
-        env = envs.PointMass()
-        env.reset(0)
-        with pytest.raises(ValueError):
-            env.step(np.zeros((1, 2)), episodes=[0])
+            pend.step([[1.0, 2.0]])
 
 
 class TestSampleCategorical:
@@ -327,29 +321,29 @@ class TestSampleCategorical:
 
 
 def reference_rollout(policy, env, n_episodes, seed, deterministic=False):
-    """The per-episode stepping loop that `rollout` replaced, on the
-    single-episode API; the oracle for the lockstep rollout."""
+    """The per-episode stepping loop that `rollout` replaced, each episode
+    run as a batch of one; the oracle for the lockstep rollout."""
     trajs = []
     tabular = env.spec.state_count > 0
     for ep_seed in envs.episode_seeds(seed, n_episodes):
         env_ss, policy_ss = np.random.SeedSequence(ep_seed).spawn(2)
         rng = np.random.default_rng(policy_ss)
-        obs = env.reset(int(env_ss.generate_state(1)[0]))
+        (obs,) = env.reset([int(env_ss.generate_state(1)[0])])
         states, actions, rewards = [obs], [], []
-        indices = [env.state_index] if tabular else None
+        indices = [env.state_index[0]] if tabular else None
         aborted = False
         done = False
         while not done:
-            a = policy.act(obs, rng, deterministic=deterministic)
+            (a,) = policy.act(obs[None], [rng], deterministic=deterministic)
             if not np.all(np.isfinite(np.asarray(a, dtype=np.float64))):
                 aborted = True
                 break
-            obs, r, done = env.step(a)
+            obs, r, done = (x[0] for x in env.step(a[None]))
             states.append(obs)
             actions.append(a)
             rewards.append(r)
             if tabular:
-                indices.append(env.state_index)
+                indices.append(env.state_index[0])
         trajs.append(envs.Trajectory(
             states=np.asarray(states, dtype=np.float64),
             actions=np.asarray(actions),
@@ -448,8 +442,8 @@ class TestLockstepRollout:
         class NanAtState:
             """The controller, except NaN on reaching one episode's state."""
 
-            def act(self, obs, rng, deterministic=False):
-                a = np.array(expert.act(obs, rng), dtype=np.float64)
+            def act(self, obs, rngs, deterministic=False):
+                a = np.array(expert.act(obs, rngs), dtype=np.float64)
                 a[np.all(np.abs(obs - trigger) < 1e-12, axis=-1)] = np.nan
                 return a
 

@@ -495,7 +495,7 @@ class TestBcoTrain:
         cfg = TrainConfig(exploration_steps=20_000, inverse_epochs=20)
         trajs = envs.rollout(envs.RandomPolicy(env.spec), env, 100, 11)
         batch = trpo.RolloutBatch.from_trajectories(trajs)
-        _, predict, val = fit_inverse_model(
+        predict, val = fit_inverse_model(
             batch.states, batch.actions, batch.next_states, env.spec, cfg, 13)
         assert val < 0.1
         demos_a = record_demonstrations_with_actions(expert, env, 10, 1)

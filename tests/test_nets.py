@@ -27,21 +27,21 @@ def loss_on_flat(net, x, weights):
 class TestForward:
     def test_single_linear_layer_affine(self):
         net = nets.MlpParams([np.array([[2.0]])], [np.array([1.0])])
-        out, _ = nets.mlp_forward(net, np.array([3.0]))
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(7.0)
+        out, _ = nets.mlp_forward(net, np.array([[3.0]]))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(7.0)
 
     def test_zero_params_give_zero_output(self):
         net = nets.init_mlp([3, 5, 2], activation="tanh",
                             rng=np.random.default_rng(0))
         net.set_flat(np.zeros(net.n_params))
-        out, _ = nets.mlp_forward(net, np.ones(3))
+        out, _ = nets.mlp_forward(net, np.ones((1, 3)))
         assert np.all(out == 0.0)
 
     def test_matches_straight_line_recomputation(self):
         net = nets.init_mlp([4, 6, 3], activation="tanh",
                             rng=np.random.default_rng(1))
-        x = np.random.default_rng(2).normal(size=4)
+        x = np.random.default_rng(2).normal(size=(1, 4))
         out, _ = nets.mlp_forward(net, x)
         h = np.tanh(x @ net.weights[0] + net.biases[0])
         expect = h @ net.weights[1] + net.biases[1]
@@ -53,13 +53,18 @@ class TestForward:
         xs = np.random.default_rng(4).normal(size=(7, 3))
         batch_out, _ = nets.mlp_forward(net, xs)
         for i, x in enumerate(xs):
-            single, _ = nets.mlp_forward(net, x)
-            np.testing.assert_allclose(batch_out[i], single, rtol=1e-12)
+            one, _ = nets.mlp_forward(net, x[None])
+            np.testing.assert_allclose(batch_out[i], one[0], rtol=1e-12)
 
     def test_dimension_mismatch_reports_shapes(self):
         net = nets.init_mlp([3, 4, 2], rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            nets.mlp_forward(net, np.ones(5))
+            nets.mlp_forward(net, np.ones((1, 5)))
+
+    def test_rejects_a_vector(self):
+        net = nets.init_mlp([3, 4, 2], rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            nets.mlp_forward(net, np.ones(3))
 
     def test_sigmoid_output_strictly_inside_clamp(self):
         net = nets.init_mlp([2, 4, 1], activation="leaky_relu",
@@ -80,19 +85,25 @@ class TestBackward:
         # y = Wx + b: weight grad is outer(x, g), bias grad is g
         net = nets.MlpParams([np.array([[2.0, -1.0], [0.5, 3.0]])],
                              [np.array([1.0, -1.0])])
-        x = np.array([1.5, -2.0])
-        g = np.array([0.7, -0.3])
+        x = np.array([[1.5, -2.0]])
+        g = np.array([[0.7, -0.3]])
         _, cache = nets.mlp_forward(net, x)
         (w_grad,), (b_grad,) = net.views(nets.mlp_backward(net, cache, g))
         np.testing.assert_allclose(w_grad, np.outer(x, g))
-        np.testing.assert_allclose(b_grad, g)
+        np.testing.assert_allclose(b_grad, g[0])
 
     def test_zero_output_grad_gives_zero_param_grads(self):
         net = nets.init_mlp([3, 4, 2], rng=np.random.default_rng(0))
-        x = np.ones(3)
+        x = np.ones((1, 3))
         _, cache = nets.mlp_forward(net, x)
-        grad = nets.mlp_backward(net, cache, np.zeros(2))
+        grad = nets.mlp_backward(net, cache, np.zeros((1, 2)))
         assert grad.shape == (net.n_params,) and np.all(grad == 0.0)
+
+    def test_rejects_a_vector_output_grad(self):
+        net = nets.init_mlp([3, 4, 2], rng=np.random.default_rng(0))
+        _, cache = nets.mlp_forward(net, np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            nets.mlp_backward(net, cache, np.zeros(2))
 
     @pytest.mark.parametrize("activation", nets.HIDDEN_ACTIVATIONS)
     def test_three_layer_matches_finite_differences(self, activation):
@@ -137,7 +148,7 @@ class TestJvp:
 
     def test_rejects_a_tangent_of_another_shape(self):
         net = nets.init_mlp([3, 4, 2], rng=np.random.default_rng(0))
-        _, cache = nets.mlp_forward(net, np.ones(3))
+        _, cache = nets.mlp_forward(net, np.ones((1, 3)))
         with pytest.raises(ValueError):
             nets.mlp_jvp(net, cache, np.zeros(net.n_params - 1))
 
@@ -152,19 +163,19 @@ class TestWorkspaceCache:
 
     @pytest.mark.parametrize("activation", nets.HIDDEN_ACTIVATIONS)
     @pytest.mark.parametrize("output_transform", nets.OUTPUT_TRANSFORMS)
-    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("rows", [None, 7])  # None: a batch of one
     def test_bit_identical_to_plain_cache(self, activation, output_transform, rows):
+        rows = rows or 1
         rng = np.random.default_rng(21)
         net = nets.init_mlp([3, 6, 5, 4, 2], activation, output_transform, rng=rng)
-        x = rng.normal(size=3 if rows is None else (rows, 3))
+        x = rng.normal(size=(rows, 3))
         _, plain = nets.mlp_forward(net, x)
         _, kept = nets.mlp_forward(net, x)
         assert nets.keep_workspace(kept) is kept
-        out_shape = (2,) if rows is None else (rows, 2)
         returned = []
         for _ in range(3):
             tangent = rng.normal(size=net.n_params)
-            g = rng.normal(size=out_shape)
+            g = rng.normal(size=(rows, 2))
             got = [nets.mlp_jvp(net, kept, tangent), nets.mlp_backward(net, kept, g)]
             assert _bits(got) == _bits([nets.mlp_jvp(net, plain, tangent),
                                         nets.mlp_backward(net, plain, g)])
