@@ -14,14 +14,22 @@ tangents (``mlp_jvp``), Adam's moments and TRPO's search directions are flat
 vectors in the same layout, and ``MlpParams.views`` gives the per-layer
 views of any of them.
 
+Importing this module sets glibc's allocator to keep freed memory in the
+process heap (``_keep_freed_arrays``). By default glibc serves an array of a
+megabyte, such as an (N, 64) float64 batch at N of about 2200, with its own
+mmap and unmaps it when it is freed, so every fresh one is paid for again in
+page faults, which cost more than the arithmetic. With the mmap threshold at
+32 MiB and the trim threshold at 64 MiB, a freed array stays in the heap and
+the next one of its size reuses the same pages. Only where memory comes
+from changes, so results are bit-identical; on other platforms and libcs
+the import changes nothing.
+
 A cache marked with ``keep_workspace`` also keeps, for as long as the cache
 lives, each hidden layer's activation derivative and the arrays into which
 ``mlp_jvp`` and ``mlp_backward`` write their hidden-layer products. Repeated
 products over one batch, such as the Fisher-vector products of one TRPO
-step, then allocate no (N, hidden) arrays. That matters because the
-allocator hands a freed array of a megabyte back to the operating system,
-so every fresh one is paid for again in page faults, which cost more than
-the arithmetic. The results are bit-identical to those through a plain
+step, then recompute no derivative and make no allocator call for an
+(N, hidden) array. The results are bit-identical to those through a plain
 cache, and returned arrays are always fresh. Caches used once keep nothing:
 kept arrays in every cache would raise peak memory for no reuse.
 
@@ -35,10 +43,13 @@ formats: truncated, padded or corrupt files fail with a ValueError that
 names the file and the field.
 """
 
+import ctypes
 import json
 import math
 import os
+import platform
 import struct
+import sys
 
 import numpy as np
 
@@ -48,6 +59,27 @@ LEAKY_SLOPE = 0.01
 SIGMOID_CLAMP = 1e-8
 
 CHECKPOINT_MAGIC = b"IFONET1\n"
+
+
+def _keep_freed_arrays():
+    """Raise glibc's mmap and trim thresholds so that freed arrays stay in the
+    heap for reuse instead of going back to the kernel. Returns True if both
+    settings were applied. Does nothing and returns False off Linux, under
+    another libc, or if mallopt is missing or refuses a value; never raises.
+    """
+    if sys.platform != "linux" or platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    # M_MMAP_THRESHOLD (-3 in <malloc.h>) at 32 MiB, the largest value glibc
+    # accepts on 64-bit; M_TRIM_THRESHOLD (-1) at twice that, the ratio glibc
+    # keeps when it raises the mmap threshold itself
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+
+
+_keep_freed_arrays()
 
 
 class MlpParams:
@@ -149,10 +181,11 @@ def keep_workspace(cache):
 
     Through such a cache each hidden layer's activation derivative is
     computed once and kept, and the hidden-layer products of every call are
-    written into kept arrays, so repeated products over one batch stop
-    allocating (N, hidden) arrays. The results are bit-identical to those
-    through a plain cache, and returned arrays are never reused. The kept
-    arrays live as long as the cache. Returns the cache.
+    written into kept arrays, so repeated products over one batch neither
+    recompute the derivative nor call the allocator for (N, hidden) arrays.
+    The results are bit-identical to those through a plain cache, and
+    returned arrays are never reused. The kept arrays live as long as the
+    cache. Returns the cache.
     """
     cache["workspace"] = {}
     return cache

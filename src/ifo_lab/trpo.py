@@ -88,6 +88,10 @@ class StochasticPolicy:
         return self._log_prob_from(out, actions)
 
     def _log_prob_from(self, out, actions):
+        want = (len(out),) if self.kind == "categorical" else out.shape
+        if np.shape(actions) != want:
+            raise ValueError(f"{self.kind} policy needs actions of shape {want}, "
+                             f"got {np.shape(actions)}")
         if self.kind == "categorical":
             actions = np.asarray(actions, dtype=int)
             logp_all = out - _logsumexp(out)

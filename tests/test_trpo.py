@@ -47,6 +47,20 @@ class TestPolicyDistribution:
         lp = policy.log_prob(np.ones((1, 3)), np.zeros((1, 1)))
         assert lp[0] == pytest.approx(-0.5 * np.log(2 * np.pi))
 
+    def test_gaussian_log_prob_rejects_flat_actions(self):
+        # (5,) actions against (5, 1) means once broadcast to (5, 5) and
+        # returned five wrong log-densities of the right shape
+        policy = gaussian_policy(action_dim=1)
+        states = np.random.default_rng(0).normal(size=(5, 3))
+        with pytest.raises(ValueError, match=r"\(5, 1\), got \(5,\)"):
+            policy.log_prob(states, np.zeros(5))
+
+    def test_categorical_log_prob_rejects_column_actions(self):
+        policy = categorical_policy()
+        states = np.random.default_rng(0).normal(size=(5, 3))
+        with pytest.raises(ValueError, match=r"\(5,\), got \(5, 1\)"):
+            policy.log_prob(states, np.zeros((5, 1), dtype=int))
+
     def test_gaussian_tiny_std_acts_at_mean(self):
         policy = gaussian_policy(action_dim=2)
         policy.log_std = np.full(2, trpo.LOG_STD_MIN)
