@@ -53,7 +53,7 @@ for n_episodes in (100, 1_000, 10_000):
     states = simulate_tabular(env.mdp, uniform, n_episodes, 60, seed=1)
     estimate = occupancy.empirical_occupancy(states, gamma,
                                              n_states=env.mdp.n_states)
-    d = occupancy.occupancy_distance(estimate, exact, metric="l1")
+    d = occupancy.occupancy_distance(estimate, exact)
     print(f"  {n_episodes:>6} episodes: normalized L1 to exact = {d:.4f}")
 
 # The estimate converges to the dynamic-programming answer as episodes

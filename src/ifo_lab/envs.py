@@ -1,24 +1,27 @@
 """Seedable desk-scale environments that run a batch of episodes in lockstep.
 
 Environments expose:
-  reset(seeds) -> (n, obs_dim) observations, one episode per seed
+  reset(keys) -> (n, obs_dim) observations, one episode per uint64 key
   step(actions, episodes=None) -> (obs, rewards, dones)
   spec: EnvSpec
 step takes actions with a leading episode axis and returns arrays with that
 axis. With `episodes` it steps only the listed episodes, so that episodes
 can end independently; stepping an episode before reset or after its end is
-an error. One episode is a batch of one. Each episode draws from its own
-Generator, so a batch reproduces the same episodes run one by one.
+an error. One episode is a batch of one.
 Tabular environments additionally expose .mdp (a TabularMDP) and
 .state_index (the (n,) current discrete states); their observations are
 one-hot. Continuous dynamics are integrated with fixed-step semi-implicit
 Euler.
 
-Policies follow the same convention: act(obs, rngs) takes (n, obs_dim)
-observations and a sequence of n Generators, one per episode, and returns
-one action per row.
-"""
+Policies follow the same convention: act(obs, keys, t) takes (n, obs_dim)
+observations, the n episode keys and the step t, and returns one action per
+row.
 
+Randomness is stateless: every draw is a hash of (episode key, step, slot,
+column), so an episode's draws do not depend on which other episodes share
+its batch. The environment draws state t of an episode at step t in
+ENV_SLOT; the policy draws action t at step t in POLICY_SLOT.
+"""
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +88,7 @@ class Trajectory:
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    seed: object
+    seed: int                 # the episode key
     state_indices: np.ndarray | None = None
     aborted: bool = False
 
@@ -98,22 +101,62 @@ class Trajectory:
         return float(self.rewards.sum())
 
 
-def sample_categorical(probs, rngs):
-    """One index per row of probs, each drawn by its own Generator.
+# splitmix64's constants (Steele et al., OOPSLA 2014) and an odd key multiplier, as
+# uint64 scalars: a Python int mixed with a uint64 array is float64 under numpy 1.x.
+_KEY_MUL = np.uint64(0xD1B54A32D192ED03)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+_U30, _U27, _U31, _U11, _U16, _U24 = (np.uint64(k) for k in (30, 27, 31, 11, 16, 24))
+ENV_SLOT, POLICY_SLOT = 0, 1
 
-    Draw for draw the same as rngs[i].choice(k, p=probs[i]) row by row, with
-    the same checks: rows must be non-negative and sum to 1 within sqrt(eps).
+
+def random_bits(keys, t, slot, k):
+    """(n, k) uint64 words; word j of row i hashes (keys[i], t[i], slot, j).
+
+    A counter-based generator (Salmon et al., SC'11): splitmix64's finalizer
+    mixes the counter (t << 24 | slot << 16 | j), times splitmix64's
+    increment, plus the key times its multiplier. t is a step or (n,) steps.
+    """
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
+    t = np.asarray(t, dtype=np.uint64).reshape(-1, 1)
+    counter = (t << _U24 | np.uint64(slot) << _U16) + np.arange(k, dtype=np.uint64)
+    x = keys * _KEY_MUL + counter * _GOLDEN
+    x = (x ^ (x >> _U30)) * _MIX_1
+    x = (x ^ (x >> _U27)) * _MIX_2
+    return x ^ (x >> _U31)
+
+
+def uniforms(keys, t, slot, k):
+    """(n, k) uniforms on [0, 1) with 53 random bits each."""
+    return (random_bits(keys, t, slot, k) >> _U11) * 2.0**-53
+
+
+def normals(keys, t, slot, k):
+    """(n, k) standard normals by Box-Muller over k uniform pairs."""
+    u = uniforms(keys, t, slot, 2 * k)
+    return np.sqrt(-2.0 * np.log1p(-u[:, :k])) * np.cos(2.0 * np.pi * u[:, k:])
+
+
+def sample_categorical(probs, u):
+    """One index per row of probs by inversion of one uniform u[i] per row:
+    searchsorted(cdf[i], u[i], side="right") over the normalized cdf.
+
+    Rows must be non-negative and sum to 1 within sqrt(eps); u must hold one
+    value in [0, 1) per row. An index of zero probability is never drawn.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or len(probs) != len(rngs):
-        raise ValueError(f"{probs.shape} probabilities for {len(rngs)} Generators")
+    u = np.asarray(u, dtype=np.float64)
+    if probs.ndim != 2 or u.shape != (len(probs),):
+        raise ValueError(f"{probs.shape} probabilities for {u.shape} uniforms")
     if not np.all(probs >= 0.0):
         raise ValueError("probabilities are not non-negative")
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
         raise ValueError("probabilities do not sum to 1")
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError("uniforms must lie in [0, 1)")
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
-    u = np.array([rng.random() for rng in rngs])
     # cdf is non-decreasing, so counting entries <= u is searchsorted(side="right")
     return (cdf <= u[:, None]).sum(axis=1)
 
@@ -129,11 +172,12 @@ class _EpisodeBatch:
 
     _t = None
 
-    def _begin(self, seeds):
-        """Start one episode per seed; returns their Generators."""
-        self._all = np.arange(len(seeds))
-        self._t = np.zeros(len(seeds), dtype=int)
-        return [np.random.default_rng(s) for s in seeds]
+    def _begin(self, keys, k):
+        """Start one episode per key; returns k uniforms each for its first state."""
+        self._keys = np.asarray(keys, dtype=np.uint64)
+        self._all = np.arange(len(self._keys))
+        self._t = np.zeros(len(self._keys), dtype=int)
+        return uniforms(self._keys, 0, ENV_SLOT, k)
 
     def _rows(self, actions, episodes):
         """(episode indices, actions) of a step."""
@@ -170,12 +214,11 @@ class TabularEnv(_EpisodeBatch):
         )
         self._eye = np.eye(mdp.n_states)
         self.state_index = None  # (n,) current states of the episodes; None before reset
-        self._rngs = None
 
-    def reset(self, seeds):
-        self._rngs = self._begin(seeds)
-        p0 = np.broadcast_to(self.mdp.p0, (len(self._rngs), self.mdp.n_states))
-        self.state_index = sample_categorical(p0, self._rngs)
+    def reset(self, keys):
+        u = self._begin(keys, 1)[:, 0]
+        p0 = np.broadcast_to(self.mdp.p0, (len(u), self.mdp.n_states))
+        self.state_index = sample_categorical(p0, u)
         return self._eye[self.state_index]
 
     def step(self, actions, episodes=None):
@@ -188,52 +231,32 @@ class TabularEnv(_EpisodeBatch):
             raise ValueError(f"action {a[bad][0]} outside 0..{self.mdp.n_actions - 1}")
         s = self.state_index[rows]
         reward = self.mdp.R[s, a]
-        s_next = sample_categorical(self.mdp.P[s, a], [self._rngs[i] for i in rows])
+        u = uniforms(self._keys[rows], self._t[rows] + 1, ENV_SLOT, 1)[:, 0]
+        s_next = sample_categorical(self.mdp.P[s, a], u)
         self.state_index[rows] = s_next
         terminal = None if self.mdp.terminal is None else self.mdp.terminal[s_next]
-        done = self._advance(rows, terminal)
-        if np.all(self._t >= self.spec.horizon):
-            self._rngs = None  # every episode has ended; free their Generators
-        return self._eye[s_next], reward, done
+        return self._eye[s_next], reward, self._advance(rows, terminal)
 
 
 def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40, gamma=0.95):
     """Gridworld over cells (x, y), x = column. Actions: 0 right, 1 left,
     2 up (y+1), 3 down. Reward 1 for standing on the goal cell; walls bump."""
     n_cells = width * height
-    if goal is None:
-        goal = (width - 1, height - 1)
-
-    def cell(x, y):
-        return y * width + x
-
-    moves = np.zeros((n_cells, 4), dtype=int)
-    for y in range(height):
-        for x in range(width):
-            s = cell(x, y)
-            moves[s, 0] = cell(min(x + 1, width - 1), y)
-            moves[s, 1] = cell(max(x - 1, 0), y)
-            moves[s, 2] = cell(x, min(y + 1, height - 1))
-            moves[s, 3] = cell(x, max(y - 1, 0))
-
+    gx, gy = (width - 1, height - 1) if goal is None else goal
+    y, x = np.divmod(np.arange(n_cells), width)  # cell = y * width + x
+    moves = np.stack([y * width + np.minimum(x + 1, width - 1), y * width + np.maximum(x - 1, 0),
+                      np.minimum(y + 1, height - 1) * width + x, np.maximum(y - 1, 0) * width + x],
+                     axis=1)
     # per-cell transition matrix with slip: chosen move w.p. 1-slip, else uniform
-    P = np.zeros((n_cells, 4, n_cells))
-    for s in range(n_cells):
-        uniform = np.zeros(n_cells)
-        for a in range(4):
-            uniform[moves[s, a]] += 0.25
-        for a in range(4):
-            row = slip_prob * uniform
-            row[moves[s, a]] += 1.0 - slip_prob
-            P[s, a] = row
-
+    uniform = np.zeros((n_cells, n_cells))
+    np.add.at(uniform, (np.arange(n_cells)[:, None], moves), 0.25)
+    P = np.repeat(slip_prob * uniform[:, None, :], 4, axis=1)
+    P[np.arange(n_cells)[:, None], np.arange(4), moves] += 1.0 - slip_prob
     R = np.zeros((n_cells, 4))
-    R[cell(*goal), :] = 1.0
+    R[gy * width + gx, :] = 1.0
     p0 = np.zeros(n_cells)
-    p0[cell(0, 0)] = 1.0
-    env = TabularEnv(TabularMDP(P, R, p0), horizon, gamma, env_id="gridworld")
-    env.layout = {"width": width, "height": height, "goal": goal}
-    return env
+    p0[0] = 1.0
+    return TabularEnv(TabularMDP(P, R, p0), horizon, gamma, env_id="gridworld")
 
 
 class PointMass(_EpisodeBatch):
@@ -258,10 +281,8 @@ class PointMass(_EpisodeBatch):
         self._pos = None
         self._vel = None
 
-    def reset(self, seeds):
-        rngs = self._begin(seeds)
-        self._pos = np.array([rng.uniform(-self.init_radius, self.init_radius, size=self.dim)
-                              for rng in rngs]).reshape(len(rngs), self.dim)
+    def reset(self, keys):
+        self._pos = self.init_radius * (2.0 * self._begin(keys, self.dim) - 1.0)
         self._vel = np.zeros_like(self._pos)
         return np.concatenate([self._pos, self._vel], axis=1)
 
@@ -317,10 +338,10 @@ class PendulumSwingup(_EpisodeBatch):
         p = self.m * self.g * self.length * np.cos(self._theta)
         return k + p
 
-    def reset(self, seeds):
-        rngs = self._begin(seeds)
-        self._theta = np.array([np.pi + rng.uniform(-0.05, 0.05) for rng in rngs])
-        self._omega = np.array([rng.uniform(-0.05, 0.05) for rng in rngs])
+    def reset(self, keys):
+        jitter = 0.1 * self._begin(keys, 2) - 0.05
+        self._theta = np.pi + jitter[:, 0]
+        self._omega = jitter[:, 1]
         return self._obs(self._theta, self._omega)
 
     def step(self, actions, episodes=None):
@@ -347,12 +368,13 @@ class RandomPolicy:
     def __init__(self, spec):
         self.spec = spec
 
-    def act(self, obs, rngs, deterministic=False):
+    def act(self, obs, keys, t, deterministic=False):
         spec = self.spec
         if spec.action_kind == "discrete":
-            return np.array([r.integers(spec.n_actions) for r in rngs], dtype=int)
-        return np.array([r.uniform(spec.action_low, spec.action_high, size=spec.action_dim)
-                         for r in rngs]).reshape(len(rngs), spec.action_dim)
+            # u * n_actions rounds below n_actions for every u < 1
+            return (uniforms(keys, t, POLICY_SLOT, 1)[:, 0] * spec.n_actions).astype(int)
+        u = uniforms(keys, t, POLICY_SLOT, spec.action_dim)
+        return spec.action_low + (spec.action_high - spec.action_low) * u
 
 
 class TabularPolicy:
@@ -366,9 +388,11 @@ class TabularPolicy:
         if np.any(self.table < 0) or np.max(np.abs(self.table.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("policy rows must be distributions")
 
-    def act(self, obs, rngs, deterministic=False):
+    def act(self, obs, keys, t, deterministic=False):
         rows = self.table[np.argmax(obs, axis=1)]
-        return np.argmax(rows, axis=1) if deterministic else sample_categorical(rows, rngs)
+        if deterministic:
+            return np.argmax(rows, axis=1)
+        return sample_categorical(rows, uniforms(keys, t, POLICY_SLOT, 1)[:, 0])
 
 
 class PointMassController:
@@ -380,52 +404,23 @@ class PointMassController:
         self.kp = kp
         self.kd = kd
 
-    def act(self, obs, rngs, deterministic=False):
+    def act(self, obs, keys, t, deterministic=False):
         pos, vel = obs[:, : self.dim], obs[:, self.dim :]
         return np.clip(self.kp * (self.target - pos) - self.kd * vel, -1.0, 1.0)
 
 
-def episode_seeds(master_seed, n):
-    """Deterministic per-episode integer seeds derived from a master seed."""
-    ss = np.random.SeedSequence(master_seed)
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
-
-
-# Episodes that rollout steps together. Each running episode holds two
-# Generators, a few KB of heap that the allocator keeps once they are freed,
-# so a bounded block keeps a 1000-episode rollout's peak memory flat.
-LOCKSTEP_EPISODES = 128
-
-
 def rollout(policy, env, n_episodes, seed, deterministic=False):
-    """Run n_episodes episodes; per-episode seeds derive from the master seed.
+    """Run n_episodes episodes whose keys derive from the master seed.
 
-    Episodes run in lockstep, in blocks of up to LOCKSTEP_EPISODES: each
-    time step makes one batched policy act and one batched env step over the
-    block's running episodes. A policy emitting a non-finite action row
-    aborts that row's episode, which is returned with aborted=True.
+    The episodes run in lockstep: each time step t makes one batched policy
+    act and one batched env step over the running episodes. A policy emitting
+    a non-finite action row aborts that row's episode, which is returned with
+    aborted=True.
     """
-    seeds = episode_seeds(seed, n_episodes)
-    trajs = []
-    for start in range(0, n_episodes, LOCKSTEP_EPISODES):
-        trajs += _lockstep(policy, env, seeds[start : start + LOCKSTEP_EPISODES],
-                           deterministic)
-    return trajs
-
-
-def _lockstep(policy, env, seeds, deterministic):
-    """Trajectories of the episodes with these seeds, stepped together."""
-    n_episodes = len(seeds)
+    keys = np.random.SeedSequence(seed).generate_state(n_episodes, np.uint64)
     spec = env.spec
     horizon = spec.horizon
     tabular = spec.state_count > 0
-    env_seeds, rngs = [], []
-    for ep_seed in seeds:
-        # split the episode seed so the policy's and the environment's
-        # random streams are independent rather than lockstep-correlated
-        env_ss, policy_ss = np.random.SeedSequence(ep_seed).spawn(2)
-        env_seeds.append(int(env_ss.generate_state(1)[0]))
-        rngs.append(np.random.default_rng(policy_ss))
     # episode-major buffers, so each trajectory is a contiguous view
     states = np.empty((n_episodes, horizon + 1, spec.obs_dim))
     if spec.action_kind == "discrete":
@@ -437,13 +432,13 @@ def _lockstep(policy, env, seeds, deterministic):
     lengths = np.zeros(n_episodes, dtype=int)
     aborted = np.zeros(n_episodes, dtype=bool)
 
-    states[:, 0] = env.reset(env_seeds)
+    states[:, 0] = env.reset(keys)
     if tabular:
         indices[:, 0] = env.state_index
     live = np.arange(n_episodes)
     t = 0
     while live.size:
-        a = np.asarray(policy.act(states[live, t], [rngs[i] for i in live],
+        a = np.asarray(policy.act(states[live, t], keys[live], t,
                                   deterministic=deterministic))
         finite = np.isfinite(a.reshape(len(live), -1)).all(axis=1)
         if not finite.all():
@@ -464,11 +459,11 @@ def _lockstep(policy, env, seeds, deterministic):
     return [
         Trajectory(
             states=states[i, : n + 1], actions=actions[i, :n], rewards=rewards[i, :n],
-            seed=ep_seed,
+            seed=int(key),
             state_indices=None if indices is None else indices[i, : n + 1],
             aborted=bool(aborted[i]),
         )
-        for i, (ep_seed, n) in enumerate(zip(seeds, lengths))
+        for i, (key, n) in enumerate(zip(keys, lengths))
     ]
 
 

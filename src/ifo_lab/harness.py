@@ -204,9 +204,22 @@ def run_sweep(config_path, demo_path, demo_counts, seeds, out_root):
     return results
 
 
+def _score_stats(rows):
+    scores = [r["scaled_score"] for r in rows if r.get("scaled_score") is not None]
+    if not scores:
+        return {"n_runs": len(rows)}
+    return {"n_runs": len(rows), "mean_scaled_score": float(np.mean(scores)),
+            "std_scaled_score": float(np.std(scores))}
+
+
 def aggregate_runs(run_dirs):
     """Pure aggregation over finished run directories: reads summary.json
-    files and groups scaled scores by (algorithm, demo count when present)."""
+    files and groups scaled scores by (algorithm, demo count when present).
+
+    by_algorithm[alg] pools every run of the algorithm; when its runs record
+    n_demos, its "by_n_demos" maps each demo count to the same statistics
+    over that count's runs.
+    """
     summaries = []
     for run_dir in sorted(str(d) for d in run_dirs):
         path = Path(run_dir) / "summary.json"
@@ -221,12 +234,11 @@ def aggregate_runs(run_dirs):
         groups.setdefault(s.get("algorithm", "unknown"), []).append(s)
     report = {"runs": summaries, "by_algorithm": {}}
     for alg, rows in sorted(groups.items()):
-        scores = [r["scaled_score"] for r in rows if r.get("scaled_score") is not None]
-        entry = {"n_runs": len(rows)}
-        if scores:
-            entry["mean_scaled_score"] = float(np.mean(scores))
-            entry["std_scaled_score"] = float(np.std(scores))
-        report["by_algorithm"][alg] = entry
+        entry = report["by_algorithm"][alg] = _score_stats(rows)
+        counts = sorted({r["n_demos"] for r in rows if "n_demos" in r})
+        if counts:
+            entry["by_n_demos"] = {str(n): _score_stats([r for r in rows if r.get("n_demos") == n])
+                                   for n in counts}
     return report
 
 

@@ -397,7 +397,7 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
                 occ = occupancy.exact_occupancy(env.mdp, table, gamma)
             else:
                 occ = occupancy.empirical_occupancy(trajs, gamma, bins=bins)
-            occ_dist = occupancy_distance(occ, occupancy_ref, metric="l1")
+            occ_dist = occupancy_distance(occ, occupancy_ref)
         eval_ret = ""
         if (it + 1) % config.eval_every == 0 or it == iterations - 1:
             eval_ret, _ = evaluate(policy, env, config.eval_episodes,
@@ -426,13 +426,15 @@ def _check_demos(env, demos, kind, trainer):
         raise ValueError(f"demo env id {demos.env_id!r} != env {env.spec.env_id!r}")
 
 
-def _scored(report, env, config, seed, expert_mean):
+def _scored(report, env, config, seed, demos):
     """Anchor the report's final return between a random policy's and the
-    expert's."""
+    expert's, and record the demonstration count."""
     report.random_mean = evaluate(RandomPolicy(env.spec), env, config.eval_episodes,
                                   seed + 3)[0]
-    report.expert_mean = expert_mean
-    report.scaled_score = scaled_score(report.final_return, report.random_mean, expert_mean)
+    report.expert_mean = demos.expert_mean_return
+    report.scaled_score = scaled_score(report.final_return, report.random_mean,
+                                       report.expert_mean)
+    report.extras["n_demos"] = demos.n_trajectories
     return report
 
 
@@ -488,7 +490,7 @@ def gaifo_train(env, demos, config, seed, expert_occupancy=None):
     expert_x = adversary.pair_features(*demos.transition_pairs())
     reward = _adversarial_reward(env, config, seed, expert_x, "state_transition")
     policy, report = _train(env, config, config.iterations, seed, "gaifo", reward, occ_ref)
-    return policy, _scored(report, env, config, seed, demos.expert_mean_return)
+    return policy, _scored(report, env, config, seed, demos)
 
 
 def gail_train(env, demos, config, seed):
@@ -499,7 +501,7 @@ def gail_train(env, demos, config, seed):
     expert_x = adversary.pair_features(s, _action_features(env.spec, acts))
     reward = _adversarial_reward(env, config, seed, expert_x, "state_action")
     policy, report = _train(env, config, config.iterations, seed, "gail", reward)
-    return policy, _scored(report, env, config, seed, demos.expert_mean_return)
+    return policy, _scored(report, env, config, seed, demos)
 
 
 def fit_inverse_model(states, actions, next_states, spec, config, seed):
@@ -583,4 +585,4 @@ def bco_train(env, demos, config, seed):
         report.add_row(iteration=0, mean_return=report.final_return,
                        eval_return=report.final_return)
     report.wall_clock = time.time() - start
-    return policy, _scored(report, env, config, seed, demos.expert_mean_return)
+    return policy, _scored(report, env, config, seed, demos)

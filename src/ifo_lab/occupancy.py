@@ -42,15 +42,10 @@ class BinSpec:
 
 
 class StateTransitionOccupancy:
-    """Discounted mass on (s, s') pairs.
+    """Discounted mass on (s, s') pairs: a dense S x S matrix, or a dict
+    keyed by (bin(s), bin(s')) for binned continuous states."""
 
-    mode "exact-tabular" or "empirical" with a dense S x S matrix, or
-    mode "empirical" with a dict keyed by (bin(s), bin(s')) for binned
-    continuous states.
-    """
-
-    def __init__(self, mode, gamma, mass=None, mass_map=None, bins=None):
-        self.mode = mode
+    def __init__(self, gamma, mass=None, mass_map=None, bins=None):
         self.gamma = gamma
         self.mass = None if mass is None else np.asarray(mass, dtype=np.float64)
         self.mass_map = mass_map
@@ -70,9 +65,9 @@ class StateTransitionOccupancy:
         if total <= 0:
             raise ValueError("cannot normalize zero-mass occupancy")
         if self.mass is not None:
-            return StateTransitionOccupancy(self.mode, self.gamma, mass=self.mass / total, bins=self.bins)
+            return StateTransitionOccupancy(self.gamma, mass=self.mass / total, bins=self.bins)
         return StateTransitionOccupancy(
-            self.mode, self.gamma,
+            self.gamma,
             mass_map={k: v / total for k, v in self.mass_map.items()}, bins=self.bins,
         )
 
@@ -103,7 +98,7 @@ def exact_occupancy(mdp, policy_table, gamma):
     rho = d[:, None] * P_pi
     if mdp.terminal is not None and mdp.terminal.any():
         rho[mdp.terminal] = 0.0
-    return StateTransitionOccupancy("exact-tabular", gamma, mass=rho)
+    return StateTransitionOccupancy(gamma, mass=rho)
 
 
 def empirical_occupancy(trajectories, gamma, bins=None, n_states=None):
@@ -162,25 +157,19 @@ def empirical_occupancy(trajectories, gamma, bins=None, n_states=None):
 
     if n_states is not None:
         mass = np.bincount(pairs, weights=weights, minlength=n_cells * n_cells)
-        return StateTransitionOccupancy("empirical", gamma,
-                                        mass=mass.reshape(n_cells, n_cells) / n_eps)
+        return StateTransitionOccupancy(gamma, mass=mass.reshape(n_cells, n_cells) / n_eps)
     _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
     mass = np.bincount(inverse, weights=weights, minlength=len(first)) / n_eps
     order = np.argsort(first)
     at = src[first[order]]
     keys = zip(map(tuple, grid[at].tolist()), map(tuple, grid[at + 1].tolist()))
     mass_map = dict(zip(keys, mass[order].tolist()))
-    return StateTransitionOccupancy("empirical", gamma, mass_map=mass_map, bins=bins)
+    return StateTransitionOccupancy(gamma, mass_map=mass_map, bins=bins)
 
 
-def occupancy_distance(a, b, metric="l1"):
-    """Distance between occupancies, computed on unit-normalized masses.
-
-    metric "l1" or "tv" (total variation = l1 / 2). Zero iff the normalized
-    mass functions coincide.
-    """
-    if metric not in ("l1", "tv"):
-        raise ValueError(f"unknown metric {metric!r}")
+def occupancy_distance(a, b):
+    """L1 distance between occupancies, computed on unit-normalized masses;
+    zero iff the normalized mass functions coincide."""
     an, bn = a.normalized(), b.normalized()
     if an.mass is not None and bn.mass is not None:
         if an.mass.shape != bn.mass.shape:
@@ -193,4 +182,4 @@ def occupancy_distance(a, b, metric="l1"):
         l1 = float(sum(abs(an.mass_map.get(k, 0.0) - bn.mass_map.get(k, 0.0)) for k in keys))
     else:
         raise ValueError("cannot compare dense and binned occupancies")
-    return l1 if metric == "l1" else 0.5 * l1
+    return l1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .envs import sample_categorical
+from .envs import POLICY_SLOT, normals, sample_categorical, uniforms
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -69,17 +69,16 @@ class StochasticPolicy:
         """Network head (logits or means) for a batch of states, plus cache."""
         return nets.mlp_forward(self.net, states)
 
-    def act(self, obs, rngs, deterministic=False):
-        """One action per row of (n, obs_dim) observations, row i drawn with
-        rngs[i]; deterministic acts at the argmax or the mean."""
+    def act(self, obs, keys, t, deterministic=False):
+        """One action per row of (n, obs_dim) observations, row i drawn at
+        (keys[i], step t); deterministic acts at the argmax or the mean."""
         out, _ = nets.mlp_forward(self.net, obs)
         if self.kind == "categorical":
             if deterministic:
                 return np.argmax(out, axis=1)
-            return sample_categorical(_softmax(out), rngs)
+            return sample_categorical(_softmax(out), uniforms(keys, t, POLICY_SLOT, 1)[:, 0])
         if not deterministic:
-            noise = np.array([r.standard_normal(out.shape[1]) for r in rngs])
-            out = out + np.exp(self.log_std) * noise
+            out = out + np.exp(self.log_std) * normals(keys, t, POLICY_SLOT, out.shape[1])
         return out
 
     def log_prob(self, states, actions):

@@ -1,6 +1,8 @@
 """Environments: tabular MDP validity, gridworld dynamics, continuous
-dynamics against independent integrators, batched stepping, and rollout
-contracts."""
+dynamics against independent integrators, batched stepping, the
+counter-based draws, and rollout contracts."""
+
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +79,31 @@ class TestGridworld:
         env = envs.gridworld(4, 4, slip_prob=0.3)
         sums = env.mdp.P.sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("width, height, slip, goal", [
+        (5, 5, 0.0, None), (3, 3, 0.3, None), (2, 1, 0.0, (1, 0)), (5, 3, 0.2, (1, 2)),
+        (1, 1, 0.1, None)])
+    def test_model_matches_cell_by_cell_construction(self, width, height, slip, goal):
+        moves = np.zeros((width * height, 4), dtype=int)
+        for y in range(height):
+            for x in range(width):
+                moves[y * width + x] = [y * width + min(x + 1, width - 1),
+                                        y * width + max(x - 1, 0),
+                                        min(y + 1, height - 1) * width + x,
+                                        max(y - 1, 0) * width + x]
+        P = np.zeros((width * height, 4, width * height))
+        for s in range(width * height):
+            uniform = np.zeros(width * height)
+            for a in range(4):
+                uniform[moves[s, a]] += 0.25
+            for a in range(4):
+                P[s, a] = slip * uniform
+                P[s, a, moves[s, a]] += 1.0 - slip
+        gx, gy = goal or (width - 1, height - 1)
+        mdp = envs.gridworld(width, height, goal=goal, slip_prob=slip).mdp
+        np.testing.assert_array_equal(mdp.P, P)
+        assert np.flatnonzero(mdp.R[:, 0]).tolist() == [gy * width + gx]
+        assert mdp.p0[0] == 1.0
 
     def test_value_iteration_policy_reaches_goal(self):
         env = envs.gridworld(5, 5, slip_prob=0.0, horizon=40)
@@ -214,7 +241,7 @@ class TestRollout:
 
     def test_non_finite_action_aborts_episode(self):
         class BadPolicy:
-            def act(self, obs, rngs, deterministic=False):
+            def act(self, obs, keys, t, deterministic=False):
                 return np.array([np.nan, 0.0])
 
         env = envs.PointMass()
@@ -302,39 +329,125 @@ class TestBatchedStepping:
 
 class TestSampleCategorical:
     def test_matches_generator_choice_draw_for_draw(self):
+        # given the uniform that Generator.choice draws, the same index
         probs = np.random.default_rng(0).dirichlet(np.full(6, 0.3), size=40)
         probs[3] = [0.0, 0.5, 0.0, 0.5, 0.0, 0.0]
         for seed in range(20):
-            batch = envs.sample_categorical(
-                probs, [np.random.default_rng([seed, i]) for i in range(40)])
+            u = [np.random.default_rng([seed, i]).random() for i in range(40)]
             ref = [np.random.default_rng([seed, i]).choice(6, p=p)
                    for i, p in enumerate(probs)]
-            np.testing.assert_array_equal(batch, ref)
+            np.testing.assert_array_equal(envs.sample_categorical(probs, u), ref)
 
     def test_rejects_what_choice_rejects(self):
-        rngs = [np.random.default_rng(0)]
         for bad in ([[0.5, 0.6]], [[1.5, -0.5]], [[np.nan, 1.0]]):
             with pytest.raises(ValueError):
                 np.random.default_rng(0).choice(2, p=bad[0])
             with pytest.raises(ValueError):
-                envs.sample_categorical(bad, rngs)
+                envs.sample_categorical(bad, [0.5])
+
+    def test_is_searchsorted_right_of_the_cdf(self):
+        probs = np.random.default_rng(1).dirichlet(np.full(5, 0.5), size=300)
+        probs[:100, 2] = 0.0
+        probs[:100] /= probs[:100].sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        cdf /= cdf[:, -1:]
+        # uniforms that sit exactly on a cdf entry, and random ones
+        u = np.concatenate([cdf[:150, 1], envs.uniforms(np.arange(150), 0, 0, 1)[:, 0]])
+        got = envs.sample_categorical(probs, u)
+        want = [np.searchsorted(c, x, side="right") for c, x in zip(cdf, u)]
+        np.testing.assert_array_equal(got, want)
+        assert not np.any(got[:100] == 2)  # zero mass is never drawn
+        assert got.max() <= 4
+
+    def test_rejects_mismatched_or_out_of_range_uniforms(self):
+        probs = np.full((3, 2), 0.5)
+        for u in ([0.5, 0.5], [[0.5, 0.5, 0.5]], [0.5, 1.0, 0.5], [0.5, -0.1, 0.5],
+                  [0.5, np.nan, 0.5]):
+            with pytest.raises(ValueError):
+                envs.sample_categorical(probs, u)
+        with pytest.raises(ValueError):
+            envs.sample_categorical(np.full(2, 0.5), [0.5])
+
+
+class TestCounterDraws:
+    def test_known_answer(self):
+        # pins the mixer: a promotion of any operand to float64 changes these
+        bits = envs.random_bits([7], 0, 0, 4)
+        assert bits.dtype == np.uint64
+        assert [hex(int(b)) for b in bits[0]] == [
+            "0xed47c95001e5f575", "0x10ce132015665d82",
+            "0x98ba003f6726241f", "0x978728b38b938622"]
+        assert [int(b) for b in envs.random_bits(np.array([2**64 - 1]), 5, 1, 2)[0]] == [
+            9634659181090663102, 7194041298673929274]
+
+    def test_stateless_and_batch_invariant(self):
+        keys = np.array([3, 2**63 + 5, 11], dtype=np.uint64)
+        u = envs.uniforms(keys, np.array([4, 9, 0]), 1, 3)
+        for i in range(3):
+            np.testing.assert_array_equal(
+                u[i], envs.uniforms(keys[i:i + 1], [4, 9, 0][i], 1, 3)[0])
+
+    def test_uniformity_chi_square(self):
+        u = envs.uniforms(np.arange(10_000), 17, 1, 10).ravel()
+        assert u.min() >= 0.0 and u.max() < 1.0
+        counts = np.bincount((u * 100).astype(int), minlength=100)
+        # chi-square with 99 degrees of freedom: P(> 148) < 1e-3
+        assert ((counts - 1000.0) ** 2 / 1000.0).sum() < 148
+
+    def test_low_bits_used(self):
+        # 53 bits per uniform: the fractional bits below 2^-32 vary too
+        u = envs.uniforms(np.arange(1000), 0, 0, 1)[:, 0]
+        assert len(np.unique((u * 2.0**53 % 2.0**21).astype(np.int64))) > 990
+
+    @pytest.mark.parametrize("axis", ["slot", "key", "step"])
+    def test_independence(self, axis):
+        # neighbours along one counter axis: |correlation| of 1e5 pairs
+        keys = np.arange(100_000, dtype=np.uint64) * np.uint64(3) + np.uint64(7)
+        base = envs.uniforms(keys, 5, 0, 2)
+        if axis == "slot":
+            a, b = base[:, 0], envs.uniforms(keys, 5, 1, 1)[:, 0]
+        elif axis == "key":
+            a, b = base[:, 0], envs.uniforms(keys + np.uint64(1), 5, 0, 1)[:, 0]
+        else:
+            a, b = base[:, 0], envs.uniforms(keys, 6, 0, 1)[:, 0]
+        assert abs(np.corrcoef(a, b)[0, 1]) < 0.015  # 4.7 sigma
+        assert abs(np.corrcoef(base[:, 0], base[:, 1])[0, 1]) < 0.015
+
+    def test_adjacent_reset_keys_independent(self):
+        # env.reset([7, 8, 9]) draws from keys that differ in one bit or two
+        steps = np.repeat(np.arange(20_000), 3)
+        draws = envs.uniforms(np.tile([7, 8, 9], 20_000), steps, 0, 1).reshape(20_000, 3)
+        corr = np.corrcoef(draws.T)
+        assert np.abs(corr[np.triu_indices(3, 1)]).max() < 0.035
+
+    def test_normals_moments_and_tails(self):
+        z = envs.normals(np.arange(50_000), 2, 1, 4).ravel()
+        assert np.all(np.isfinite(z))
+        assert abs(z.mean()) < 0.01 and abs(z.std() - 1.0) < 0.01
+        # chi-square over 12 bins with edges 0, +-0.5, ..., +-2.5 (11 dof)
+        edges = np.arange(-2.5, 2.6, 0.5)
+        cdf = np.array([0.5 * (1 + math.erf(e / math.sqrt(2))) for e in edges])
+        expected = len(z) * np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+        counts = np.bincount(np.searchsorted(edges, z), minlength=12)
+        # P(> 31.3) < 1e-3 at 11 degrees of freedom
+        assert ((counts - expected) ** 2 / expected).sum() < 31.3
 
 
 def reference_rollout(policy, env, n_episodes, seed, deterministic=False):
-    """The per-episode stepping loop that `rollout` replaced, each episode
-    run as a batch of one; the oracle for the lockstep rollout."""
+    """Each episode run alone, as a batch of one, with its own step
+    counter; the oracle for the lockstep rollout."""
     trajs = []
     tabular = env.spec.state_count > 0
-    for ep_seed in envs.episode_seeds(seed, n_episodes):
-        env_ss, policy_ss = np.random.SeedSequence(ep_seed).spawn(2)
-        rng = np.random.default_rng(policy_ss)
-        (obs,) = env.reset([int(env_ss.generate_state(1)[0])])
+    for key in np.random.SeedSequence(seed).generate_state(n_episodes, np.uint64):
+        (obs,) = env.reset([key])
         states, actions, rewards = [obs], [], []
         indices = [env.state_index[0]] if tabular else None
         aborted = False
         done = False
+        t = 0
         while not done:
-            (a,) = policy.act(obs[None], [rng], deterministic=deterministic)
+            (a,) = policy.act(obs[None], [key], t, deterministic=deterministic)
+            t += 1
             if not np.all(np.isfinite(np.asarray(a, dtype=np.float64))):
                 aborted = True
                 break
@@ -348,7 +461,7 @@ def reference_rollout(policy, env, n_episodes, seed, deterministic=False):
             states=np.asarray(states, dtype=np.float64),
             actions=np.asarray(actions),
             rewards=np.asarray(rewards, dtype=np.float64),
-            seed=ep_seed,
+            seed=int(key),
             state_indices=None if indices is None else np.asarray(indices, dtype=int),
             aborted=aborted,
         ))
@@ -426,8 +539,8 @@ class TestLockstepRollout:
                               terminal=np.array([False, False, False, True]))
         env = envs.TabularEnv(mdp, horizon=25, gamma=0.9)
         policy = envs.TabularPolicy(np.full((4, 2), 0.5))
-        got = envs.rollout(policy, env, 12, seed=4)
-        want = reference_rollout(policy, env, 12, seed=4)
+        got = envs.rollout(policy, env, 40, seed=4)
+        want = reference_rollout(policy, env, 40, seed=4)
         assert_same_episodes(got, want, tabular=True)
         lengths = {tr.n_steps for tr in got}
         assert len(lengths) > 3 and max(lengths) < 25
@@ -442,8 +555,8 @@ class TestLockstepRollout:
         class NanAtState:
             """The controller, except NaN on reaching one episode's state."""
 
-            def act(self, obs, rngs, deterministic=False):
-                a = np.array(expert.act(obs, rngs), dtype=np.float64)
+            def act(self, obs, keys, t, deterministic=False):
+                a = np.array(expert.act(obs, keys, t), dtype=np.float64)
                 a[np.all(np.abs(obs - trigger) < 1e-12, axis=-1)] = np.nan
                 return a
 

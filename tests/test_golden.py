@@ -11,12 +11,17 @@ so the verdict does not depend on the thread count of the calling shell
 (with 1 thread the gridworld parameters differ in the last bits). Changes to
 the hot paths must keep them:
 
-- gridworld bit for bit: its rollouts sample from the same Generators with
-  the same draws, so nothing may differ.
+- gridworld bit for bit: its rollouts make the same counter-based draws
+  (envs.random_bits), so nothing may differ.
 - point-mass within 1e-9 per entry: a batched GEMM row may differ from a
   one-row product in the last bit, and three TRPO steps grow that to about
   2e-14 here. A different BLAS thread count moves the same entries by up to
   6e-14. Any change of behaviour moves them by orders of magnitude more.
+
+A labelled behaviour change re-records all five with one command, which
+prints the constant blocks from the same child-interpreter runs:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
@@ -33,55 +38,55 @@ import ifo_lab
 
 SRC = str(Path(ifo_lab.__file__).resolve().parents[1])
 
-GRID_NORM = 10.04726810904815
+GRID_NORM = 10.04748006125016
 GRID_SAMPLE = [  # flat_params()[::401]
-    0.05817994140860487, 0.22221798232115716, -0.16427248791050092,
-    -0.09621253476927268, -0.0004303243127284816, -0.16099218589999068,
-    -0.1807723664696491, -0.05056476686272394, -0.04790518427954382,
-    -0.14385710566941337, 0.019642595567427108, -0.09267905093262153,
-    0.14652880902875937, -0.20952929061948689, 0.09758339464329248,
-    -0.06540716555297652,
+    0.07976293455090325, 0.22550965277001994, -0.16053512762069622,
+    -0.09939630577261953, 0.005444684030024813, -0.1653547708051136,
+    -0.17975048219138734, -0.04908647424797123, -0.048452022889204,
+    -0.14587883985218758, 0.0216185804373064, -0.09369473599890722,
+    0.14649134428605223, -0.21163304394855617, 0.09461966089569021,
+    0.009693869196677519,
 ]
 
-POINT_NORM = 8.514910884029018
+POINT_NORM = 8.52070514923742
 POINT_SAMPLE = [  # flat_params()[::307]
-    0.08854043934919684, 0.0019699795445174907, -0.024417539306782986,
-    -0.08627482442527175, 0.17568194446404756, 0.13245266544680795,
-    0.054926627858335283, 0.011620628509777345, 0.11688867089291896,
-    0.02366297057232397, 0.07485232510343691, 0.08747639039309503,
-    0.06861092629055318, 0.10241797890723836, 0.1848285267945761,
-    0.05126496527417719,
+    0.08954806252916672, -0.001815573685568257, -0.021931045322256218,
+    -0.08749264593934625, 0.17762379064401543, 0.13250690141631394,
+    0.055031596109934786, 0.01283423377646427, 0.11588346944534098,
+    0.02396882460660378, 0.07471936523184526, 0.08876462731618054,
+    0.06816061903189792, 0.10100258297968344, 0.184278879084923,
+    -0.02871571695509908,
 ]
 POINT_ATOL = 1e-9
 
-EXPERT_NORM = 10.084843481277716
+EXPERT_NORM = 10.08443651874063
 EXPERT_SAMPLE = [  # flat_params()[::401]
-    0.07096825563697182, 0.2279248074938068, -0.15924882230038112,
-    -0.0973409768112574, -0.0018491657898340647, -0.16356785362572168,
-    -0.17999439645344698, -0.05076944063202687, -0.04702351251054184,
-    -0.14344292247577586, 0.022673173935762698, -0.0914028618072645,
-    0.14643382784625267, -0.21197059879487803, 0.09803860944949176,
-    0.03299467779078258,
+    0.07193549801276782, 0.22733853727286202, -0.1592882096234602,
+    -0.10131873570716515, -0.0006077672118353901, -0.16374353736209385,
+    -0.18024439845074358, -0.05198424283588734, -0.04670683650701262,
+    -0.14387138169154315, 0.024857480015488976, -0.09245118200542335,
+    0.14595255876365845, -0.21124109789580284, 0.09901745783130206,
+    0.03154688240972116,
 ]
 
-BCO_NORM = 15.704014891857273
+BCO_NORM = 14.938437200003355
 BCO_SAMPLE = [  # flat_params()[::401]
-    0.2294886435668342, 0.22740008844651427, -0.15894558970424655,
-    -0.09510804571874143, -0.05351174727580845, 0.0997423064678733,
-    -0.3340579684659752, 0.08505555502573948, 0.12025873634170393,
-    -0.023667681516889107, 0.07252250776587064, 0.06968005210445734,
-    0.4291639182203019, -0.0012382285450376932, 0.21744391165324548,
-    0.15013417288655326,
+    -0.09628179397789531, 0.22740008844651427, -0.15894558970424655,
+    -0.09510804571874143, -0.10249848682066408, -0.28342542022786027,
+    -0.29883796456348977, 0.07201500045660446, 0.12037065666523075,
+    0.10096613462367852, 0.14796259229081346, -0.25415521223818804,
+    0.01023935929284779, -0.05704080736906788, 0.2443153115865359,
+    0.18530234507918966,
 ]
 
-GAIL_NORM = 8.511994295467947
+GAIL_NORM = 8.521931012024423
 GAIL_SAMPLE = [  # flat_params()[::307]
-    0.08570554078271939, 0.0029418861053129757, -0.025018725595014335,
-    -0.08631492591430678, 0.17548263322385121, 0.1318904709047137,
-    0.0555453208472066, 0.011586033914323945, 0.11700514919589207,
-    0.02334659825529143, 0.0743009493638524, 0.08733133675902843,
-    0.06843410276466552, 0.10215017244015871, 0.18502165175865962,
-    0.05747814978731747,
+    0.09442627325973076, -0.0019525040920656167, -0.022428489473345335,
+    -0.08867481430342312, 0.17475572862393207, 0.13282340316731456,
+    0.05359274337145402, 0.011124650897876055, 0.11669653196840038,
+    0.023705278946761613, 0.07462653598149424, 0.08717157349592253,
+    0.06827674142584157, 0.10146461763965402, 0.18363616701248453,
+    -0.07444421311408189,
 ]
 
 GRID_SETUP = """
@@ -94,6 +99,39 @@ POINT_SETUP = """
 env = envs.PointMass()
 expert = envs.PointMassController(env)
 """
+
+GRID_GAIFO = GRID_SETUP + """
+config = il.TrainConfig(iterations=3, batch_size=1024, d_steps=5,
+                        disc_lr=1e-3, early_stop=False)
+policy, _ = il.gaifo_train(env, demos, config, seed=0)
+"""
+
+POINT_GAIFO = POINT_SETUP + """
+demos = il.record_demonstrations(expert, env, 10, seed=1)
+config = il.TrainConfig(iterations=3, batch_size=1024, early_stop=False)
+policy, _ = il.gaifo_train(env, demos, config, seed=0)
+"""
+
+GRID_EXPERT = GRID_SETUP + """
+config = il.TrainConfig(batch_size=1024, early_stop=False)
+policy, _ = il.train_expert(env, config, 3, seed=0)
+"""
+
+GRID_BCO = GRID_SETUP + """
+config = il.TrainConfig(exploration_steps=2000, eval_episodes=5)
+policy, _ = il.bco_train(env, demos, config, seed=0)
+"""
+
+POINT_GAIL = POINT_SETUP + """
+demos = il.imitation.record_demonstrations_with_actions(expert, env, 10, seed=1)
+config = il.TrainConfig(iterations=3, batch_size=1024, early_stop=False)
+policy, _ = il.gail_train(env, demos, config, seed=0)
+"""
+
+# (constant prefix, training code, sample stride) of each recording
+RECORDINGS = [("GRID", GRID_GAIFO, 401), ("POINT", POINT_GAIFO, 307),
+              ("EXPERT", GRID_EXPERT, 401), ("BCO", GRID_BCO, 401),
+              ("GAIL", POINT_GAIL, 307)]
 
 
 def train_in_child(code):
@@ -112,53 +150,49 @@ def train_in_child(code):
 
 
 def test_gridworld_gaifo_bit_identical():
-    flat = train_in_child(GRID_SETUP + """
-config = il.TrainConfig(iterations=3, batch_size=1024, d_steps=5,
-                        disc_lr=1e-3, early_stop=False)
-policy, _ = il.gaifo_train(env, demos, config, seed=0)
-""")
+    flat = train_in_child(GRID_GAIFO)
     assert flat.size == 6084
     assert np.linalg.norm(flat) == GRID_NORM
     np.testing.assert_array_equal(flat[::401], GRID_SAMPLE)
 
 
 def test_point_mass_gaifo_within_tolerance():
-    flat = train_in_child(POINT_SETUP + """
-demos = il.record_demonstrations(expert, env, 10, seed=1)
-config = il.TrainConfig(iterations=3, batch_size=1024, early_stop=False)
-policy, _ = il.gaifo_train(env, demos, config, seed=0)
-""")
+    flat = train_in_child(POINT_GAIFO)
     assert flat.size == 4612
     assert np.linalg.norm(flat) == pytest.approx(POINT_NORM, rel=0, abs=POINT_ATOL)
     np.testing.assert_allclose(flat[::307], POINT_SAMPLE, rtol=0, atol=POINT_ATOL)
 
 
 def test_gridworld_expert_bit_identical():
-    flat = train_in_child(GRID_SETUP + """
-config = il.TrainConfig(batch_size=1024, early_stop=False)
-policy, _ = il.train_expert(env, config, 3, seed=0)
-""")
+    flat = train_in_child(GRID_EXPERT)
     assert flat.size == 6084
     assert np.linalg.norm(flat) == EXPERT_NORM
     np.testing.assert_array_equal(flat[::401], EXPERT_SAMPLE)
 
 
 def test_gridworld_bco_bit_identical():
-    flat = train_in_child(GRID_SETUP + """
-config = il.TrainConfig(exploration_steps=2000, eval_episodes=5)
-policy, _ = il.bco_train(env, demos, config, seed=0)
-""")
+    flat = train_in_child(GRID_BCO)
     assert flat.size == 6084
     assert np.linalg.norm(flat) == BCO_NORM
     np.testing.assert_array_equal(flat[::401], BCO_SAMPLE)
 
 
 def test_point_mass_gail_within_tolerance():
-    flat = train_in_child(POINT_SETUP + """
-demos = il.imitation.record_demonstrations_with_actions(expert, env, 10, seed=1)
-config = il.TrainConfig(iterations=3, batch_size=1024, early_stop=False)
-policy, _ = il.gail_train(env, demos, config, seed=0)
-""")
+    flat = train_in_child(POINT_GAIL)
     assert flat.size == 4612
     assert np.linalg.norm(flat) == pytest.approx(GAIL_NORM, rel=0, abs=POINT_ATOL)
     np.testing.assert_allclose(flat[::307], GAIL_SAMPLE, rtol=0, atol=POINT_ATOL)
+
+
+def recorded_block(prefix, flat, stride):
+    """The {prefix}_NORM and {prefix}_SAMPLE constants of one recording."""
+    values = [repr(x) for x in flat[::stride].tolist()]
+    lines = [f"{prefix}_NORM = {float(np.linalg.norm(flat))!r}",
+             f"{prefix}_SAMPLE = [  # flat_params()[::{stride}]"]
+    lines += ["    " + ", ".join(values[i:i + 3]) + "," for i in range(0, len(values), 3)]
+    return "\n".join(lines + ["]"])
+
+
+if __name__ == "__main__":
+    for prefix, code, stride in RECORDINGS:
+        print(recorded_block(prefix, train_in_child(code), stride), end="\n\n", flush=True)

@@ -127,12 +127,28 @@ class TestWorkers:
 
 
 class TestAggregation:
-    def write_run(self, root, name, algorithm, seed, score):
+    def write_run(self, root, name, algorithm, seed, score, **extras):
         d = root / name
         d.mkdir(parents=True)
         (d / "summary.json").write_text(json.dumps(
-            {"algorithm": algorithm, "seed": seed, "scaled_score": score}))
+            {"algorithm": algorithm, "seed": seed, "scaled_score": score, **extras}))
         return d
+
+    def test_groups_by_demo_count(self, tmp_path):
+        dirs = [self.write_run(tmp_path, f"a{i}", "gaifo", i, s, n_demos=1)
+                for i, s in enumerate([0.2, 0.4])]
+        dirs += [self.write_run(tmp_path, f"b{i}", "gaifo", i, s, n_demos=10)
+                 for i, s in enumerate([0.8, 0.9, 1.0])]
+        dirs.append(self.write_run(tmp_path, "c", "expert", 0, 1.0))
+        report = aggregate_runs(dirs)
+        gaifo = report["by_algorithm"]["gaifo"]
+        assert gaifo["n_runs"] == 5
+        assert gaifo["by_n_demos"]["1"]["n_runs"] == 2
+        assert gaifo["by_n_demos"]["1"]["mean_scaled_score"] == pytest.approx(0.3)
+        assert gaifo["by_n_demos"]["10"]["n_runs"] == 3
+        assert gaifo["by_n_demos"]["10"]["mean_scaled_score"] == pytest.approx(0.9)
+        assert report["by_algorithm"]["expert"] == {
+            "n_runs": 1, "mean_scaled_score": 1.0, "std_scaled_score": 0.0}
 
     def test_matches_hand_aggregation(self, tmp_path):
         dirs = [self.write_run(tmp_path, f"r{i}", "gaifo", i, s)
@@ -227,6 +243,7 @@ class TestCli:
         assert self.run("report", "--runs", *run_dirs) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report["by_algorithm"]) >= {"gaifo", "bco", "gail"}
+        assert set(report["by_algorithm"]["gaifo"]["by_n_demos"]) == {"3"}
 
     def test_sweep_single_worker(self, config_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")

@@ -43,7 +43,7 @@ def old_empirical_occupancy(trajectories, gamma, bins=None, n_states=None,
         flat = trajectories[:, :-1] * n_states + trajectories[:, 1:]
         for t in range(T1 - 1):
             mass.ravel()[:] += np.bincount(flat[:, t], minlength=n_states * n_states) * weights[t]
-        return occupancy.StateTransitionOccupancy("empirical", gamma, mass=mass / E)
+        return occupancy.StateTransitionOccupancy(gamma, mass=mass / E)
     trajectories = [tr for tr in trajectories if not tr.aborted]
     n_eps = len(trajectories)
     if n_states is not None:
@@ -51,7 +51,7 @@ def old_empirical_occupancy(trajectories, gamma, bins=None, n_states=None,
         for tr in trajectories:
             idx = tr.state_indices
             np.add.at(mass, (idx[:-1], idx[1:]), powers(gamma, len(idx) - 1))
-        return occupancy.StateTransitionOccupancy("empirical", gamma, mass=mass / n_eps)
+        return occupancy.StateTransitionOccupancy(gamma, mass=mass / n_eps)
     mass_map = {}
     for tr in trajectories:
         for t in range(tr.n_steps):
@@ -59,7 +59,7 @@ def old_empirical_occupancy(trajectories, gamma, bins=None, n_states=None,
             mass_map[key] = mass_map.get(key, 0.0) + gamma**t
     for k in mass_map:
         mass_map[k] /= n_eps
-    return occupancy.StateTransitionOccupancy("empirical", gamma, mass_map=mass_map, bins=bins)
+    return occupancy.StateTransitionOccupancy(gamma, mass_map=mass_map, bins=bins)
 
 
 def old_demo_occupancy(demos, gamma, n_states=None, bins=None, powers=numpy_powers):
@@ -70,7 +70,7 @@ def old_demo_occupancy(demos, gamma, n_states=None, bins=None, powers=numpy_powe
             idx = np.argmax(tr, axis=1)
             np.add.at(mass, (idx[:-1], idx[1:]), powers(gamma, len(idx) - 1))
         return occupancy.StateTransitionOccupancy(
-            "empirical", gamma, mass=mass / demos.n_trajectories)
+            gamma, mass=mass / demos.n_trajectories)
     mass_map = {}
     for tr in demos.trajectories:
         for t in range(len(tr) - 1):
@@ -78,7 +78,7 @@ def old_demo_occupancy(demos, gamma, n_states=None, bins=None, powers=numpy_powe
             mass_map[key] = mass_map.get(key, 0.0) + gamma**t
     for k in mass_map:
         mass_map[k] /= demos.n_trajectories
-    return occupancy.StateTransitionOccupancy("empirical", gamma, mass_map=mass_map, bins=bins)
+    return occupancy.StateTransitionOccupancy(gamma, mass_map=mass_map, bins=bins)
 
 
 @st.composite
@@ -340,11 +340,10 @@ class TestDistance:
 
     def test_disjoint_singletons_tv_one(self):
         a = occupancy.StateTransitionOccupancy(
-            "empirical", 0.9, mass=np.array([[1.0, 0.0], [0.0, 0.0]]))
+            0.9, mass=np.array([[1.0, 0.0], [0.0, 0.0]]))
         b = occupancy.StateTransitionOccupancy(
-            "empirical", 0.9, mass=np.array([[0.0, 0.0], [0.0, 1.0]]))
-        assert occupancy.occupancy_distance(a, b, metric="tv") == pytest.approx(1.0)
-        assert occupancy.occupancy_distance(a, b, metric="l1") == pytest.approx(2.0)
+            0.9, mass=np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert occupancy.occupancy_distance(a, b) == pytest.approx(2.0)
 
     def test_alternation_vs_uniform_hand_value(self):
         # normalized alternation occupancy: 2/3 on (0,1), 1/3 on (1,0);
@@ -352,14 +351,14 @@ class TestDistance:
         # L1 = |2/3-1/4| + |1/3-1/4| + 2*1/4 = 5/12 + 1/12 + 1/2 = 1
         occ = occupancy.exact_occupancy(alternation_mdp(), np.ones((2, 1)), 0.5)
         uniform = occupancy.StateTransitionOccupancy(
-            "empirical", 0.5, mass=np.full((2, 2), 0.25))
+            0.5, mass=np.full((2, 2), 0.25))
         assert occupancy.occupancy_distance(occ, uniform) == pytest.approx(1.0)
 
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(2)
-        a = occupancy.StateTransitionOccupancy("empirical", 0.9,
+        a = occupancy.StateTransitionOccupancy(0.9,
                                                mass=rng.random((3, 3)))
-        b = occupancy.StateTransitionOccupancy("empirical", 0.9,
+        b = occupancy.StateTransitionOccupancy(0.9,
                                                mass=rng.random((3, 3)))
         d_ab = occupancy.occupancy_distance(a, b)
         d_ba = occupancy.occupancy_distance(b, a)
@@ -369,24 +368,24 @@ class TestDistance:
     def test_scale_invariance_via_normalization(self):
         rng = np.random.default_rng(3)
         mass = rng.random((3, 3))
-        a = occupancy.StateTransitionOccupancy("empirical", 0.9, mass=mass)
-        b = occupancy.StateTransitionOccupancy("empirical", 0.9, mass=5.0 * mass)
+        a = occupancy.StateTransitionOccupancy(0.9, mass=mass)
+        b = occupancy.StateTransitionOccupancy(0.9, mass=5.0 * mass)
         assert occupancy.occupancy_distance(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_incompatible_binning_rejected(self):
         b1 = occupancy.BinSpec.from_bounds([0.0], [1.0], bins=4)
         b2 = occupancy.BinSpec.from_bounds([0.0], [1.0], bins=8)
-        a = occupancy.StateTransitionOccupancy("empirical", 0.9,
+        a = occupancy.StateTransitionOccupancy(0.9,
                                                mass_map={((0,), (1,)): 1.0}, bins=b1)
-        b = occupancy.StateTransitionOccupancy("empirical", 0.9,
+        b = occupancy.StateTransitionOccupancy(0.9,
                                                mass_map={((0,), (1,)): 1.0}, bins=b2)
         with pytest.raises(ValueError):
             occupancy.occupancy_distance(a, b)
 
     def test_dense_vs_binned_rejected(self):
-        a = occupancy.StateTransitionOccupancy("empirical", 0.9,
+        a = occupancy.StateTransitionOccupancy(0.9,
                                                mass=np.ones((2, 2)))
-        b = occupancy.StateTransitionOccupancy("empirical", 0.9,
+        b = occupancy.StateTransitionOccupancy(0.9,
                                                mass_map={((0,), (0,)): 1.0})
         with pytest.raises(ValueError):
             occupancy.occupancy_distance(a, b)

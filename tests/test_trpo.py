@@ -64,25 +64,23 @@ class TestPolicyDistribution:
     def test_gaussian_tiny_std_acts_at_mean(self):
         policy = gaussian_policy(action_dim=2)
         policy.log_std = np.full(2, trpo.LOG_STD_MIN)
-        rng = np.random.default_rng(0)
         obs = np.ones((1, 3))
-        mean = policy.act(obs, [rng], deterministic=True)
-        sample = policy.act(obs, [rng])
+        mean = policy.act(obs, [0], 0, deterministic=True)
+        sample = policy.act(obs, [0], 0)
         np.testing.assert_allclose(sample, mean, atol=1e-1)
 
     def test_extreme_logit_dominates(self):
         policy = categorical_policy(n_actions=3)
         policy.net.set_flat(np.zeros(policy.net.n_params))
         policy.net.biases[-1][1] = 50.0
-        rng = np.random.default_rng(0)
-        draws = [policy.act(np.zeros((1, 3)), [rng])[0] for _ in range(50)]
+        draws = policy.act(np.zeros((50, 3)), np.arange(50), 0)
         assert all(a == 1 for a in draws)
 
     def test_act_deterministic_in_seed(self):
         policy = gaussian_policy(seed=4)
         obs = np.ones((1, 3))
-        a1 = policy.act(obs, [np.random.default_rng(5)])
-        a2 = policy.act(obs, [np.random.default_rng(5)])
+        a1 = policy.act(obs, [5], 3)
+        a2 = policy.act(obs, [5], 3)
         np.testing.assert_array_equal(a1, a2)
 
     def test_log_std_clamped(self):
@@ -368,9 +366,8 @@ class TestSurrogate:
 class TestTrpoUpdate:
     def bandit_batch(self, policy, n=256, seed=0):
         """2-action bandit: reward 1 for action 0, 0 for action 1."""
-        rng = np.random.default_rng(seed)
         states = np.zeros((n, 3))
-        actions = np.array([policy.act(s[None], [rng])[0] for s in states])
+        actions = policy.act(states, np.random.SeedSequence(seed).generate_state(n, np.uint64), 0)
         rewards = (actions == 0).astype(float)
         batch = trpo.RolloutBatch(states=states, actions=actions, rewards=rewards,
                                   next_states=states, dones=np.ones(n, bool))
