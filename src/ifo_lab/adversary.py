@@ -6,6 +6,12 @@ Label convention: the discriminator is pushed toward 1 on imitator data and
 toward 0 on expert data; the imitator's per-transition reward is
 -log D(s, s'), so the imitator is paid for transitions the discriminator
 mistakes for expert data.
+
+The loss and its gradient take optional per-row counts: a row with count c
+weighs as c copies of itself. The trainers pass each distinct feature row
+once with its count (nets.row_codes), so one forward and one backward serve
+all of its repeats; the result is the loss of the repeated batch summed in
+another order, and unit counts give the plain loss bit for bit.
 """
 
 import numpy as np
@@ -57,20 +63,38 @@ def disc_loss(d, imitator_batch, expert_batch):
     return float(-(np.mean(np.log(di)) + np.mean(np.log(1.0 - de))))
 
 
-def disc_loss_grad(d, imitator_batch, expert_batch):
-    """Loss value and exact flat gradient w.r.t. discriminator parameters."""
+def _row_counts(counts, batch):
+    """The counts of a batch's rows as floats; one per row by default."""
+    if counts is None:
+        return np.ones(len(batch))
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (len(batch),):
+        raise ValueError(f"counts shape {counts.shape} != ({len(batch)},)")
+    return counts
+
+
+def disc_loss_grad(d, imitator_batch, expert_batch, imitator_counts=None,
+                   expert_counts=None):
+    """Loss value and exact flat gradient w.r.t. discriminator parameters.
+    Row i of a batch weighs as counts[i] copies of itself (one by default),
+    so both means are count-weighted means over the given rows."""
     _check_batches(imitator_batch, expert_batch)
+    wi = _row_counts(imitator_counts, imitator_batch)
+    we = _row_counts(expert_counts, expert_batch)
+    ni, ne = wi.sum(), we.sum()
     di, ci = disc_values(d, imitator_batch)
     de, ce = disc_values(d, expert_batch)
-    loss = float(-(np.mean(np.log(di)) + np.mean(np.log(1.0 - de))))
-    grads_i = nets.mlp_backward(d.params, ci, (-1.0 / (len(di) * di))[:, None])
-    grads_e = nets.mlp_backward(d.params, ce, (1.0 / (len(de) * (1.0 - de)))[:, None])
+    loss = float(-(np.sum(wi * np.log(di)) / ni + np.sum(we * np.log(1.0 - de)) / ne))
+    grads_i = nets.mlp_backward(d.params, ci, (-wi / (ni * di))[:, None])
+    grads_e = nets.mlp_backward(d.params, ce, (we / (ne * (1.0 - de)))[:, None])
     return loss, grads_i + grads_e
 
 
-def disc_update(d, imitator_batch, expert_batch):
-    """One Adam step on the discriminator loss; returns the pre-step loss."""
-    loss, grads = disc_loss_grad(d, imitator_batch, expert_batch)
+def disc_update(d, imitator_batch, expert_batch, imitator_counts=None, expert_counts=None):
+    """One Adam step on the (count-weighted) discriminator loss; returns the
+    pre-step loss."""
+    loss, grads = disc_loss_grad(d, imitator_batch, expert_batch, imitator_counts,
+                                 expert_counts)
     nets.adam_step(d.adam, d.params, grads)
     return loss
 

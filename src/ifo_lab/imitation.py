@@ -451,11 +451,17 @@ def _action_features(spec, actions):
 def _adversarial_reward(env, config, seed, expert_x, input_mode):
     """The reward hook of the adversarial trainers. On each fresh rollout it
     takes d_steps Adam steps of one discriminator, each against as many
-    resampled expert rows, then pays -log D from the updated discriminator."""
+    resampled expert rows, then pays -log D from the updated discriminator.
+
+    The expert rows are coded once per run and the imitator rows once per
+    rollout (nets.row_codes). The discriminator then sees each distinct row
+    once, weighted by how often it occurs in the rollout or was drawn in the
+    resample."""
     spec = env.spec
     rng = np.random.default_rng(seed)
     disc = adversary.Discriminator(expert_x.shape[1], hidden=config.hidden,
                                    lr=config.disc_lr, seed=seed + 2)
+    expert_code, expert_rows = nets.row_codes(expert_x)
 
     def reward(batch):
         if input_mode == "state_transition":
@@ -463,11 +469,16 @@ def _adversarial_reward(env, config, seed, expert_x, input_mode):
         else:
             imit_x = adversary.pair_features(batch.states,
                                              _action_features(spec, batch.actions))
+        imit_code, imit_rows = nets.row_codes(imit_x)
+        imit_counts = np.bincount(imit_code)
         disc_loss = None
         for _ in range(config.d_steps):
             idx = rng.integers(len(expert_x), size=len(imit_x))
-            disc_loss = adversary.disc_update(disc, imit_x, expert_x[idx])
-        rewards = adversary.policy_reward(disc, imit_x)
+            counts = np.bincount(expert_code[idx], minlength=len(expert_rows))
+            drawn = np.flatnonzero(counts)
+            disc_loss = adversary.disc_update(disc, imit_rows, expert_rows[drawn],
+                                              imit_counts, counts[drawn])
+        rewards = adversary.policy_reward(disc, imit_rows)[imit_code]
         if not np.all(np.isfinite(rewards)):
             raise FloatingPointError("non-finite reward")
         return rewards, disc_loss

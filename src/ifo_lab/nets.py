@@ -36,7 +36,10 @@ kept arrays in every cache would raise peak memory for no reuse.
 ``fit_supervised`` is the one minibatch-Adam fit: the value baseline, the
 inverse dynamics model and behavioral cloning all train through it, with
 softmax cross-entropy for integer labels and squared error for float
-targets.
+targets. Each of its steps runs the network once per distinct row of the
+minibatch (``row_codes`` keys rows exactly, by their bytes). The gradient is
+the plain step's sum added in another order: a minibatch without repeated
+rows takes the plain step bit for bit, one with repeats differs by rounding.
 
 ``BinaryReader`` is the one reader of the checkpoint and demonstration
 formats: truncated, padded or corrupt files fail with a ValueError that
@@ -114,7 +117,13 @@ class MlpParams:
         self.layer_sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
         self.activation = activation
         self.output_transform = output_transform
-        self.flat = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+        # (weight slice, weight shape, bias slice) of each layer in a flat vector
+        self._layout, i = [], 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            end = i + n_in * n_out
+            self._layout.append((slice(i, end), (n_in, n_out), slice(end, end + n_out)))
+            i = end + n_out
+        self.flat = np.empty(i)
         self.weights, self.biases = self.views(self.flat)
         for view, a in zip(self.weights + self.biases, weights + biases):
             view[...] = a
@@ -122,12 +131,8 @@ class MlpParams:
     def views(self, vec):
         """(weights, biases): per-layer reshaped views of a flat vector in
         this network's layout, such as `flat` or a flat gradient."""
-        weights, biases, i = [], [], 0
-        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            weights.append(vec[i : i + n_in * n_out].reshape(n_in, n_out))
-            biases.append(vec[i + n_in * n_out : i + (n_in + 1) * n_out])
-            i += (n_in + 1) * n_out
-        return weights, biases
+        return ([vec[w].reshape(shape) for w, shape, _ in self._layout],
+                [vec[b] for _, _, b in self._layout])
 
     @property
     def in_dim(self):
@@ -311,12 +316,15 @@ def mlp_jvp(params, cache, tangent):
 
 
 class AdamState:
-    """First/second-moment state for the flat parameters of an MlpParams."""
+    """First/second-moment state for the flat parameters of an MlpParams,
+    plus two scratch vectors of the same size that adam_step writes its
+    intermediate products into."""
 
     def __init__(self, params, alpha=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.step_count = 0
         self.m = np.zeros(params.n_params)
         self.v = np.zeros(params.n_params)
+        self.scratch = (np.empty(params.n_params), np.empty(params.n_params))
         self.alpha = alpha
         self.beta1 = beta1
         self.beta2 = beta2
@@ -327,6 +335,12 @@ def adam_step(state, params, grad):
     """One bias-corrected Adam update of params.flat, in place, by a flat
     gradient. A non-finite gradient raises FloatingPointError before anything
     changes.
+
+    The products go through the state's scratch vectors with the operand
+    order of `v += ((1 - beta2) * g) * g` and
+    `flat -= (alpha * (m / c1)) / (sqrt(v / c2) + epsilon)`, so no
+    parameter-sized temporary is allocated and the result is bit-identical
+    to those expressions.
     """
     if np.shape(grad) != params.flat.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} != ({params.n_params},)")
@@ -336,11 +350,21 @@ def adam_step(state, params, grad):
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
+    a, b = state.scratch
+    np.multiply(1.0 - state.beta1, grad, out=a)
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
+    state.m += a
+    np.multiply(1.0 - state.beta2, grad, out=a)
+    a *= grad
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    params.flat -= state.alpha * (state.m / c1) / (np.sqrt(state.v / c2) + state.epsilon)
+    state.v += a
+    np.divide(state.m, c1, out=a)
+    np.multiply(state.alpha, a, out=a)
+    np.divide(state.v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    a /= b
+    params.flat -= a
 
 
 def _softmax_xent_grad(out, labels):
@@ -358,6 +382,20 @@ def _squared_error_grad(out, targets):
     return (out - targets) / len(targets)
 
 
+def row_codes(x):
+    """(code, distinct) for the rows of a 2-D array: distinct holds each
+    distinct row once, in order of first appearance, and code[i] is the
+    index in distinct of row i, so distinct[code] rebuilds x exactly.
+
+    Rows are keyed by their bytes, so equality is exact and bitwise: -0.0
+    and 0.0 make different rows, and NaNs with the same bits the same row.
+    """
+    index = {}  # row bytes -> (code, index of the row's first appearance)
+    code = np.fromiter((index.setdefault(row.tobytes(), (len(index), i))[0]
+                        for i, row in enumerate(x)), dtype=np.intp, count=len(x))
+    return code, x[[i for _, i in index.values()]]
+
+
 def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None):
     """Minibatch Adam on a supervised loss, in place.
 
@@ -366,18 +404,35 @@ def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None):
     or (n, out_dim), and the loss is half the mean squared error. Each epoch
     visits the `rows` of x (all of them by default) in the order of
     rng.permutation, taking one Adam step per minibatch of rows.
+
+    A step runs the network once per distinct row of its minibatch (x is
+    coded once per call by row_codes). Each row's output gradient, still
+    divided by the minibatch size, is taken from its distinct row's output
+    and summed onto that row before one backward pass, so the gradient is
+    the plain step's sum added in another order. A minibatch without
+    repeated rows takes the plain step bit for bit.
     """
     if np.issubdtype(y.dtype, np.integer):
         output_grad = _softmax_xent_grad
     else:
         output_grad = _squared_error_grad
         y = y.reshape(len(y), -1)
+    code, distinct = row_codes(x)
+    slot = np.empty(len(distinct), dtype=np.intp)
     for _ in range(epochs):
         order = rng.permutation(len(x) if rows is None else rows)
         for start in range(0, len(order), minibatch):
             idx = order[start : start + minibatch]
-            out, cache = mlp_forward(net, x[idx])
-            adam_step(adam, net, mlp_backward(net, cache, output_grad(out, y[idx])))
+            codes = code[idx]
+            _, firsts = np.unique(codes, return_index=True)
+            firsts.sort()
+            present = codes[firsts]  # the minibatch's distinct rows, first seen first
+            out, cache = mlp_forward(net, distinct[present])
+            slot[present] = np.arange(len(present))
+            local = slot[codes]
+            grad = np.zeros(out.shape)
+            np.add.at(grad, local, output_grad(out[local], y[idx]))
+            adam_step(adam, net, mlp_backward(net, cache, grad))
 
 
 def finite_diff_grad(f, x, h=1e-5):

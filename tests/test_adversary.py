@@ -94,6 +94,38 @@ class TestDiscLoss:
         assert err < 1e-4
 
 
+class TestCountedLoss:
+    """A row with count c weighs as c copies of itself."""
+
+    def _batches(self):
+        rng = np.random.default_rng(5)
+        return rng.normal(size=(4, 4)), rng.normal(size=(3, 4))
+
+    def test_counts_equal_repeated_rows(self):
+        d = make_disc(seed=6)
+        imit, exp = self._batches()
+        ci, ce = np.array([1, 3, 2, 5]), np.array([2, 1, 4])
+        loss, grads = adversary.disc_loss_grad(d, imit, exp, ci, ce)
+        loss_rep, grads_rep = adversary.disc_loss_grad(d, np.repeat(imit, ci, axis=0),
+                                                       np.repeat(exp, ce, axis=0))
+        assert abs(loss - loss_rep) <= 1e-12
+        np.testing.assert_allclose(grads, grads_rep, rtol=0, atol=1e-12)
+
+    def test_unit_counts_are_bit_identical(self):
+        d = make_disc(seed=6)
+        imit, exp = self._batches()
+        loss, grads = adversary.disc_loss_grad(d, imit, exp)
+        loss_1, grads_1 = adversary.disc_loss_grad(d, imit, exp, np.ones(4, dtype=int),
+                                                   np.ones(3, dtype=int))
+        assert loss_1 == loss
+        assert grads_1.tobytes() == grads.tobytes()
+
+    def test_counts_of_another_length_rejected(self):
+        imit, exp = self._batches()
+        with pytest.raises(ValueError, match="counts shape"):
+            adversary.disc_loss_grad(make_disc(), imit, exp, np.ones(3))
+
+
 class TestDiscTraining:
     def test_loss_decreases_on_separable_data(self):
         d = make_disc(seed=1, lr=1e-2)

@@ -18,8 +18,14 @@ the hot paths must keep them:
   2e-14 here. A different BLAS thread count moves the same entries by up to
   6e-14. Any change of behaviour moves them by orders of magnitude more.
 
-A labelled behaviour change re-records all five with one command, which
-prints the constant blocks from the same child-interpreter runs:
+A labelled behaviour change first reports how far each recording moved,
+the largest absolute deviation of its norm and sampled entries from the
+recorded constants:
+
+    PYTHONPATH=src python tests/test_golden.py --deviation
+
+and then re-records with one command, which prints the five constant blocks
+from the same child-interpreter runs:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -38,14 +44,14 @@ import ifo_lab
 
 SRC = str(Path(ifo_lab.__file__).resolve().parents[1])
 
-GRID_NORM = 10.04748006125016
+GRID_NORM = 10.047480061250162
 GRID_SAMPLE = [  # flat_params()[::401]
     0.07976293455090325, 0.22550965277001994, -0.16053512762069622,
-    -0.09939630577261953, 0.005444684030024813, -0.1653547708051136,
-    -0.17975048219138734, -0.04908647424797123, -0.048452022889204,
+    -0.09939630577261953, 0.005444684030024785, -0.16535477080511363,
+    -0.17975048219138734, -0.04908647424797124, -0.04845202288920399,
     -0.14587883985218758, 0.0216185804373064, -0.09369473599890722,
     0.14649134428605223, -0.21163304394855617, 0.09461966089569021,
-    0.009693869196677519,
+    0.009693869196677474,
 ]
 
 POINT_NORM = 8.52070514923742
@@ -62,21 +68,21 @@ POINT_ATOL = 1e-9
 EXPERT_NORM = 10.08443651874063
 EXPERT_SAMPLE = [  # flat_params()[::401]
     0.07193549801276782, 0.22733853727286202, -0.1592882096234602,
-    -0.10131873570716515, -0.0006077672118353901, -0.16374353736209385,
+    -0.10131873570716515, -0.0006077672118354015, -0.16374353736209385,
     -0.18024439845074358, -0.05198424283588734, -0.04670683650701262,
-    -0.14387138169154315, 0.024857480015488976, -0.09245118200542335,
+    -0.14387138169154315, 0.024857480015488972, -0.09245118200542335,
     0.14595255876365845, -0.21124109789580284, 0.09901745783130206,
-    0.03154688240972116,
+    0.03154688240972109,
 ]
 
 BCO_NORM = 14.938437200003355
 BCO_SAMPLE = [  # flat_params()[::401]
-    -0.09628179397789531, 0.22740008844651427, -0.15894558970424655,
-    -0.09510804571874143, -0.10249848682066408, -0.28342542022786027,
-    -0.29883796456348977, 0.07201500045660446, 0.12037065666523075,
-    0.10096613462367852, 0.14796259229081346, -0.25415521223818804,
-    0.01023935929284779, -0.05704080736906788, 0.2443153115865359,
-    0.18530234507918966,
+    -0.0962817939778953, 0.22740008844651427, -0.15894558970424655,
+    -0.09510804571874143, -0.10249848682066404, -0.28342542022786027,
+    -0.2988379645634896, 0.07201500045660457, 0.12037065666523082,
+    0.10096613462367869, 0.14796259229081202, -0.254155212238188,
+    0.010239359292845824, -0.05704080736906788, 0.2443153115865359,
+    0.18530234507918958,
 ]
 
 GAIL_NORM = 8.521931012024423
@@ -193,6 +199,18 @@ def recorded_block(prefix, flat, stride):
     return "\n".join(lines + ["]"])
 
 
+def deviation(prefix, flat, stride):
+    """The largest absolute deviation of one recording's norm and sampled
+    entries from its {prefix}_NORM and {prefix}_SAMPLE constants."""
+    recorded = globals()
+    return max(abs(float(np.linalg.norm(flat)) - recorded[f"{prefix}_NORM"]),
+               float(np.max(np.abs(flat[::stride] - recorded[f"{prefix}_SAMPLE"]))))
+
+
 if __name__ == "__main__":
     for prefix, code, stride in RECORDINGS:
-        print(recorded_block(prefix, train_in_child(code), stride), end="\n\n", flush=True)
+        flat = train_in_child(code)
+        if "--deviation" in sys.argv[1:]:
+            print(f"{prefix}: {deviation(prefix, flat, stride)!r}", flush=True)
+        else:
+            print(recorded_block(prefix, flat, stride), end="\n\n", flush=True)

@@ -393,8 +393,8 @@ def _poison_iteration_2(monkeypatch, point):
     if point == "discriminator gradient":
         loss_grad = adversary.disc_loss_grad
 
-        def nan_loss_grad(d, imitator_batch, expert_batch):
-            loss, grads = loss_grad(d, imitator_batch, expert_batch)
+        def nan_loss_grad(d, imitator_batch, expert_batch, *counts):
+            loss, grads = loss_grad(d, imitator_batch, expert_batch, *counts)
             return loss, grads * np.nan if len(seen) == 3 else grads
 
         monkeypatch.setattr(adversary, "disc_loss_grad", nan_loss_grad)

@@ -286,10 +286,92 @@ class TestAdam:
         nets.adam_step(state, net, np.random.default_rng(3).normal(size=net.n_params))
         assert np.all(state.v >= 0)
 
+    def test_fifty_steps_match_the_plain_expressions_bit_for_bit(self):
+        net = nets.init_mlp([3, 5, 2], rng=np.random.default_rng(0))
+        state = nets.AdamState(net, alpha=0.01)
+        rng = np.random.default_rng(8)
+        flat, m, v = net.flatten(), np.zeros(net.n_params), np.zeros(net.n_params)
+        b1, b2, alpha, eps = state.beta1, state.beta2, state.alpha, state.epsilon
+        for t in range(1, 51):
+            g = rng.normal(size=net.n_params) * 10.0 ** rng.integers(-6, 3, size=net.n_params)
+            nets.adam_step(state, net, g)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            flat -= alpha * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert _bits([net.flat, state.m, state.v]) == _bits([flat, m, v])
+
+
+class TestRowCodes:
+    def test_codes_count_rows_in_order_of_first_appearance(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [5.0, 6.0], [3.0, 4.0]])
+        code, distinct = nets.row_codes(x)
+        assert code.tolist() == [0, 1, 0, 2, 1]
+        assert distinct.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_rebuilds_the_input_exactly(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(7, 3))[rng.integers(7, size=200)]
+        code, distinct = nets.row_codes(x)
+        assert distinct[code].tobytes() == x.tobytes()
+        assert len(distinct) == len({row.tobytes() for row in x})
+        first_seen = [int(np.flatnonzero(code == j)[0]) for j in range(len(distinct))]
+        assert first_seen == sorted(first_seen)
+
+    def test_signed_zeros_are_different_rows(self):
+        # rows are keyed by their bytes, and -0.0 and 0.0 differ in the sign bit
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        code, distinct = nets.row_codes(x)
+        assert code.tolist() == [0, 1, 0]
+        assert np.signbit(distinct[:, 0]).tolist() == [False, True]
+
+
+def plain_fit(net, adam, x, y, rng, epochs, minibatch):
+    """The reference fit: one forward and one backward over every row of
+    every minibatch."""
+    labels = np.issubdtype(y.dtype, np.integer)
+    y = y if labels else y.reshape(len(y), -1)
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(order), minibatch):
+            idx = order[start : start + minibatch]
+            out, cache = nets.mlp_forward(net, x[idx])
+            head = (nets._softmax_xent_grad(out, y[idx]) if labels
+                    else nets._squared_error_grad(out, y[idx]))
+            nets.adam_step(adam, net, nets.mlp_backward(net, cache, head))
+
 
 class TestFitSupervised:
     def _net(self, out_dim):
         return nets.init_mlp([3, 8, out_dim], rng=np.random.default_rng(0))
+
+    def _both_fits(self, x, y, epochs):
+        fitted = []
+        for fit in (nets.fit_supervised, plain_fit):
+            net = self._net(3)
+            fit(net, nets.AdamState(net, alpha=1e-2), x, y, np.random.default_rng(11),
+                epochs, 16)
+            fitted.append(net.flatten())
+        return fitted
+
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_distinct_rows_train_bit_identically_to_the_plain_loop(self, labels):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(60, 3))
+        y = rng.integers(3, size=60) if labels else rng.normal(size=(60, 3))
+        fitted, plain = self._both_fits(x, y, epochs=3)
+        assert fitted.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_repeated_rows_train_like_the_plain_loop_within_rounding(self, labels):
+        # one-hot rows repeat many times per minibatch; labels and targets
+        # still differ between copies of a row
+        rng = np.random.default_rng(12)
+        x = np.eye(3)[rng.integers(3, size=64)]
+        y = rng.integers(3, size=64) if labels else rng.normal(size=(64, 3))
+        fitted, plain = self._both_fits(x, y, epochs=1)
+        np.testing.assert_allclose(fitted, plain, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("labels", [True, False])
     def test_loss_gradient_matches_finite_differences(self, labels):
