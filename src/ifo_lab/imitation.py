@@ -373,7 +373,7 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
     for it in range(iterations):
         try:
             trajs = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
-            batch = trpo.RolloutBatch.from_trajectories(trajs, policy)
+            batch = trpo.RolloutBatch.from_trajectories(trajs)
             disc_loss = mean_reward = ""
             if reward is not None:
                 batch.rewards, disc_loss = reward(batch)

@@ -367,19 +367,21 @@ def adam_step(state, params, grad):
     params.flat -= a
 
 
-def _softmax_xent_grad(out, labels):
-    """Gradient of the mean softmax cross-entropy w.r.t. the logits."""
-    z = out - out.max(axis=1, keepdims=True)
-    p = np.exp(z)
+def _softmax_xent_grad(out, rows, labels):
+    """Gradient of the mean softmax cross-entropy w.r.t. the logits out[rows].
+    The softmax runs once per row of out, before the gather."""
+    p = out - out.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
+    p = p[rows]
     p[np.arange(len(labels)), labels] -= 1.0
     p /= len(labels)
     return p
 
 
-def _squared_error_grad(out, targets):
-    """Gradient of half the mean squared error w.r.t. the output."""
-    return (out - targets) / len(targets)
+def _squared_error_grad(out, rows, targets):
+    """Gradient of half the mean squared error w.r.t. the outputs out[rows]."""
+    return (out[rows] - targets) / len(targets)
 
 
 def row_codes(x):
@@ -396,31 +398,37 @@ def row_codes(x):
     return code, x[[i for _, i in index.values()]]
 
 
-def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None):
+def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None, code=None):
     """Minibatch Adam on a supervised loss, in place.
 
     Integer y holds class labels and the loss is softmax cross-entropy over
     the outputs; float y holds regression targets, (n,) for a one-output net
     or (n, out_dim), and the loss is half the mean squared error. Each epoch
-    visits the `rows` of x (all of them by default) in the order of
+    visits the `rows` of the data (all of them by default) in the order of
     rng.permutation, taking one Adam step per minibatch of rows.
 
-    A step runs the network once per distinct row of its minibatch (x is
-    coded once per call by row_codes). Each row's output gradient, still
+    A step runs the network once per distinct row of its minibatch. The
+    data's rows are coded once per call by row_codes; a caller that has
+    coded them already passes the distinct rows as x and their code, so
+    that data row i is x[code[i]]. Each row's output gradient, still
     divided by the minibatch size, is taken from its distinct row's output
-    and summed onto that row before one backward pass, so the gradient is
-    the plain step's sum added in another order. A minibatch without
-    repeated rows takes the plain step bit for bit.
+    (the softmax runs once per distinct row) and summed onto that row before
+    one backward pass, so the gradient is the plain step's sum added in
+    another order. A minibatch without repeated rows takes the plain step
+    bit for bit.
     """
     if np.issubdtype(y.dtype, np.integer):
         output_grad = _softmax_xent_grad
     else:
         output_grad = _squared_error_grad
         y = y.reshape(len(y), -1)
-    code, distinct = row_codes(x)
+    if code is None:
+        code, distinct = row_codes(x)
+    else:
+        distinct = x
     slot = np.empty(len(distinct), dtype=np.intp)
     for _ in range(epochs):
-        order = rng.permutation(len(x) if rows is None else rows)
+        order = rng.permutation(len(code) if rows is None else rows)
         for start in range(0, len(order), minibatch):
             idx = order[start : start + minibatch]
             codes = code[idx]
@@ -431,7 +439,7 @@ def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None):
             slot[present] = np.arange(len(present))
             local = slot[codes]
             grad = np.zeros(out.shape)
-            np.add.at(grad, local, output_grad(out[local], y[idx]))
+            np.add.at(grad, local, output_grad(out, local, y[idx]))
             adam_step(adam, net, mlp_backward(net, cache, grad))
 
 

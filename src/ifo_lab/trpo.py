@@ -6,9 +6,19 @@ natural-gradient step uses an exact Fisher-vector product (forward-mode
 Jacobian-vector product through the network composed with the closed-form
 distribution-space metric), conjugate gradient, and a KL-constrained
 backtracking line search.
+
+The step runs the policy over the batch's distinct states (CodedStates,
+coded once per batch by nets.row_codes), with one forward pass per
+parameter value: one at the old parameters for the old log-probs, the
+surrogate gradient, the Fisher operator and the old side of the KL, and one
+per line-search candidate for its surrogate and its KL. Per-row quantities
+(log-probs, ratios, advantages) stay per row; per-state sums weigh each
+distinct row by its count. Without repeated states the step is the plain
+one bit for bit, and with repeats (one-hot tabular states) it differs only
+in the order of summation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,22 +147,91 @@ def _logsumexp(logits):
     return m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
 
 
+class CodedStates:
+    """A batch's states as their distinct rows, and the policy's outputs on
+    them.
+
+    Row i of the batch is distinct[code[i]], and counts[j] rows are
+    distinct[j]. CodedStates.of(states) codes a batch with nets.row_codes; a
+    plain array passed to the functions below is taken as it is, every row
+    its own distinct row (code = arange, unit counts).
+
+    The policy runs over the distinct rows once per parameter value. head()
+    keeps the output at every parameter value it computes, and forward()
+    also keeps the cache of the last value it was asked for, until
+    release(). Outputs are keyed by the parameter bytes, so a copy of a
+    policy finds the output of its original.
+    """
+
+    def __init__(self, distinct, code):
+        self.distinct = distinct
+        self.code = code
+        self.counts = np.bincount(code, minlength=len(distinct)).astype(np.float64)
+        self._outs = {}      # parameter bytes -> output over the distinct rows
+        self._kept = None    # (parameter bytes, output, cache) of forward()
+
+    @classmethod
+    def of(cls, states):
+        code, distinct = nets.row_codes(states)
+        return cls(distinct, code)
+
+    def __len__(self):
+        return len(self.code)
+
+    def head(self, policy):
+        """The policy's network output over the distinct rows."""
+        key = policy.flat_params().tobytes()
+        out = self._outs.get(key)
+        if out is None:
+            out = self._outs[key] = policy.dist(self.distinct)[0]
+        return out
+
+    def forward(self, policy):
+        """(output, cache) over the distinct rows; the cache is kept until
+        release() or a forward() at other parameters."""
+        key = policy.flat_params().tobytes()
+        if self._kept is None or self._kept[0] != key:
+            out, cache = policy.dist(self.distinct)
+            self._outs[key] = out
+            self._kept = (key, out, cache)
+        return self._kept[1:]
+
+    def release(self):
+        """Drop the kept cache; the outputs stay."""
+        self._kept = None
+
+    def sum_rows(self, per_row):
+        """Per-row values summed onto their distinct rows."""
+        total = np.zeros((len(self.distinct),) + per_row.shape[1:])
+        np.add.at(total, self.code, per_row)
+        return total
+
+
+def _coded(states):
+    if isinstance(states, CodedStates):
+        return states
+    states = np.asarray(states, dtype=np.float64)
+    return CodedStates(states, np.arange(len(states)))
+
+
 def mean_kl(policy_old, policy_new, states):
-    """Closed-form KL(old || new) averaged over states."""
+    """Closed-form KL(old || new) averaged over states (an array or a
+    CodedStates, whose distinct rows are weighted by their counts)."""
     if policy_old.kind != policy_new.kind:
         raise ValueError("policies must share a distribution kind")
-    old, _ = policy_old.dist(states)
-    new, _ = policy_new.dist(states)
+    states = _coded(states)
+    old, new = states.head(policy_old), states.head(policy_new)
     if policy_old.kind == "categorical":
         p_old = _softmax(old)
         log_old = old - _logsumexp(old)
         log_new = new - _logsumexp(new)
-        return float(np.mean((p_old * (log_old - log_new)).sum(axis=1)))
-    so = np.exp(policy_old.log_std)
-    sn = np.exp(policy_new.log_std)
-    per_state = (policy_new.log_std - policy_old.log_std
-                 + (so**2 + (old - new) ** 2) / (2.0 * sn**2) - 0.5).sum(axis=1)
-    return float(np.mean(per_state))
+        per_state = (p_old * (log_old - log_new)).sum(axis=1)
+    else:
+        so = np.exp(policy_old.log_std)
+        sn = np.exp(policy_new.log_std)
+        per_state = (policy_new.log_std - policy_old.log_std
+                     + (so**2 + (old - new) ** 2) / (2.0 * sn**2) - 0.5).sum(axis=1)
+    return float(np.sum(states.counts * per_state) / len(states))
 
 
 def mean_kl_grad(policy_old, policy_new, states):
@@ -170,44 +249,56 @@ def mean_kl_grad(policy_old, policy_new, states):
 
 
 def surrogate_loss(policy, states, actions, advantages, old_logp):
-    """Importance-weighted advantage objective mean(ratio * A); maximized."""
-    logp = policy.log_prob(states, actions)
+    """Importance-weighted advantage objective mean(ratio * A); maximized.
+    states is an array or a CodedStates; the rest is per row."""
+    states = _coded(states)
+    logp = policy._log_prob_from(states.head(policy)[states.code], actions)
     return float(np.mean(np.exp(logp - old_logp) * advantages))
 
 
 def surrogate_grad(policy, states, actions, advantages, old_logp):
-    """Flat gradient of the surrogate objective."""
+    """Flat gradient of the surrogate objective. The per-row output
+    gradients are summed onto the distinct rows before one backward pass."""
+    states = _coded(states)
     n = len(states)
-    out, cache = policy.dist(states)
-    logp = policy._log_prob_from(out, actions)
+    out, cache = states.forward(policy)
+    rows = out[states.code]
+    logp = policy._log_prob_from(rows, actions)
     w = (np.exp(logp - old_logp) * advantages / n)[:, None]
     if policy.kind == "categorical":
         actions = np.asarray(actions, dtype=int)
-        one_hot = np.zeros_like(out)
+        one_hot = np.zeros_like(rows)
         one_hot[np.arange(n), actions] = 1.0
-        return nets.mlp_backward(policy.net, cache, w * (one_hot - _softmax(out)))
+        per_row = w * (one_hot - _softmax(out)[states.code])
+        return nets.mlp_backward(policy.net, cache, states.sum_rows(per_row))
     acts = np.asarray(actions, dtype=np.float64)
     var = np.exp(2.0 * policy.log_std)
-    grads = nets.mlp_backward(policy.net, cache, w * (acts - out) / var)
-    dlog_std = (w * ((acts - out) ** 2 / var - 1.0)).sum(axis=0)
+    grads = nets.mlp_backward(policy.net, cache, states.sum_rows(w * (acts - rows) / var))
+    dlog_std = (w * ((acts - rows) ** 2 / var - 1.0)).sum(axis=0)
     return np.concatenate([grads, dlog_std])
 
 
 class FvpOperator:
-    """(Fisher + damping I) v with the forward pass over states cached.
+    """(Fisher + damping I) v over states (an array or a CodedStates).
 
     Exact: the metric is J^T A J where J is the network Jacobian (applied
     by forward-mode JVP) and A the closed-form distribution-space Fisher.
-    The cache keeps a workspace (see nets.keep_workspace), so the operator
-    holds a few (len(states), hidden) arrays for as long as it lives.
+    Both run over the distinct rows only, and each distinct row's A J v is
+    weighed by its count, so a batch with repeats costs what its distinct
+    rows cost; without repeats the product is the plain mean over rows bit
+    for bit. The forward pass is the states' forward() at the policy's
+    parameters; the operator marks a copy of its cache with
+    nets.keep_workspace, so it holds a few (distinct rows, hidden) arrays
+    for as long as it lives.
     """
 
     def __init__(self, policy, states, damping):
         self.policy = policy
         self.damping = damping
-        self.states = states
-        self.out, self.cache = policy.dist(self.states)
-        nets.keep_workspace(self.cache)
+        self.states = _coded(states)
+        self.out, cache = self.states.forward(policy)
+        self.cache = nets.keep_workspace(dict(cache))
+        self.counts = self.states.counts[:, None]
         if policy.kind == "categorical":
             self.p = _softmax(self.out)
 
@@ -220,10 +311,11 @@ class FvpOperator:
         if self.policy.kind == "categorical":
             # logit-space Fisher: diag(p) - p p^T
             au = self.p * du - self.p * (self.p * du).sum(axis=1, keepdims=True)
-            result = nets.mlp_backward(self.policy.net, self.cache, au / n)
+            result = nets.mlp_backward(self.policy.net, self.cache, au * self.counts / n)
         else:
             var = np.exp(2.0 * self.policy.log_std)
-            grads = nets.mlp_backward(self.policy.net, self.cache, du / var / n)
+            grads = nets.mlp_backward(self.policy.net, self.cache,
+                                      du / var * self.counts / n)
             result = np.concatenate([grads, 2.0 * v[n_net:]])
         if not np.all(np.isfinite(result)):
             raise FloatingPointError("non-finite Fisher-vector product")
@@ -257,7 +349,13 @@ def conjugate_gradient(apply_A, b, iters=10, tol=1e-10):
 
 @dataclass
 class RolloutBatch:
-    """Flattened on-policy experience; dones delimit episodes."""
+    """Flattened on-policy experience; dones delimit episodes.
+
+    logps holds the log-probs of the actions if from_trajectories was given
+    the policy; trpo_update takes its own from its forward pass and does not
+    read them. coded_states() codes the states on first use; the value fit,
+    the value prediction and the policy step share that one coding.
+    """
 
     states: np.ndarray
     actions: np.ndarray
@@ -267,6 +365,7 @@ class RolloutBatch:
     logps: np.ndarray = None
     advantages: np.ndarray = None
     returns: np.ndarray = None
+    _coded: CodedStates = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_trajectories(cls, trajectories, policy=None):
@@ -286,6 +385,12 @@ class RolloutBatch:
 
     def __len__(self):
         return len(self.rewards)
+
+    def coded_states(self):
+        """The states as a CodedStates, made once per batch."""
+        if self._coded is None:
+            self._coded = CodedStates.of(self.states)
+        return self._coded
 
 
 def gae(rewards, values, dones, gamma, lam):
@@ -307,7 +412,8 @@ def gae(rewards, values, dones, gamma, lam):
 
 def compute_advantages(batch, value_fn, gamma, lam):
     """Fill batch.advantages (normalized) and batch.returns (value targets)."""
-    values = value_fn.predict(batch.states)
+    states = batch.coded_states()
+    values = value_fn.predict(states.distinct)[states.code]
     adv = gae(batch.rewards, values, batch.dones, gamma, lam)
     batch.returns = adv + values
     std = adv.std()
@@ -332,9 +438,14 @@ class ValueFunction:
         return out[:, 0]
 
     def fit(self, states, targets):
+        """Regress the outputs on targets, one per row of states (an array,
+        or a CodedStates whose coding the fit reuses)."""
+        code = None
+        if isinstance(states, CodedStates):
+            states, code = states.distinct, states.code
         nets.fit_supervised(self.net, self.adam, states,
                             np.asarray(targets, dtype=np.float64), self._rng,
-                            self.epochs, self.minibatch)
+                            self.epochs, self.minibatch, code=code)
 
 
 def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
@@ -346,35 +457,48 @@ def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
     backtracked step with nonnegative surrogate improvement and mean KL <=
     delta; otherwise leaves the policy unchanged. Returns a diagnostics
     dict.
+
+    The step runs over the batch's distinct states (batch.coded_states())
+    with one policy forward per parameter value. The forward at the old
+    parameters gives the old log-probs, the surrogate gradient, the Fisher
+    operator's cache and the old side of every KL, so the ratio at the old
+    parameters is exp(0) exactly; each line-search candidate's forward
+    serves its surrogate and its KL. Log-probs, ratios and advantages stay
+    per row. A batch without repeated states takes the plain step bit for
+    bit; with repeats only the order of summation differs.
     """
-    if batch.advantages is None or batch.logps is None:
-        raise ValueError("batch needs logps and advantages (see compute_advantages)")
+    if batch.advantages is None:
+        raise ValueError("batch needs advantages (see compute_advantages)")
+    states = batch.coded_states()
     if value_fn is not None:
-        value_fn.fit(batch.states, batch.returns)
+        value_fn.fit(states, batch.returns)
     diag = {"accepted": False, "kl": 0.0, "improvement": 0.0,
             "step_frac": 0.0, "backtracks_used": 0}
-    g = surrogate_grad(policy, batch.states, batch.actions,
-                       batch.advantages, batch.logps)
-    diag["grad_norm"] = float(np.linalg.norm(g))
-    if diag["grad_norm"] < 1e-12:
-        return diag
-    fvp = FvpOperator(policy, batch.states, damping)
-    x = conjugate_gradient(fvp, g, iters=cg_iters)
-    shs = float(x @ fvp(x))
-    del fvp  # frees its workspace before the line search's forward passes
+    out, _ = states.forward(policy)
+    old_logp = policy._log_prob_from(out[states.code], batch.actions)
+    args = (states, batch.actions, batch.advantages, old_logp)
+    try:
+        g = surrogate_grad(policy, *args)
+        diag["grad_norm"] = float(np.linalg.norm(g))
+        if diag["grad_norm"] < 1e-12:
+            return diag
+        fvp = FvpOperator(policy, states, damping)
+        x = conjugate_gradient(fvp, g, iters=cg_iters)
+        shs = float(x @ fvp(x))
+        del fvp  # frees its workspace before the line search's forward passes
+    finally:
+        states.release()
     if shs <= 0 or not np.isfinite(shs):
         return diag
     full_step = np.sqrt(2.0 * delta / shs) * x
     old_flat = policy.flat_params()
     old_policy = policy.copy()
-    base = surrogate_loss(policy, batch.states, batch.actions,
-                          batch.advantages, batch.logps)
+    base = surrogate_loss(policy, *args)
     for i in range(backtracks):
         frac = 0.5**i
         policy.set_flat(old_flat + frac * full_step)
-        improvement = surrogate_loss(policy, batch.states, batch.actions,
-                                     batch.advantages, batch.logps) - base
-        kl = mean_kl(old_policy, policy, batch.states)
+        improvement = surrogate_loss(policy, *args) - base
+        kl = mean_kl(old_policy, policy, states)
         if improvement >= 0.0 and kl <= delta:
             diag.update(accepted=True, kl=float(kl), improvement=float(improvement),
                         step_frac=frac, backtracks_used=i)

@@ -44,14 +44,14 @@ import ifo_lab
 
 SRC = str(Path(ifo_lab.__file__).resolve().parents[1])
 
-GRID_NORM = 10.047480061250162
+GRID_NORM = 10.04748006125016
 GRID_SAMPLE = [  # flat_params()[::401]
-    0.07976293455090325, 0.22550965277001994, -0.16053512762069622,
-    -0.09939630577261953, 0.005444684030024785, -0.16535477080511363,
-    -0.17975048219138734, -0.04908647424797124, -0.04845202288920399,
+    0.07976293455090322, 0.22550965277001994, -0.16053512762069622,
+    -0.09939630577261951, 0.00544468403002498, -0.1653547708051136,
+    -0.17975048219138734, -0.04908647424797123, -0.048452022889204,
     -0.14587883985218758, 0.0216185804373064, -0.09369473599890722,
     0.14649134428605223, -0.21163304394855617, 0.09461966089569021,
-    0.009693869196677474,
+    0.00969386919667749,
 ]
 
 POINT_NORM = 8.52070514923742
@@ -67,12 +67,12 @@ POINT_ATOL = 1e-9
 
 EXPERT_NORM = 10.08443651874063
 EXPERT_SAMPLE = [  # flat_params()[::401]
-    0.07193549801276782, 0.22733853727286202, -0.1592882096234602,
-    -0.10131873570716515, -0.0006077672118354015, -0.16374353736209385,
+    0.0719354980127678, 0.22733853727286202, -0.1592882096234602,
+    -0.10131873570716514, -0.0006077672118354046, -0.16374353736209385,
     -0.18024439845074358, -0.05198424283588734, -0.04670683650701262,
-    -0.14387138169154315, 0.024857480015488972, -0.09245118200542335,
+    -0.14387138169154315, 0.024857480015488976, -0.09245118200542335,
     0.14595255876365845, -0.21124109789580284, 0.09901745783130206,
-    0.03154688240972109,
+    0.03154688240972124,
 ]
 
 BCO_NORM = 14.938437200003355

@@ -327,6 +327,19 @@ class TestRowCodes:
         assert np.signbit(distinct[:, 0]).tolist() == [False, True]
 
 
+def plain_head_grad(out, y):
+    """Gradient of the mean softmax cross-entropy (integer y) or of half the
+    mean squared error (float y) w.r.t. every row of out."""
+    if not np.issubdtype(y.dtype, np.integer):
+        return (out - y) / len(y)
+    z = out - out.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(len(y)), y] -= 1.0
+    p /= len(y)
+    return p
+
+
 def plain_fit(net, adam, x, y, rng, epochs, minibatch):
     """The reference fit: one forward and one backward over every row of
     every minibatch."""
@@ -337,9 +350,7 @@ def plain_fit(net, adam, x, y, rng, epochs, minibatch):
         for start in range(0, len(order), minibatch):
             idx = order[start : start + minibatch]
             out, cache = nets.mlp_forward(net, x[idx])
-            head = (nets._softmax_xent_grad(out, y[idx]) if labels
-                    else nets._squared_error_grad(out, y[idx]))
-            nets.adam_step(adam, net, nets.mlp_backward(net, cache, head))
+            nets.adam_step(adam, net, nets.mlp_backward(net, cache, plain_head_grad(out, y[idx])))
 
 
 class TestFitSupervised:
@@ -392,11 +403,23 @@ class TestFitSupervised:
             return float(0.5 * ((out - y) ** 2).sum(axis=1).mean())
 
         out, cache = nets.mlp_forward(net, x)
-        head = (nets._softmax_xent_grad(out, y) if labels
-                else nets._squared_error_grad(out, y))
-        analytic = nets.mlp_backward(net, cache, head)
+        analytic = nets.mlp_backward(net, cache, plain_head_grad(out, y))
         fd = nets.finite_diff_grad(loss, net.flatten())
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_a_given_code_trains_like_coding_inside(self, labels):
+        rng = np.random.default_rng(8)
+        x = np.eye(4)[rng.integers(4, size=50)]
+        y = rng.integers(3, size=50) if labels else rng.normal(size=(50, 3))
+        code, distinct = nets.row_codes(x)
+        fitted = []
+        for rows, given in ((x, None), (distinct, code)):
+            net = nets.init_mlp([4, 8, 3], rng=np.random.default_rng(0))
+            nets.fit_supervised(net, nets.AdamState(net), rows, y,
+                                np.random.default_rng(9), epochs=2, minibatch=16, code=given)
+            fitted.append(net.flatten())
+        assert fitted[0].tobytes() == fitted[1].tobytes()
 
     def test_vector_targets_fit_a_one_output_net_like_column_targets(self):
         rng = np.random.default_rng(2)

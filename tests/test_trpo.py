@@ -1,7 +1,8 @@
 """Policy optimization: distribution math against hand formulas and finite
 differences, GAE against a brute-force reference, conjugate gradient against
 dense solves, Fisher-vector products against finite-difference
-Hessian-vector products, and the update contract itself."""
+Hessian-vector products, the update contract itself, and the step over a
+batch's distinct states against the same step over every row."""
 
 import tracemalloc
 
@@ -423,3 +424,169 @@ class TestTrpoUpdate:
         pred = vf.predict(states)
         mse = float(np.mean((pred - targets) ** 2))
         assert mse < 0.1 * float(np.var(targets))
+
+
+def plain_surrogate_grad(policy, states, actions, advantages, old_logp):
+    """The surrogate gradient as one backward over every row."""
+    n = len(states)
+    out, cache = policy.dist(states)
+    logp = policy._log_prob_from(out, actions)
+    w = (np.exp(logp - old_logp) * advantages / n)[:, None]
+    if policy.kind == "categorical":
+        one_hot = np.zeros_like(out)
+        one_hot[np.arange(n), actions] = 1.0
+        return nets.mlp_backward(policy.net, cache, w * (one_hot - trpo._softmax(out)))
+    var = np.exp(2.0 * policy.log_std)
+    grads = nets.mlp_backward(policy.net, cache, w * (actions - out) / var)
+    return np.concatenate([grads, (w * ((actions - out) ** 2 / var - 1.0)).sum(axis=0)])
+
+
+def plain_fvp(policy, states, damping, v):
+    """(Fisher + damping I) v as the mean over every row."""
+    n, n_net = len(states), policy.net.n_params
+    out, cache = policy.dist(states)
+    du = nets.mlp_jvp(policy.net, cache, v[:n_net])
+    if policy.kind == "categorical":
+        p = trpo._softmax(out)
+        au = p * du - p * (p * du).sum(axis=1, keepdims=True)
+        result = nets.mlp_backward(policy.net, cache, au / n)
+    else:
+        var = np.exp(2.0 * policy.log_std)
+        grads = nets.mlp_backward(policy.net, cache, du / var / n)
+        result = np.concatenate([grads, 2.0 * v[n_net:]])
+    return result + damping * v
+
+
+def plain_mean_kl(old_policy, new_policy, states):
+    """KL(old || new) as the mean over every row."""
+    old, _ = old_policy.dist(states)
+    new, _ = new_policy.dist(states)
+    if old_policy.kind == "categorical":
+        log_old = old - trpo._logsumexp(old)
+        log_new = new - trpo._logsumexp(new)
+        return float(np.mean((trpo._softmax(old) * (log_old - log_new)).sum(axis=1)))
+    so, sn = np.exp(old_policy.log_std), np.exp(new_policy.log_std)
+    return float(np.mean((new_policy.log_std - old_policy.log_std
+                          + (so**2 + (old - new) ** 2) / (2.0 * sn**2) - 0.5).sum(axis=1)))
+
+
+def policy_step_case(kind, rows, distinct_rows, seed):
+    """A policy, a perturbed copy, and per-row states, actions, advantages
+    and old log-probs; the states are `distinct_rows` rows repeated."""
+    policy = categorical_policy(seed=seed) if kind == "categorical" else gaussian_policy(seed=seed)
+    rng = np.random.default_rng(seed)
+    distinct = rng.normal(size=(distinct_rows, 3))
+    code = np.concatenate([np.arange(distinct_rows),
+                           rng.integers(distinct_rows, size=rows - distinct_rows)])
+    states = distinct[rng.permutation(code)]
+    if kind == "categorical":
+        actions = rng.integers(4, size=rows)
+    else:
+        actions = rng.normal(size=(rows, 2))
+    advantages = rng.normal(size=rows)
+    moved = policy.copy()
+    moved.set_flat(policy.flat_params() + 0.05 * rng.normal(size=policy.n_params))
+    return policy, moved, states, actions, advantages, policy.log_prob(states, actions)
+
+
+def _rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+class TestCodedStates:
+    """The policy step over a batch's distinct rows weighted by counts: the
+    same quantities as over the repeated rows, the plain expressions bit for
+    bit where nothing repeats, and one forward per parameter value."""
+
+    @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+    def test_counted_calls_match_the_repeated_rows(self, kind):
+        policy, moved, states, actions, adv, old_logp = policy_step_case(kind, 60, 7, 20)
+        coded = trpo.CodedStates.of(states)
+        assert len(coded.distinct) == 7 and coded.counts.sum() == 60
+        v = np.random.default_rng(21).normal(size=policy.n_params)
+        for counted, repeated in [
+            (trpo.FvpOperator(policy, coded, 0.1)(v), trpo.FvpOperator(policy, states, 0.1)(v)),
+            (trpo.surrogate_grad(policy, coded, actions, adv, old_logp),
+             trpo.surrogate_grad(policy, states, actions, adv, old_logp)),
+            (trpo.surrogate_loss(moved, coded, actions, adv, old_logp),
+             trpo.surrogate_loss(moved, states, actions, adv, old_logp)),
+            (trpo.mean_kl(policy, moved, coded), trpo.mean_kl(policy, moved, states)),
+        ]:
+            assert _rel(counted, repeated) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+    def test_distinct_states_match_the_plain_expressions_bit_for_bit(self, kind):
+        policy, moved, states, actions, adv, old_logp = policy_step_case(kind, 40, 40, 22)
+        coded = trpo.CodedStates.of(states)
+        assert coded.code.tolist() == list(range(40))
+        v = np.random.default_rng(23).normal(size=policy.n_params)
+        fvp = trpo.FvpOperator(policy, coded, 0.1)
+        assert fvp(v).tobytes() == plain_fvp(policy, states, 0.1, v).tobytes()
+        got = trpo.surrogate_grad(policy, coded, actions, adv, old_logp)
+        assert got.tobytes() == plain_surrogate_grad(policy, states, actions, adv,
+                                                     old_logp).tobytes()
+        logp = moved.log_prob(states, actions)
+        assert (trpo.surrogate_loss(moved, coded, actions, adv, old_logp)
+                == float(np.mean(np.exp(logp - old_logp) * adv)))
+        assert trpo.mean_kl(policy, moved, coded) == plain_mean_kl(policy, moved, states)
+
+    def test_one_forward_per_parameter_value(self, monkeypatch):
+        policy, moved, states, actions, adv, old_logp = policy_step_case("gaussian", 30, 5, 24)
+        coded = trpo.CodedStates.of(states)
+        rows = []
+        forward = nets.mlp_forward
+
+        def counted(params, x):
+            rows.append(len(x))
+            return forward(params, x)
+
+        monkeypatch.setattr(nets, "mlp_forward", counted)
+        trpo.surrogate_grad(policy, coded, actions, adv, old_logp)
+        trpo.FvpOperator(policy, coded, 0.1)
+        coded.release()
+        trpo.surrogate_loss(moved, coded, actions, adv, old_logp)
+        trpo.mean_kl(policy.copy(), moved, coded)
+        assert rows == [5, 5]
+
+
+class TestTrpoUpdateForwards:
+    @staticmethod
+    def batch(kind, seed):
+        policy, _, states, actions, adv, _ = policy_step_case(kind, 200, 6, seed)
+        batch = trpo.RolloutBatch(states=states, actions=actions, rewards=adv,
+                                  next_states=states, dones=np.ones(len(states), bool))
+        batch.advantages = (adv - adv.mean()) / adv.std()
+        return policy, batch
+
+    @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+    def test_two_policy_forwards_over_the_distinct_states(self, kind, monkeypatch):
+        policy, batch = self.batch(kind, 25)
+        rows = []
+        forward = nets.mlp_forward
+
+        def counted(params, x):
+            rows.append(len(x))
+            return forward(params, x)
+
+        monkeypatch.setattr(nets, "mlp_forward", counted)
+        diag = trpo.trpo_update(policy, None, batch)
+        assert diag["accepted"] and diag["backtracks_used"] == 0
+        assert rows == [6, 6]
+
+    def test_update_reaches_the_traced_functions(self, monkeypatch):
+        # perfbench/tracer.py times these four by replacing them at their
+        # module or class attribute; each must see a call from trpo_update
+        policy, batch = self.batch("categorical", 26)
+        calls = {}
+        for owner, attr in [(trpo, "surrogate_loss"), (trpo, "mean_kl"),
+                            (trpo, "conjugate_gradient"), (trpo.FvpOperator, "__call__")]:
+            original = getattr(owner, attr)
+
+            def wrapped(*args, original=original, attr=attr, **kwargs):
+                calls[attr] = calls.get(attr, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapped)
+        trpo.trpo_update(policy, None, batch)
+        assert sorted(calls) == ["__call__", "conjugate_gradient", "mean_kl", "surrogate_loss"]
