@@ -9,9 +9,9 @@ mistakes for expert data.
 
 The loss and its gradient take optional per-row counts: a row with count c
 weighs as c copies of itself. The trainers pass each distinct feature row
-once with its count (nets.row_codes), so one forward and one backward serve
-all of its repeats; the result is the loss of the repeated batch summed in
-another order, and unit counts give the plain loss bit for bit.
+once with its count (nets.DistinctRows), so one forward and one backward
+serve all of its repeats; the result is the loss of the repeated batch
+summed in another order, and unit counts give the plain loss bit for bit.
 """
 
 import numpy as np

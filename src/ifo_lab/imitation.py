@@ -454,14 +454,14 @@ def _adversarial_reward(env, config, seed, expert_x, input_mode):
     resampled expert rows, then pays -log D from the updated discriminator.
 
     The expert rows are coded once per run and the imitator rows once per
-    rollout (nets.row_codes). The discriminator then sees each distinct row
-    once, weighted by how often it occurs in the rollout or was drawn in the
-    resample."""
+    rollout (nets.DistinctRows). The discriminator then sees each distinct
+    row once, weighted by how often it occurs in the rollout or was drawn in
+    the resample."""
     spec = env.spec
     rng = np.random.default_rng(seed)
     disc = adversary.Discriminator(expert_x.shape[1], hidden=config.hidden,
                                    lr=config.disc_lr, seed=seed + 2)
-    expert_code, expert_rows = nets.row_codes(expert_x)
+    expert = nets.DistinctRows.of(expert_x)
 
     def reward(batch):
         if input_mode == "state_transition":
@@ -469,16 +469,17 @@ def _adversarial_reward(env, config, seed, expert_x, input_mode):
         else:
             imit_x = adversary.pair_features(batch.states,
                                              _action_features(spec, batch.actions))
-        imit_code, imit_rows = nets.row_codes(imit_x)
-        imit_counts = np.bincount(imit_code)
+        imit = nets.DistinctRows.of(imit_x)
         disc_loss = None
         for _ in range(config.d_steps):
-            idx = rng.integers(len(expert_x), size=len(imit_x))
-            counts = np.bincount(expert_code[idx], minlength=len(expert_rows))
+            # the drawn rows go in ascending code order; a take() would give
+            # first-seen order and change the rounding of the loss's sums
+            idx = rng.integers(len(expert), size=len(imit))
+            counts = np.bincount(expert.code[idx], minlength=len(expert.distinct))
             drawn = np.flatnonzero(counts)
-            disc_loss = adversary.disc_update(disc, imit_rows, expert_rows[drawn],
-                                              imit_counts, counts[drawn])
-        rewards = adversary.policy_reward(disc, imit_rows)[imit_code]
+            disc_loss = adversary.disc_update(disc, imit.distinct, expert.distinct[drawn],
+                                              imit.counts, counts[drawn])
+        rewards = adversary.policy_reward(disc, imit.distinct)[imit.code]
         if not np.all(np.isfinite(rewards)):
             raise FloatingPointError("non-finite reward")
         return rewards, disc_loss
@@ -524,14 +525,14 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
     n = len(states)
     if n == 0:
         raise ValueError("no exploration data")
-    x = np.concatenate([states, next_states], axis=1)
+    x = nets.DistinctRows.of(np.concatenate([states, next_states], axis=1))
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_val = max(1, n // 10)
     val_idx, train_idx = order[:n_val], order[n_val:]
     discrete = spec.action_kind == "discrete"
     out_dim = spec.n_actions if discrete else spec.action_dim
-    net = nets.init_mlp([x.shape[1], *config.inverse_hidden, out_dim],
+    net = nets.init_mlp([x.distinct.shape[1], *config.inverse_hidden, out_dim],
                         activation="tanh", rng=rng)
     if discrete:
         y = np.asarray(actions, dtype=int)
@@ -587,8 +588,9 @@ def bco_train(env, demos, config, seed):
         inferred = predict(s, s_next)
 
         # phase 3: behavioral cloning on (s, inferred action)
-        nets.fit_supervised(policy.net, nets.AdamState(policy.net, alpha=config.bc_lr), s,
-                            inferred, np.random.default_rng(seed + 17), config.bc_epochs, 256)
+        nets.fit_supervised(policy.net, nets.AdamState(policy.net, alpha=config.bc_lr),
+                            nets.DistinctRows.of(s), inferred,
+                            np.random.default_rng(seed + 17), config.bc_epochs, 256)
     except FloatingPointError:
         report.aborted = True
     report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0]

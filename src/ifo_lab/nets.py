@@ -37,9 +37,11 @@ kept arrays in every cache would raise peak memory for no reuse.
 inverse dynamics model and behavioral cloning all train through it, with
 softmax cross-entropy for integer labels and squared error for float
 targets. Each of its steps runs the network once per distinct row of the
-minibatch (``row_codes`` keys rows exactly, by their bytes). The gradient is
-the plain step's sum added in another order: a minibatch without repeated
-rows takes the plain step bit for bit, one with repeats differs by rounding.
+minibatch through ``DistinctRows``, the one distinct-row type, which the
+discriminator's inputs and the TRPO step (``trpo.CodedStates``) use too.
+The gradient is the plain step's sum added in another order: a minibatch
+without repeated rows takes the plain step bit for bit, one with repeats
+differs by rounding.
 
 ``BinaryReader`` is the one reader of the checkpoint and demonstration
 formats: truncated, padded or corrupt files fail with a ValueError that
@@ -384,62 +386,74 @@ def _squared_error_grad(out, rows, targets):
     return (out[rows] - targets) / len(targets)
 
 
-def row_codes(x):
-    """(code, distinct) for the rows of a 2-D array: distinct holds each
-    distinct row once, in order of first appearance, and code[i] is the
-    index in distinct of row i, so distinct[code] rebuilds x exactly.
+class DistinctRows:
+    """The rows of a 2-D array as its distinct rows and a code: row i is
+    distinct[code[i]], and counts[j] rows are distinct[j].
 
-    Rows are keyed by their bytes, so equality is exact and bitwise: -0.0
-    and 0.0 make different rows, and NaNs with the same bits the same row.
+    DistinctRows.of(x) keys rows exactly, by their bytes (-0.0 and 0.0 make
+    different rows, NaNs with the same bits the same row), and lists the
+    distinct rows in order of first appearance.
     """
-    index = {}  # row bytes -> (code, index of the row's first appearance)
-    code = np.fromiter((index.setdefault(row.tobytes(), (len(index), i))[0]
-                        for i, row in enumerate(x)), dtype=np.intp, count=len(x))
-    return code, x[[i for _, i in index.values()]]
+
+    def __init__(self, distinct, code):
+        self.distinct = distinct
+        self.code = code
+        self.counts = np.bincount(code, minlength=len(distinct))
+
+    @classmethod
+    def of(cls, x):
+        index = {}  # row bytes -> (code, index of the row's first appearance)
+        code = np.fromiter((index.setdefault(row.tobytes(), (len(index), i))[0]
+                            for i, row in enumerate(x)), dtype=np.intp, count=len(x))
+        return cls(x[[i for _, i in index.values()]], code)
+
+    def __len__(self):
+        return len(self.code)
+
+    def take(self, idx):
+        """Rows idx as a DistinctRows of their own, first seen first."""
+        codes = self.code[idx]
+        _, firsts = np.unique(codes, return_index=True)
+        present = codes[np.sort(firsts)]
+        slot = np.empty(len(self.distinct), dtype=np.intp)
+        slot[present] = np.arange(len(present))
+        return DistinctRows(self.distinct[present], slot[codes])
+
+    def sum_rows(self, per_row):
+        """Per-row values summed onto their distinct rows, in row order."""
+        total = np.zeros((len(self.distinct),) + per_row.shape[1:])
+        np.add.at(total, self.code, per_row)
+        return total
 
 
-def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None, code=None):
+def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None):
     """Minibatch Adam on a supervised loss, in place.
 
-    Integer y holds class labels and the loss is softmax cross-entropy over
-    the outputs; float y holds regression targets, (n,) for a one-output net
-    or (n, out_dim), and the loss is half the mean squared error. Each epoch
-    visits the `rows` of the data (all of them by default) in the order of
-    rng.permutation, taking one Adam step per minibatch of rows.
+    x is the data as a DistinctRows. Integer y holds class labels and the
+    loss is softmax cross-entropy; float y holds regression targets, (n,)
+    for a one-output net or (n, out_dim), and the loss is half the mean
+    squared error. Each epoch visits the `rows` of the data (all of them by
+    default) in the order of rng.permutation, one Adam step per minibatch.
 
-    A step runs the network once per distinct row of its minibatch. The
-    data's rows are coded once per call by row_codes; a caller that has
-    coded them already passes the distinct rows as x and their code, so
-    that data row i is x[code[i]]. Each row's output gradient, still
-    divided by the minibatch size, is taken from its distinct row's output
-    (the softmax runs once per distinct row) and summed onto that row before
-    one backward pass, so the gradient is the plain step's sum added in
-    another order. A minibatch without repeated rows takes the plain step
-    bit for bit.
+    A step runs the network once per distinct row of its minibatch
+    (x.take). Each row's output gradient, still divided by the minibatch
+    size, is taken from its distinct row's output (the softmax runs once
+    per distinct row) and summed onto that row before one backward pass, so
+    the gradient is the plain step's sum added in another order. A
+    minibatch without repeated rows takes the plain step bit for bit.
     """
     if np.issubdtype(y.dtype, np.integer):
         output_grad = _softmax_xent_grad
     else:
         output_grad = _squared_error_grad
         y = y.reshape(len(y), -1)
-    if code is None:
-        code, distinct = row_codes(x)
-    else:
-        distinct = x
-    slot = np.empty(len(distinct), dtype=np.intp)
     for _ in range(epochs):
-        order = rng.permutation(len(code) if rows is None else rows)
+        order = rng.permutation(len(x) if rows is None else rows)
         for start in range(0, len(order), minibatch):
             idx = order[start : start + minibatch]
-            codes = code[idx]
-            _, firsts = np.unique(codes, return_index=True)
-            firsts.sort()
-            present = codes[firsts]  # the minibatch's distinct rows, first seen first
-            out, cache = mlp_forward(net, distinct[present])
-            slot[present] = np.arange(len(present))
-            local = slot[codes]
-            grad = np.zeros(out.shape)
-            np.add.at(grad, local, output_grad(out, local, y[idx]))
+            step = x.take(idx)
+            out, cache = mlp_forward(net, step.distinct)
+            grad = step.sum_rows(output_grad(out, step.code, y[idx]))
             adam_step(adam, net, mlp_backward(net, cache, grad))
 
 

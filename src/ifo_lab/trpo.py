@@ -7,8 +7,8 @@ Jacobian-vector product through the network composed with the closed-form
 distribution-space metric), conjugate gradient, and a KL-constrained
 backtracking line search.
 
-The step runs the policy over the batch's distinct states (CodedStates,
-coded once per batch by nets.row_codes), with one forward pass per
+The step runs the policy over the batch's distinct states (CodedStates, a
+nets.DistinctRows made once per batch), with one forward pass per
 parameter value: one at the old parameters for the old log-probs, the
 surrogate gradient, the Fisher operator and the old side of the KL, and one
 per line-search candidate for its surrogate and its KL. Per-row quantities
@@ -147,14 +147,10 @@ def _logsumexp(logits):
     return m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
 
 
-class CodedStates:
+class CodedStates(nets.DistinctRows):
     """A batch's states as their distinct rows, and the policy's outputs on
-    them.
-
-    Row i of the batch is distinct[code[i]], and counts[j] rows are
-    distinct[j]. CodedStates.of(states) codes a batch with nets.row_codes; a
-    plain array passed to the functions below is taken as it is, every row
-    its own distinct row (code = arange, unit counts).
+    them. A plain array passed to the functions below is taken as it is,
+    every row its own distinct row (code = arange, unit counts).
 
     The policy runs over the distinct rows once per parameter value. head()
     keeps the output at every parameter value it computes, and forward()
@@ -164,19 +160,9 @@ class CodedStates:
     """
 
     def __init__(self, distinct, code):
-        self.distinct = distinct
-        self.code = code
-        self.counts = np.bincount(code, minlength=len(distinct)).astype(np.float64)
+        super().__init__(distinct, code)
         self._outs = {}      # parameter bytes -> output over the distinct rows
         self._kept = None    # (parameter bytes, output, cache) of forward()
-
-    @classmethod
-    def of(cls, states):
-        code, distinct = nets.row_codes(states)
-        return cls(distinct, code)
-
-    def __len__(self):
-        return len(self.code)
 
     def head(self, policy):
         """The policy's network output over the distinct rows."""
@@ -199,12 +185,6 @@ class CodedStates:
     def release(self):
         """Drop the kept cache; the outputs stay."""
         self._kept = None
-
-    def sum_rows(self, per_row):
-        """Per-row values summed onto their distinct rows."""
-        total = np.zeros((len(self.distinct),) + per_row.shape[1:])
-        np.add.at(total, self.code, per_row)
-        return total
 
 
 def _coded(states):
@@ -351,10 +331,8 @@ def conjugate_gradient(apply_A, b, iters=10, tol=1e-10):
 class RolloutBatch:
     """Flattened on-policy experience; dones delimit episodes.
 
-    logps holds the log-probs of the actions if from_trajectories was given
-    the policy; trpo_update takes its own from its forward pass and does not
-    read them. coded_states() codes the states on first use; the value fit,
-    the value prediction and the policy step share that one coding.
+    coded_states() codes the states on first use; the value fit, the value
+    prediction and the policy step share that one coding.
     """
 
     states: np.ndarray
@@ -362,13 +340,12 @@ class RolloutBatch:
     rewards: np.ndarray
     next_states: np.ndarray
     dones: np.ndarray
-    logps: np.ndarray = None
     advantages: np.ndarray = None
     returns: np.ndarray = None
     _coded: CodedStates = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_trajectories(cls, trajectories, policy=None):
+    def from_trajectories(cls, trajectories):
         trajectories = [tr for tr in trajectories if not tr.aborted and tr.n_steps > 0]
         states = np.concatenate([tr.states[:-1] for tr in trajectories])
         next_states = np.concatenate([tr.states[1:] for tr in trajectories])
@@ -377,11 +354,8 @@ class RolloutBatch:
         dones = np.concatenate([
             np.arange(tr.n_steps) == tr.n_steps - 1 for tr in trajectories
         ])
-        batch = cls(states=states, actions=actions, rewards=np.asarray(rewards, float),
-                    next_states=next_states, dones=dones)
-        if policy is not None:
-            batch.logps = policy.log_prob(states, actions)
-        return batch
+        return cls(states=states, actions=actions, rewards=np.asarray(rewards, float),
+                   next_states=next_states, dones=dones)
 
     def __len__(self):
         return len(self.rewards)
@@ -438,14 +412,11 @@ class ValueFunction:
         return out[:, 0]
 
     def fit(self, states, targets):
-        """Regress the outputs on targets, one per row of states (an array,
-        or a CodedStates whose coding the fit reuses)."""
-        code = None
-        if isinstance(states, CodedStates):
-            states, code = states.distinct, states.code
+        """Regress the outputs on targets, one per row of states (a
+        nets.DistinctRows, such as a batch's coded_states())."""
         nets.fit_supervised(self.net, self.adam, states,
                             np.asarray(targets, dtype=np.float64), self._rng,
-                            self.epochs, self.minibatch, code=code)
+                            self.epochs, self.minibatch)
 
 
 def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,

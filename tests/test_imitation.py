@@ -465,6 +465,45 @@ class TestBcoNonFiniteAbort:
         assert np.isfinite(report.final_return) and np.isfinite(report.scaled_score)
 
 
+class TestTracedLookupSites:
+    """perfbench/tracer.py times these functions by replacing them at their
+    module or class attribute, so each must be called through it by the
+    trainers; a local alias would hide the calls from the benchmark."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, targets):
+        calls = {}
+        for owner, attr, name in targets:
+            def wrapped(*args, original=getattr(owner, attr), name=name, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapped)
+        return calls
+
+    def test_gaifo_reaches_the_traced_functions(self, monkeypatch, gridworld_demos):
+        env, _, demos = gridworld_demos
+        calls = self._count_calls(monkeypatch, [
+            (adversary, "disc_update", "disc_update"),
+            (adversary, "disc_values", "disc_values"),
+            (trpo.ValueFunction, "fit", "ValueFunction.fit"),
+            (trpo, "compute_advantages", "compute_advantages")])
+        cfg = TrainConfig(iterations=1, batch_size=128, hidden=(16,), eval_episodes=2,
+                          early_stop=False)
+        il.gaifo_train(env, demos, cfg, 0)
+        assert sorted(calls) == ["ValueFunction.fit", "compute_advantages",
+                                 "disc_update", "disc_values"]
+
+    def test_bco_reaches_the_traced_functions(self, monkeypatch, gridworld_demos):
+        env, _, demos = gridworld_demos
+        calls = self._count_calls(monkeypatch, [
+            (imitation, "fit_inverse_model", "fit_inverse_model")])
+        cfg = TrainConfig(exploration_steps=500, inverse_epochs=1, bc_epochs=1,
+                          hidden=(8,), eval_episodes=2, inverse_val_threshold=1.0)
+        il.bco_train(env, demos, cfg, 0)
+        assert calls == {"fit_inverse_model": 1}
+
+
 class TestGailTrain:
     def test_needs_actions(self, point_mass_demos):
         env, _, demos = point_mass_demos

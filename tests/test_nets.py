@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifo_lab import nets
+from ifo_lab import nets, trpo
 
 
 def loss_on_flat(net, x, weights):
@@ -303,28 +303,51 @@ class TestAdam:
         assert _bits([net.flat, state.m, state.v]) == _bits([flat, m, v])
 
 
-class TestRowCodes:
+class TestDistinctRows:
     def test_codes_count_rows_in_order_of_first_appearance(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [5.0, 6.0], [3.0, 4.0]])
-        code, distinct = nets.row_codes(x)
-        assert code.tolist() == [0, 1, 0, 2, 1]
-        assert distinct.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        rows = nets.DistinctRows.of(x)
+        assert rows.code.tolist() == [0, 1, 0, 2, 1]
+        assert rows.distinct.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert rows.counts.tolist() == [2, 2, 1]
 
     def test_rebuilds_the_input_exactly(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(7, 3))[rng.integers(7, size=200)]
-        code, distinct = nets.row_codes(x)
-        assert distinct[code].tobytes() == x.tobytes()
-        assert len(distinct) == len({row.tobytes() for row in x})
-        first_seen = [int(np.flatnonzero(code == j)[0]) for j in range(len(distinct))]
+        rows = nets.DistinctRows.of(x)
+        assert rows.distinct[rows.code].tobytes() == x.tobytes()
+        assert len(rows.distinct) == len({row.tobytes() for row in x})
+        first_seen = [int(np.flatnonzero(rows.code == j)[0]) for j in range(len(rows.distinct))]
         assert first_seen == sorted(first_seen)
 
     def test_signed_zeros_are_different_rows(self):
         # rows are keyed by their bytes, and -0.0 and 0.0 differ in the sign bit
         x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-        code, distinct = nets.row_codes(x)
-        assert code.tolist() == [0, 1, 0]
-        assert np.signbit(distinct[:, 0]).tolist() == [False, True]
+        rows = nets.DistinctRows.of(x)
+        assert rows.code.tolist() == [0, 1, 0]
+        assert np.signbit(rows.distinct[:, 0]).tolist() == [False, True]
+
+    def test_counts_sum_to_the_row_count(self):
+        rng = np.random.default_rng(10)
+        x = np.eye(5)[rng.integers(5, size=83)]
+        rows = nets.DistinctRows.of(x)
+        assert len(rows) == 83 and rows.counts.sum() == 83
+        assert rows.counts.tolist() == [int(np.sum(rows.code == j)) for j in range(5)]
+
+    @pytest.mark.parametrize("repeats", [True, False])
+    def test_take_codes_its_rows_like_coding_them_afresh(self, repeats):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(6, 3))[rng.integers(6, size=40)]
+        idx = rng.integers(40, size=25) if repeats else rng.permutation(40)[:25]
+        taken, fresh = nets.DistinctRows.of(x).take(idx), nets.DistinctRows.of(x[idx])
+        assert taken.distinct.tobytes() == fresh.distinct.tobytes()
+        assert taken.code.tobytes() == fresh.code.tobytes()
+        assert taken.counts.tolist() == fresh.counts.tolist()
+
+    def test_sum_rows_adds_each_row_onto_its_distinct_row(self):
+        rows = nets.DistinctRows.of(np.array([[1.0], [2.0], [1.0], [1.0]]))
+        per_row = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
+        assert rows.sum_rows(per_row).tolist() == [[8.0, 80.0], [2.0, 20.0]]
 
 
 def plain_head_grad(out, y):
@@ -359,9 +382,9 @@ class TestFitSupervised:
 
     def _both_fits(self, x, y, epochs):
         fitted = []
-        for fit in (nets.fit_supervised, plain_fit):
+        for fit, data in ((nets.fit_supervised, nets.DistinctRows.of(x)), (plain_fit, x)):
             net = self._net(3)
-            fit(net, nets.AdamState(net, alpha=1e-2), x, y, np.random.default_rng(11),
+            fit(net, nets.AdamState(net, alpha=1e-2), data, y, np.random.default_rng(11),
                 epochs, 16)
             fitted.append(net.flatten())
         return fitted
@@ -409,16 +432,32 @@ class TestFitSupervised:
 
     @pytest.mark.parametrize("labels", [True, False])
     def test_a_given_code_trains_like_coding_inside(self, labels):
+        # a caller's own coding, its distinct rows in another order than
+        # first appearance, trains like DistinctRows.of coding the rows
         rng = np.random.default_rng(8)
-        x = np.eye(4)[rng.integers(4, size=50)]
+        hot = rng.integers(4, size=50)
+        x = np.eye(4)[hot]
         y = rng.integers(3, size=50) if labels else rng.normal(size=(50, 3))
-        code, distinct = nets.row_codes(x)
         fitted = []
-        for rows, given in ((x, None), (distinct, code)):
+        for rows in (nets.DistinctRows.of(x), nets.DistinctRows(np.eye(4), hot)):
             net = nets.init_mlp([4, 8, 3], rng=np.random.default_rng(0))
             nets.fit_supervised(net, nets.AdamState(net), rows, y,
-                                np.random.default_rng(9), epochs=2, minibatch=16, code=given)
+                                np.random.default_rng(9), epochs=2, minibatch=16)
             fitted.append(net.flatten())
+        assert fitted[0].tobytes() == fitted[1].tobytes()
+
+    def test_a_batchs_coding_trains_a_value_net_like_a_fresh_one(self):
+        rng = np.random.default_rng(8)
+        states = np.eye(4)[rng.integers(4, size=50)]
+        batch = trpo.RolloutBatch(states=states, actions=np.zeros(50, int),
+                                  rewards=np.zeros(50), next_states=states,
+                                  dones=np.ones(50, bool))
+        targets = rng.normal(size=50)
+        fitted = []
+        for coded in (batch.coded_states(), trpo.CodedStates.of(batch.states)):
+            vf = trpo.ValueFunction(4, hidden=(8,), epochs=2, minibatch=16, seed=9)
+            vf.fit(coded, targets)
+            fitted.append(vf.net.flatten())
         assert fitted[0].tobytes() == fitted[1].tobytes()
 
     def test_vector_targets_fit_a_one_output_net_like_column_targets(self):
@@ -427,7 +466,7 @@ class TestFitSupervised:
         fitted = []
         for targets in (y, y[:, None]):
             net = self._net(1)
-            nets.fit_supervised(net, nets.AdamState(net), x, targets,
+            nets.fit_supervised(net, nets.AdamState(net), nets.DistinctRows.of(x), targets,
                                 np.random.default_rng(3), epochs=3, minibatch=16)
             fitted.append(net.flatten())
         np.testing.assert_array_equal(fitted[0], fitted[1])
@@ -441,7 +480,7 @@ class TestFitSupervised:
         fitted = []
         for labels in (y, poisoned):
             net = self._net(3)
-            nets.fit_supervised(net, nets.AdamState(net), x, labels,
+            nets.fit_supervised(net, nets.AdamState(net), nets.DistinctRows.of(x), labels,
                                 np.random.default_rng(5), epochs=2, minibatch=8, rows=rows)
             fitted.append(net.flatten())
         np.testing.assert_array_equal(fitted[0], fitted[1])
@@ -461,7 +500,7 @@ class TestFitSupervised:
             return np.mean((out - y) ** 2)
 
         before = loss()
-        nets.fit_supervised(net, nets.AdamState(net, alpha=1e-2), x, y,
+        nets.fit_supervised(net, nets.AdamState(net, alpha=1e-2), nets.DistinctRows.of(x), y,
                             np.random.default_rng(7), epochs=20, minibatch=16)
         assert loss() < 0.5 * before
 

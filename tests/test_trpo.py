@@ -210,7 +210,7 @@ class TestGae:
         env = envs.PointMass(horizon=20)
         policy = gaussian_policy(obs_dim=4, action_dim=2, seed=8)
         trajs = envs.rollout(policy, env, 3, 0)
-        batch = trpo.RolloutBatch.from_trajectories(trajs, policy)
+        batch = trpo.RolloutBatch.from_trajectories(trajs)
         vf = trpo.ValueFunction(4, hidden=(8,), seed=0)
         trpo.compute_advantages(batch, vf, 0.99, 0.97)
         assert batch.advantages.mean() == pytest.approx(0.0, abs=1e-10)
@@ -372,7 +372,6 @@ class TestTrpoUpdate:
         rewards = (actions == 0).astype(float)
         batch = trpo.RolloutBatch(states=states, actions=actions, rewards=rewards,
                                   next_states=states, dones=np.ones(n, bool))
-        batch.logps = policy.log_prob(states, actions)
         adv = rewards - rewards.mean()
         batch.advantages = (adv - adv.mean()) / adv.std()
         batch.returns = rewards
@@ -420,7 +419,7 @@ class TestTrpoUpdate:
         states = rng.normal(size=(512, 3))
         targets = states @ np.array([1.0, -2.0, 0.5])
         vf = trpo.ValueFunction(3, hidden=(32,), lr=1e-2, epochs=50, seed=3)
-        vf.fit(states, targets)
+        vf.fit(nets.DistinctRows.of(states), targets)
         pred = vf.predict(states)
         mse = float(np.mean((pred - targets) ** 2))
         assert mse < 0.1 * float(np.var(targets))
