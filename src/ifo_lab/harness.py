@@ -2,9 +2,10 @@
 command-line front end, a seeded demo-count x seed sweep runner, and pure
 report aggregation over finished runs.
 
-Output layout: every run writes under <output_dir>/<config-hash>-<seed>/ so
-reruns with the same config and seed land in the same place and different
-configs never collide.
+Output layout: a train-* run writes under
+<output_dir>/<config-hash>-<algorithm>-<seed>/ and a sweep cell under
+<output_dir>/<config-hash>-demos<n>-seed<seed>/, so reruns with the same
+config and seed land in the same place and different configs never collide.
 """
 
 import argparse
@@ -52,7 +53,7 @@ _RUN_DEFAULTS = {"seed": 0, "seeds": [0], "demo_counts": [10], "n_demos": 10,
 def _train_key_types():
     types = {}
     for f in dataclasses.fields(TrainConfig):
-        if f.name == "hidden" or f.name == "inverse_hidden":
+        if f.name == "hidden":
             types[f.name] = "int_list"
         elif f.name == "gamma":
             types[f.name] = float
@@ -88,9 +89,8 @@ class ExperimentConfig:
         self.env = {"name": "gridworld", **(env or {})}
         self.run = {**_RUN_DEFAULTS, **(run or {})}
         train = dict(train or {})
-        for key in ("hidden", "inverse_hidden"):
-            if key in train:
-                train[key] = tuple(train[key])
+        if "hidden" in train:
+            train["hidden"] = tuple(train["hidden"])
         self.train = TrainConfig(**train)
 
     @classmethod

@@ -148,38 +148,30 @@ class DemonstrationSetWithActions:
 @dataclass
 class TrainConfig:
     """Hyperparameters for the training loops; defaults are desk-scale
-    conventions, not reproduction targets."""
+    conventions, not reproduction targets. Settings that no caller varies
+    are the defaults of the code that uses them (listed in the README)."""
 
     iterations: int = 200
     batch_size: int = 2048
     hidden: tuple = (64, 64)
     gamma: float = None          # None: use the environment's discount
-    gae_lambda: float = 0.97
-    delta: float = 0.01
-    cg_iters: int = 10
-    damping: float = 0.1
-    backtracks: int = 10
-    init_log_std: float = -0.5
     disc_lr: float = 3e-4
     d_steps: int = 1
-    vf_lr: float = 1e-3
-    vf_epochs: int = 5
-    vf_minibatch: int = 256
     eval_every: int = 10
     eval_episodes: int = 10
     early_stop: bool = True
-    early_stop_window: int = 20
-    early_stop_min_iters: int = 60
-    occupancy_bins: int = 16
     track_occupancy: bool = True
     # BCO settings
     exploration_steps: int = 50_000
-    inverse_hidden: tuple = (64, 64)
     inverse_epochs: int = 10
-    inverse_lr: float = 1e-3
     inverse_val_threshold: float = 0.5
     bc_epochs: int = 100
-    bc_lr: float = 1e-2
+
+    def __post_init__(self):
+        for name in ("d_steps", "eval_every", "eval_episodes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 class TrainReport:
@@ -299,6 +291,10 @@ def _iteration_seed(seed, iteration):
     return int(np.random.SeedSequence([seed, iteration]).generate_state(1)[0])
 
 
+_EARLY_STOP_WINDOW = 20      # iterations whose evaluations are averaged
+_EARLY_STOP_MIN_ITERS = 60   # no early stop before this iteration
+
+
 class _EarlyStopper:
     """Stop when the moving average of evaluation returns fails to improve
     by 1% for three consecutive windows."""
@@ -338,11 +334,11 @@ def demo_occupancy(demos, gamma, n_states=None, bins=None):
     return occupancy.empirical_occupancy(episodes, gamma, bins=bins, n_states=n_states)
 
 
-def _occupancy_bins(env, config):
+def _occupancy_bins(env):
     """The grid of binned occupancy tracking: a BinSpec on continuous envs
     with state bounds, None elsewhere."""
     if env.spec.state_count == 0 and hasattr(env, "state_bounds"):
-        return BinSpec.from_bounds(*env.state_bounds, bins=config.occupancy_bins)
+        return BinSpec.from_bounds(*env.state_bounds)
     return None
 
 
@@ -359,15 +355,12 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
     """
     spec = env.spec
     gamma = config.gamma if config.gamma is not None else spec.gamma
-    policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed,
-                              init_log_std=config.init_log_std)
-    vf = trpo.ValueFunction(spec.obs_dim, hidden=config.hidden, lr=config.vf_lr,
-                            epochs=config.vf_epochs, minibatch=config.vf_minibatch,
-                            seed=seed + 1)
+    policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed)
+    vf = trpo.ValueFunction(spec.obs_dim, hidden=config.hidden, seed=seed + 1)
     report = TrainReport(algorithm, seed)
     tabular = spec.state_count > 0
-    bins = _occupancy_bins(env, config)
-    stopper = _EarlyStopper(max(1, config.early_stop_window // config.eval_every))
+    bins = _occupancy_bins(env)
+    stopper = _EarlyStopper(_EARLY_STOP_WINDOW // config.eval_every)
     start = time.time()
     snapshot = policy.copy()
     for it in range(iterations):
@@ -378,10 +371,8 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
             if reward is not None:
                 batch.rewards, disc_loss = reward(batch)
                 mean_reward = float(batch.rewards.mean())
-            trpo.compute_advantages(batch, vf, gamma, config.gae_lambda)
-            diag = trpo.trpo_update(policy, vf, batch, delta=config.delta,
-                                    cg_iters=config.cg_iters, damping=config.damping,
-                                    backtracks=config.backtracks)
+            trpo.compute_advantages(batch, vf, gamma)
+            diag = trpo.trpo_update(policy, vf, batch)
             finite = np.all(np.isfinite(policy.flat_params()))
         except FloatingPointError:
             finite = False
@@ -406,7 +397,7 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
                        disc_loss=disc_loss, mean_reward=mean_reward, kl=diag["kl"],
                        occupancy_distance=occ_dist, accepted=diag["accepted"],
                        eval_return=eval_ret)
-        if eval_ret != "" and config.early_stop and it >= config.early_stop_min_iters \
+        if eval_ret != "" and config.early_stop and it >= _EARLY_STOP_MIN_ITERS \
                 and stopper.update(eval_ret):
             break
     report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0]
@@ -496,7 +487,7 @@ def gaifo_train(env, demos, config, seed, expert_occupancy=None):
     _check_demos(env, demos, DemonstrationSet, "gaifo_train")
     gamma = config.gamma if config.gamma is not None else env.spec.gamma
     occ_ref = expert_occupancy
-    bins = _occupancy_bins(env, config)
+    bins = _occupancy_bins(env)
     if occ_ref is None and config.track_occupancy and (env.spec.state_count > 0 or bins is not None):
         occ_ref = demo_occupancy(demos, gamma, n_states=env.spec.state_count or None, bins=bins)
     expert_x = adversary.pair_features(*demos.transition_pairs())
@@ -532,13 +523,14 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
     val_idx, train_idx = order[:n_val], order[n_val:]
     discrete = spec.action_kind == "discrete"
     out_dim = spec.n_actions if discrete else spec.action_dim
-    net = nets.init_mlp([x.distinct.shape[1], *config.inverse_hidden, out_dim],
+    # 64x64, not config.hidden: the inverse model is sized apart from the policy
+    net = nets.init_mlp([x.distinct.shape[1], 64, 64, out_dim],
                         activation="tanh", rng=rng)
     if discrete:
         y = np.asarray(actions, dtype=int)
     else:
         y = np.asarray(actions, dtype=np.float64)
-    nets.fit_supervised(net, nets.AdamState(net, alpha=config.inverse_lr), x, y, rng,
+    nets.fit_supervised(net, nets.AdamState(net, alpha=1e-3), x, y, rng,
                         config.inverse_epochs, 256, rows=train_idx)
 
     def predict(s, s_next):
@@ -569,8 +561,7 @@ def bco_train(env, demos, config, seed):
     spec = env.spec
     report = TrainReport("bco", seed)
     start = time.time()
-    policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed,
-                              init_log_std=config.init_log_std)
+    policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed)
     try:
         # phase 1: self-supervised exploration with a random policy
         trajs = collect_batch(RandomPolicy(spec), env, config.exploration_steps,
@@ -588,7 +579,7 @@ def bco_train(env, demos, config, seed):
         inferred = predict(s, s_next)
 
         # phase 3: behavioral cloning on (s, inferred action)
-        nets.fit_supervised(policy.net, nets.AdamState(policy.net, alpha=config.bc_lr),
+        nets.fit_supervised(policy.net, nets.AdamState(policy.net, alpha=1e-2),
                             nets.DistinctRows.of(s), inferred,
                             np.random.default_rng(seed + 17), config.bc_epochs, 256)
     except FloatingPointError:

@@ -384,7 +384,7 @@ def gae(rewards, values, dones, gamma, lam):
     return adv
 
 
-def compute_advantages(batch, value_fn, gamma, lam):
+def compute_advantages(batch, value_fn, gamma, lam=0.97):
     """Fill batch.advantages (normalized) and batch.returns (value targets)."""
     states = batch.coded_states()
     values = value_fn.predict(states.distinct)[states.code]

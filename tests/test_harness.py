@@ -4,6 +4,8 @@ surface end to end."""
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,11 +56,29 @@ class TestExperimentConfig:
         assert config.train.early_stop is False
         assert config.run["seed"] == 1
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["lerning_rate", "gae_lambda"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.ini"
-        path.write_text("[train]\nlerning_rate = 3\n")
-        with pytest.raises(ValueError, match="lerning_rate"):
+        path.write_text(f"[train]\n{key} = 3\n")
+        with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_ini(path)
+
+    @pytest.mark.parametrize("key", ["eval_every", "d_steps", "eval_episodes"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_train_count_below_one_rejected(self, tmp_path, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[train]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_ini(path)
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        path = tmp_path / "exp.ini"
+        path.write_text(block)
+        config = ExperimentConfig.from_ini(path)
+        assert config.run["seeds"] == [0, 1, 2, 3, 4]
+        assert make_env(config.env).spec.env_id == "point_mass"
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -303,8 +303,7 @@ class TestTrainExpert:
         env = il.gridworld(3, 3)
         cfg = TrainConfig(batch_size=64, hidden=(8,))
         policy, report = il.train_expert(env, cfg, 0, seed=5)
-        reference = trpo.make_policy(env.spec, hidden=(8,), seed=5,
-                                     init_log_std=cfg.init_log_std)
+        reference = trpo.make_policy(env.spec, hidden=(8,), seed=5)
         np.testing.assert_array_equal(policy.flat_params(),
                                       reference.flat_params())
         assert report.rows == []
