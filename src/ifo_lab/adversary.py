@@ -163,13 +163,16 @@ def psi_ga_conjugate_closed(rho_pi, rho_E):
     return float(val)
 
 
-def psi_ga_conjugate_numeric(rho_pi, rho_E, grid_resolution=1e-5, eps=1e-9):
-    """Conjugate value by per-entry grid search over D in (eps, 1 - eps)."""
+GRID_EPS = 1e-9
+
+
+def psi_ga_conjugate_numeric(rho_pi, rho_E, grid_resolution=1e-5):
+    """Conjugate value by per-entry grid search over D in (GRID_EPS, 1 - GRID_EPS)."""
     a = _as_mass(rho_pi).ravel()
     b = _as_mass(rho_E).ravel()
     if a.shape != b.shape:
         raise ValueError("occupancy shapes differ")
-    grid = np.arange(eps, 1.0 - eps, grid_resolution)
+    grid = np.arange(GRID_EPS, 1.0 - GRID_EPS, grid_resolution)
     log_d = np.log(grid)
     log_1md = np.log1p(-grid)
     total = 0.0
@@ -207,7 +210,10 @@ def conjugacy_objective(cost, rho_pi, rho_E):
     return inner - psi_ga(cost, b)
 
 
-def conjugacy_definition_check(rho_pi, rho_E, cost_samples, ascent_steps=2000):
+ASCENT_STEPS = 2000   # conjugacy_definition_check's gradient-ascent budget
+
+
+def conjugacy_definition_check(rho_pi, rho_E, cost_samples):
     """Verify sup_c <rho_pi - rho_E, c> - psi_GA(c) against the closed form.
 
     Both occupancies are normalized to unit total mass first; that is the
@@ -234,7 +240,7 @@ def conjugacy_definition_check(rho_pi, rho_E, cost_samples, ascent_steps=2000):
     c = np.minimum(np.asarray(cost_samples[best_idx], dtype=np.float64), -1e-12)
     step = 0.5
     value = conjugacy_objective(c, a, b)
-    for _ in range(ascent_steps):
+    for _ in range(ASCENT_STEPS):
         expc = np.exp(c)
         grad = (a - b) - b * (-1.0 + expc / (1.0 - expc))
         c_new = np.minimum(c + step * grad, -1e-12)

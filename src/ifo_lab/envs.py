@@ -395,18 +395,19 @@ class TabularPolicy:
         return sample_categorical(rows, uniforms(keys, t, POLICY_SLOT, 1)[:, 0])
 
 
+PD_KP, PD_KD = 4.0, 4.0   # PointMassController's gains
+
+
 class PointMassController:
     """Hand-tuned PD controller for PointMass; the expert oracle."""
 
-    def __init__(self, env, kp=4.0, kd=4.0):
+    def __init__(self, env):
         self.dim = env.dim
         self.target = env.target
-        self.kp = kp
-        self.kd = kd
 
     def act(self, obs, keys, t, deterministic=False):
         pos, vel = obs[:, : self.dim], obs[:, self.dim :]
-        return np.clip(self.kp * (self.target - pos) - self.kd * vel, -1.0, 1.0)
+        return np.clip(PD_KP * (self.target - pos) - PD_KD * vel, -1.0, 1.0)
 
 
 def rollout(policy, env, n_episodes, seed, deterministic=False):
@@ -491,14 +492,18 @@ def simulate_tabular(mdp, table, n_episodes, horizon, seed):
     return states
 
 
-def value_iteration(mdp, gamma, tol=1e-10, max_iters=100_000):
+VALUE_ITERATION_TOL = 1e-10
+VALUE_ITERATION_MAX_ITERS = 100_000
+
+
+def value_iteration(mdp, gamma):
     """Optimal values and a greedy deterministic policy table."""
     S, A = mdp.n_states, mdp.n_actions
     V = np.zeros(S)
-    for _ in range(max_iters):
+    for _ in range(VALUE_ITERATION_MAX_ITERS):
         Q = mdp.R + gamma * mdp.P @ V
         V_new = Q.max(axis=1)
-        if np.max(np.abs(V_new - V)) < tol:
+        if np.max(np.abs(V_new - V)) < VALUE_ITERATION_TOL:
             V = V_new
             break
         V = V_new

@@ -242,53 +242,6 @@ def aggregate_runs(run_dirs):
     return report
 
 
-def _self_checks():
-    """Fast internal consistency checks for the verify subcommand."""
-    from . import adversary, nets, occupancy
-    checks = []
-    rng = np.random.default_rng(0)
-
-    # analytic MLP gradient vs central differences
-    net = nets.init_mlp([3, 8, 2], activation="tanh", rng=rng)
-    x = rng.normal(size=(5, 3))
-    w = rng.normal(size=(5, 2))
-
-    def loss_flat(flat):
-        probe = net.copy()
-        probe.set_flat(flat)
-        out, _ = nets.mlp_forward(probe, x)
-        return float(np.sum(w * out))
-
-    out, cache = nets.mlp_forward(net, x)
-    flat_grad = nets.mlp_backward(net, cache, w)
-    fd = nets.finite_diff_grad(loss_flat, net.flatten())
-    rel = np.abs(flat_grad - fd).max() / max(np.abs(fd).max(), 1e-12)
-    checks.append(("mlp-gradient", rel < 1e-6, f"max rel err {rel:.2e}"))
-
-    # occupancy total-mass identity on a random MDP
-    mdp = _random_mdp(rng, 6, 3)
-    table = rng.dirichlet(np.ones(3), size=6)
-    occ = occupancy.exact_occupancy(mdp, table, 0.9)
-    err = abs(occ.total_mass() - 1.0 / 0.1)
-    checks.append(("occupancy-mass", err < 1e-9, f"abs err {err:.2e}"))
-
-    # closed-form conjugate vs grid search
-    a = rng.random((4, 4))
-    b = rng.random((4, 4))
-    closed = adversary.psi_ga_conjugate_closed(a, b)
-    numeric = adversary.psi_ga_conjugate_numeric(a, b, grid_resolution=1e-4)
-    checks.append(("conjugate", abs(closed - numeric) < 1e-3,
-                   f"closed {closed:.6f} grid {numeric:.6f}"))
-    return checks
-
-
-def _random_mdp(rng, n_states, n_actions):
-    P = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
-    R = rng.normal(size=(n_states, n_actions))
-    p0 = rng.dirichlet(np.ones(n_states))
-    return envs.TabularMDP(P=P, R=R, p0=p0)
-
-
 def _load_policy(env, path):
     policy = trpo.StochasticPolicy.load(path)
     if policy.obs_dim != env.spec.obs_dim:
@@ -341,9 +294,6 @@ def build_parser():
     p.add_argument("--policy", required=True)
     p.add_argument("--episodes", type=int, default=10)
 
-    p = sub.add_parser("verify", help="run fast internal consistency checks")
-    common(p, seed=False)
-
     p = sub.add_parser("report", help="aggregate finished run directories")
     p.add_argument("--runs", nargs="+", required=True, help="run directories")
     p.add_argument("--out", default=None, help="write the aggregate JSON here")
@@ -362,13 +312,6 @@ def cli_dispatch(args):
     config = ExperimentConfig.from_ini(args.config)
     seed = getattr(args, "seed", None)
     seed = config.run["seed"] if seed is None else seed
-
-    if args.command == "verify":
-        failed = False
-        for name, ok, detail in _self_checks():
-            print(f"{'ok' if ok else 'FAIL'} {name}: {detail}")
-            failed = failed or not ok
-        return 1 if failed else 0
 
     env = make_env(config.env)
 

@@ -168,10 +168,16 @@ class TrainConfig:
     bc_epochs: int = 100
 
     def __post_init__(self):
-        for name in ("d_steps", "eval_every", "eval_episodes"):
+        for name in ("batch_size", "d_steps", "eval_every", "eval_episodes"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma must be None or in [0, 1), got {self.gamma}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 class TrainReport:
@@ -277,13 +283,17 @@ def record_demonstrations_with_actions(expert, env, n_trajectories, seed):
 
 
 def collect_batch(policy, env, min_steps, seed):
-    """Whole episodes until at least min_steps transitions are gathered."""
+    """Whole episodes until at least min_steps transitions are gathered. A
+    top-up episode that aborts raises FloatingPointError: a policy that aborts
+    every episode would otherwise keep the loop going for ever."""
     n_eps = max(1, int(np.ceil(min_steps / env.spec.horizon)))
     trajs = rollout(policy, env, n_eps, seed)
     while sum(tr.n_steps for tr in trajs if not tr.aborted) < min_steps:
         n_eps += 1
-        extra = rollout(policy, env, 1, seed * 1_000_003 + n_eps)
-        trajs.extend(extra)
+        (extra,) = rollout(policy, env, 1, seed * 1_000_003 + n_eps)
+        if extra.aborted:
+            raise FloatingPointError("a top-up episode emitted a non-finite action")
+        trajs.append(extra)
     return trajs
 
 
@@ -439,28 +449,24 @@ def _action_features(spec, actions):
     return np.asarray(actions, dtype=np.float64)
 
 
-def _adversarial_reward(env, config, seed, expert_x, input_mode):
+def _adversarial_reward(config, seed, features, expert_x):
     """The reward hook of the adversarial trainers. On each fresh rollout it
     takes d_steps Adam steps of one discriminator, each against as many
     resampled expert rows, then pays -log D from the updated discriminator.
+    features(states, next_states, actions) builds the discriminator's input
+    rows; the trainer built expert_x with it too.
 
     The expert rows are coded once per run and the imitator rows once per
     rollout (nets.DistinctRows). The discriminator then sees each distinct
     row once, weighted by how often it occurs in the rollout or was drawn in
     the resample."""
-    spec = env.spec
     rng = np.random.default_rng(seed)
     disc = adversary.Discriminator(expert_x.shape[1], hidden=config.hidden,
                                    lr=config.disc_lr, seed=seed + 2)
     expert = nets.DistinctRows.of(expert_x)
 
     def reward(batch):
-        if input_mode == "state_transition":
-            imit_x = adversary.pair_features(batch.states, batch.next_states)
-        else:
-            imit_x = adversary.pair_features(batch.states,
-                                             _action_features(spec, batch.actions))
-        imit = nets.DistinctRows.of(imit_x)
+        imit = nets.DistinctRows.of(features(batch.states, batch.next_states, batch.actions))
         disc_loss = None
         for _ in range(config.d_steps):
             # the drawn rows go in ascending code order; a take() would give
@@ -490,8 +496,10 @@ def gaifo_train(env, demos, config, seed, expert_occupancy=None):
     bins = _occupancy_bins(env)
     if occ_ref is None and config.track_occupancy and (env.spec.state_count > 0 or bins is not None):
         occ_ref = demo_occupancy(demos, gamma, n_states=env.spec.state_count or None, bins=bins)
-    expert_x = adversary.pair_features(*demos.transition_pairs())
-    reward = _adversarial_reward(env, config, seed, expert_x, "state_transition")
+
+    def features(states, next_states, actions):
+        return adversary.pair_features(states, next_states)
+    reward = _adversarial_reward(config, seed, features, features(*demos.transition_pairs(), None))
     policy, report = _train(env, config, config.iterations, seed, "gaifo", reward, occ_ref)
     return policy, _scored(report, env, config, seed, demos)
 
@@ -499,10 +507,12 @@ def gaifo_train(env, demos, config, seed, expert_occupancy=None):
 def gail_train(env, demos, config, seed):
     """Action-aware adversarial baseline: discriminator over (s, a) pairs."""
     _check_demos(env, demos, DemonstrationSetWithActions, "gail_train")
+
+    def features(states, next_states, actions):
+        return adversary.pair_features(states, _action_features(env.spec, actions))
     s = np.concatenate([tr[:-1] for tr in demos.trajectories])
     acts = np.concatenate([np.asarray(a) for a in demos.actions])
-    expert_x = adversary.pair_features(s, _action_features(env.spec, acts))
-    reward = _adversarial_reward(env, config, seed, expert_x, "state_action")
+    reward = _adversarial_reward(config, seed, features, features(s, None, acts))
     policy, report = _train(env, config, config.iterations, seed, "gail", reward)
     return policy, _scored(report, env, config, seed, demos)
 

@@ -24,24 +24,10 @@ the next one of its size reuses the same pages. Only where memory comes
 from changes, so results are bit-identical; on other platforms and libcs
 the import changes nothing.
 
-A cache marked with ``keep_workspace`` also keeps, for as long as the cache
-lives, each hidden layer's activation derivative and the arrays into which
-``mlp_jvp`` and ``mlp_backward`` write their hidden-layer products. Repeated
-products over one batch, such as the Fisher-vector products of one TRPO
-step, then recompute no derivative and make no allocator call for an
-(N, hidden) array. The results are bit-identical to those through a plain
-cache, and returned arrays are always fresh. Caches used once keep nothing:
-kept arrays in every cache would raise peak memory for no reuse.
-
 ``fit_supervised`` is the one minibatch-Adam fit: the value baseline, the
-inverse dynamics model and behavioral cloning all train through it, with
-softmax cross-entropy for integer labels and squared error for float
-targets. Each of its steps runs the network once per distinct row of the
-minibatch through ``DistinctRows``, the one distinct-row type, which the
-discriminator's inputs and the TRPO step (``trpo.CodedStates``) use too.
-The gradient is the plain step's sum added in another order: a minibatch
-without repeated rows takes the plain step bit for bit, one with repeats
-differs by rounding.
+inverse dynamics model and behavioral cloning all train through it.
+``DistinctRows`` is the one distinct-row type, behind its minibatches, the
+discriminator's inputs and the TRPO step (``trpo.CodedStates``).
 
 ``BinaryReader`` is the one reader of the checkpoint and demonstration
 formats: truncated, padded or corrupt files fail with a ValueError that
@@ -192,7 +178,8 @@ def keep_workspace(cache):
     recompute the derivative nor call the allocator for (N, hidden) arrays.
     The results are bit-identical to those through a plain cache, and
     returned arrays are never reused. The kept arrays live as long as the
-    cache. Returns the cache.
+    cache, so only caches used for repeated products are marked: kept arrays
+    in every cache would raise peak memory for no reuse. Returns the cache.
     """
     cache["workspace"] = {}
     return cache
@@ -457,20 +444,23 @@ def fit_supervised(net, adam, x, y, rng, epochs, minibatch, rows=None):
             adam_step(adam, net, mlp_backward(net, cache, grad))
 
 
-def finite_diff_grad(f, x, h=1e-5):
-    """Central finite differences (f(x+h e_i) - f(x-h e_i)) / 2h."""
+FD_STEP = 1e-5
+
+
+def finite_diff_grad(f, x):
+    """Central finite differences (f(x+h e_i) - f(x-h e_i)) / 2h, h = FD_STEP."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     bad = []
     for i in range(x.size):
         e = np.zeros_like(x)
-        e.flat[i] = h
+        e.flat[i] = FD_STEP
         fp = f(x + e)
         fm = f(x - e)
         if not (np.isfinite(fp) and np.isfinite(fm)):
             bad.append(i)
             continue
-        grad.flat[i] = (fp - fm) / (2.0 * h)
+        grad.flat[i] = (fp - fm) / (2.0 * FD_STEP)
     if bad:
         raise ValueError(f"non-finite function evaluations at coordinates {bad}")
     return grad

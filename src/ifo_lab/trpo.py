@@ -5,17 +5,7 @@ Gaussian (state-dependent mean, state-independent learned log-std). The
 natural-gradient step uses an exact Fisher-vector product (forward-mode
 Jacobian-vector product through the network composed with the closed-form
 distribution-space metric), conjugate gradient, and a KL-constrained
-backtracking line search.
-
-The step runs the policy over the batch's distinct states (CodedStates, a
-nets.DistinctRows made once per batch), with one forward pass per
-parameter value: one at the old parameters for the old log-probs, the
-surrogate gradient, the Fisher operator and the old side of the KL, and one
-per line-search candidate for its surrogate and its KL. Per-row quantities
-(log-probs, ratios, advantages) stay per row; per-state sums weigh each
-distinct row by its count. Without repeated states the step is the plain
-one bit for bit, and with repeats (one-hot tabular states) it differs only
-in the order of summation.
+backtracking line search; trpo_update runs them over the batch's distinct states.
 """
 
 from dataclasses import dataclass, field
@@ -419,8 +409,12 @@ class ValueFunction:
                             self.epochs, self.minibatch)
 
 
-def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
-                damping=0.1, backtracks=10):
+CG_ITERS = 10         # conjugate-gradient iterations per step
+FVP_DAMPING = 0.1     # the Fisher operator's damping
+MAX_BACKTRACKS = 10   # halvings of the step before it is rejected
+
+
+def trpo_update(policy, value_fn, batch, delta=0.01):
     """One natural-gradient step with KL-constrained backtracking.
 
     Fits the value baseline on batch.returns first (the policy step reads
@@ -453,8 +447,8 @@ def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
         diag["grad_norm"] = float(np.linalg.norm(g))
         if diag["grad_norm"] < 1e-12:
             return diag
-        fvp = FvpOperator(policy, states, damping)
-        x = conjugate_gradient(fvp, g, iters=cg_iters)
+        fvp = FvpOperator(policy, states, FVP_DAMPING)
+        x = conjugate_gradient(fvp, g, iters=CG_ITERS)
         shs = float(x @ fvp(x))
         del fvp  # frees its workspace before the line search's forward passes
     finally:
@@ -465,7 +459,7 @@ def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
     old_flat = policy.flat_params()
     old_policy = policy.copy()
     base = surrogate_loss(policy, *args)
-    for i in range(backtracks):
+    for i in range(MAX_BACKTRACKS):
         frac = 0.5**i
         policy.set_flat(old_flat + frac * full_step)
         improvement = surrogate_loss(policy, *args) - base
@@ -476,5 +470,5 @@ def trpo_update(policy, value_fn, batch, delta=0.01, cg_iters=10,
             break
     else:
         policy.set_flat(old_flat)
-        diag["backtracks_used"] = backtracks
+        diag["backtracks_used"] = MAX_BACKTRACKS
     return diag

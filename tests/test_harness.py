@@ -63,8 +63,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_ini(path)
 
-    @pytest.mark.parametrize("key", ["eval_every", "d_steps", "eval_episodes"])
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("value,key", [
+        (value, key) for value in (0, -1)
+        for key in ("eval_every", "d_steps", "eval_episodes")] + [
+        (0, "batch_size"), (-3, "iterations"), (1.5, "gamma"), (0, "hidden")])
     def test_train_count_below_one_rejected(self, tmp_path, key, value):
         path = tmp_path / "bad.ini"
         path.write_text(f"[train]\n{key} = {value}\n")
@@ -197,12 +199,11 @@ class TestCli:
     def run(self, *argv):
         return harness.main(list(argv))
 
-    def test_verify_passes(self, config_file):
-        assert self.run("verify", "--config", str(config_file)) == 0
-
-    def test_unknown_subcommand_usage_error(self):
-        with pytest.raises(SystemExit):
-            self.run("frobnicate")
+    def test_unknown_subcommand_usage_error(self, config_file):
+        for command in ("frobnicate", "verify"):
+            with pytest.raises(SystemExit) as exit_info:
+                self.run(command, "--config", str(config_file))
+            assert exit_info.value.code == 2
 
     def test_missing_demo_file_machine_readable_error(self, config_file, capsys):
         rc = self.run("train-gaifo", "--config", str(config_file),

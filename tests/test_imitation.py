@@ -435,6 +435,28 @@ class TestNonFiniteAbort:
         assert np.isfinite(report.final_return)
 
 
+class TestCollectBatch:
+    def test_aborting_top_up_raises(self, monkeypatch):
+        """A policy that aborts every episode ends the top-up loop with a
+        FloatingPointError, which the trainers report as aborted; the cap on
+        rollout calls turns a loop that never ends into a failure."""
+        rollout, calls = imitation.rollout, []
+
+        def capped_rollout(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 50:
+                raise RuntimeError("collect_batch is still topping up")
+            return rollout(*args, **kwargs)
+
+        class NanPolicy:
+            def act(self, obs, keys, t, deterministic=False):
+                return np.full(len(obs), np.nan)
+
+        monkeypatch.setattr(imitation, "rollout", capped_rollout)
+        with pytest.raises(FloatingPointError):
+            imitation.collect_batch(NanPolicy(), il.gridworld(3, 3, horizon=5), 20, 0)
+
+
 class TestBcoNonFiniteAbort:
     """A non-finite gradient in BCO's inverse-model fit or in cloning ends
     the run as aborted with the policy as it stood, not with an exception."""
