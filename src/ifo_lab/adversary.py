@@ -77,16 +77,20 @@ def disc_loss_grad(d, imitator_batch, expert_batch, imitator_counts=None,
                    expert_counts=None):
     """Loss value and exact flat gradient w.r.t. discriminator parameters.
     Row i of a batch weighs as counts[i] copies of itself (one by default),
-    so both means are count-weighted means over the given rows."""
+    so both means are count-weighted means over the given rows.
+
+    The imitator side runs its forward and backward pass before the expert
+    forward, so only one side's forward cache is alive at a time."""
     _check_batches(imitator_batch, expert_batch)
     wi = _row_counts(imitator_counts, imitator_batch)
     we = _row_counts(expert_counts, expert_batch)
     ni, ne = wi.sum(), we.sum()
-    di, ci = disc_values(d, imitator_batch)
-    de, ce = disc_values(d, expert_batch)
-    loss = float(-(np.sum(wi * np.log(di)) / ni + np.sum(we * np.log(1.0 - de)) / ne))
-    grads_i = nets.mlp_backward(d.params, ci, (-wi / (ni * di))[:, None])
-    grads_e = nets.mlp_backward(d.params, ce, (we / (ne * (1.0 - de)))[:, None])
+    di, cache = disc_values(d, imitator_batch)
+    loss_i = np.sum(wi * np.log(di)) / ni
+    grads_i = nets.mlp_backward(d.params, cache, (-wi / (ni * di))[:, None])
+    de, cache = disc_values(d, expert_batch)
+    loss = float(-(loss_i + np.sum(we * np.log(1.0 - de)) / ne))
+    grads_e = nets.mlp_backward(d.params, cache, (we / (ne * (1.0 - de)))[:, None])
     return loss, grads_i + grads_e
 
 

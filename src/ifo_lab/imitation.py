@@ -168,12 +168,15 @@ class TrainConfig:
     bc_epochs: int = 100
 
     def __post_init__(self):
-        for name in ("batch_size", "d_steps", "eval_every", "eval_episodes"):
+        for name in ("batch_size", "d_steps", "eval_every", "eval_episodes",
+                     "inverse_epochs", "bc_epochs"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if not self.disc_lr > 0.0:
+            raise ValueError(f"disc_lr must be > 0, got {self.disc_lr}")
         if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be None or in [0, 1), got {self.gamma}")
         if any(width < 1 for width in self.hidden):
@@ -521,12 +524,15 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
     """Fit an inverse dynamics MLP (s, s') -> a on exploration data.
 
     Returns (predict function, validation metric). The metric is error rate
-    for discrete actions and RMS error for continuous ones.
+    for discrete actions and RMS error for continuous ones, on a held-out
+    tenth of the rows. The (s, s') rows are coded without joining the two
+    arrays (nets.DistinctRows.of), and the metric runs the network once over
+    the distinct validation rows and gathers each row's output by its code.
     """
     n = len(states)
     if n == 0:
         raise ValueError("no exploration data")
-    x = nets.DistinctRows.of(np.concatenate([states, next_states], axis=1))
+    x = nets.DistinctRows.of(states, next_states)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_val = max(1, n // 10)
@@ -550,11 +556,12 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
             return out.argmax(axis=1)
         return out
 
-    pred = predict(states[val_idx], next_states[val_idx])
+    val = x.take(val_idx)
+    out, _ = nets.mlp_forward(net, val.distinct)
     if discrete:
-        val_metric = float(np.mean(pred != y[val_idx]))
+        val_metric = float(np.mean(out.argmax(axis=1)[val.code] != y[val_idx]))
     else:
-        val_metric = float(np.sqrt(np.mean((pred - y[val_idx]) ** 2)))
+        val_metric = float(np.sqrt(np.mean((out[val.code] - y[val_idx]) ** 2)))
     return predict, val_metric
 
 
@@ -574,9 +581,8 @@ def bco_train(env, demos, config, seed):
     policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed)
     try:
         # phase 1: self-supervised exploration with a random policy
-        trajs = collect_batch(RandomPolicy(spec), env, config.exploration_steps,
-                              seed + 11)
-        batch = trpo.RolloutBatch.from_trajectories(trajs)
+        batch = trpo.RolloutBatch.from_trajectories(collect_batch(
+            RandomPolicy(spec), env, config.exploration_steps, seed + 11))
         predict, val_metric = fit_inverse_model(
             batch.states, batch.actions, batch.next_states, spec, config, seed + 13)
         report.extras["inverse_val_metric"] = val_metric

@@ -162,11 +162,12 @@ def init_mlp(layer_sizes, activation="tanh", output_transform="identity",
 
 
 def _act(z, tag):
+    """The hidden activation of z, written over z."""
     if tag == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if tag == "relu":
-        return np.maximum(z, 0.0)
-    return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+        return np.maximum(z, 0.0, out=z)
+    return np.multiply(z, LEAKY_SLOPE, out=z, where=~(z > 0.0))
 
 
 def keep_workspace(cache):
@@ -198,18 +199,20 @@ def _work(cache, key, shape):
 
 
 def _act_deriv(cache, k, tag):
-    """Derivative of hidden layer k's activation at its pre-activation,
-    computed once and kept if the cache keeps a workspace."""
+    """Derivative of hidden layer k's activation at its pre-activation z,
+    read off the activation h (the next layer's input), computed once and
+    kept if the cache keeps a workspace. For relu and leaky_relu, h > 0
+    exactly where z > 0, at signed zeros and subnormals too."""
     workspace = cache.get("workspace", {})  # a plain cache keeps nothing
     deriv = workspace.get(("deriv", k))
     if deriv is None:
+        h = cache["inputs"][k + 1]
         if tag == "tanh":
-            h = cache["inputs"][k + 1]  # tanh(preacts[k]), kept by the forward pass
             deriv = 1.0 - h * h
         elif tag == "relu":
-            deriv = (cache["preacts"][k] > 0.0).astype(np.float64)
+            deriv = (h > 0.0).astype(np.float64)
         else:
-            deriv = np.where(cache["preacts"][k] > 0.0, 1.0, LEAKY_SLOPE)
+            deriv = np.where(h > 0.0, 1.0, LEAKY_SLOPE)
         workspace[("deriv", k)] = deriv
     return deriv
 
@@ -223,28 +226,31 @@ def clamped_sigmoid(z):
 def mlp_forward(params, x):
     """Forward pass over a (batch, in_dim) matrix.
 
-    Returns (output, cache). The cache records per-layer inputs and
-    pre-activations and is what mlp_backward / mlp_jvp consume.
+    Returns (output, cache), the cache being what mlp_backward and mlp_jvp
+    consume. It holds each layer's input ("inputs": x, then every hidden
+    activation) and the output layer's pre-activation ("preact"), and no
+    hidden pre-activation: each is overwritten by its activation, from which
+    the backward and tangent passes read the derivative. An identity output
+    is the cached pre-activation itself.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.in_dim:
         raise ValueError(
             f"input shape {h.shape} does not match first layer input dim {params.in_dim}"
         )
-    inputs, preacts = [], []
-    n_layers = len(params.weights)
+    inputs = []
+    last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        z = h @ w + b
-        preacts.append(z)
-        if k < n_layers - 1:
+        z = h @ w
+        z += b
+        if k < last:
             h = _act(z, params.activation)
-    z = preacts[-1]
     if params.output_transform == "sigmoid":
         out = clamped_sigmoid(z)
     else:
         out = z
-    cache = {"inputs": inputs, "preacts": preacts}
+    cache = {"inputs": inputs, "preact": z}
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in forward pass output")
     return out, cache
@@ -255,13 +261,12 @@ def mlp_backward(params, cache, output_grad):
     one fresh flat vector in the layout of params.flat."""
     g = np.asarray(output_grad, dtype=np.float64)
     n_layers = len(params.weights)
-    if len(cache["inputs"]) != n_layers or cache["preacts"][-1].shape != g.shape:
+    if len(cache["inputs"]) != n_layers or cache["preact"].shape != g.shape:
         raise ValueError(
-            f"stale cache: output grad shape {g.shape} vs cached "
-            f"{cache['preacts'][-1].shape}"
+            f"stale cache: output grad shape {g.shape} vs cached {cache['preact'].shape}"
         )
     if params.output_transform == "sigmoid":
-        s = clamped_sigmoid(cache["preacts"][-1])
+        s = clamped_sigmoid(cache["preact"])
         delta = g * s * (1.0 - s)
     else:
         delta = g
@@ -382,17 +387,36 @@ class DistinctRows:
     distinct rows in order of first appearance.
     """
 
+    JOIN_BLOCK = 4096   # rows joined at a time by of(*parts)
+
     def __init__(self, distinct, code):
         self.distinct = distinct
         self.code = code
         self.counts = np.bincount(code, minlength=len(distinct))
 
     @classmethod
-    def of(cls, x):
+    def of(cls, *parts):
+        """The rows of one array, or of equal-length arrays taken as joined
+        side by side: of(a, b) gives, bit for bit, the distinct rows, code
+        and counts of of(np.concatenate([a, b], axis=1)), but joins only
+        JOIN_BLOCK rows at a time and the distinct rows, so the whole joined
+        array is never built."""
+        n = len(parts[0])
+        if any(len(p) != n for p in parts):
+            raise ValueError(f"parts of different lengths {[len(p) for p in parts]}")
+
+        def join(rows):
+            return np.concatenate([p[rows] for p in parts], axis=1)
+
         index = {}  # row bytes -> (code, index of the row's first appearance)
-        code = np.fromiter((index.setdefault(row.tobytes(), (len(index), i))[0]
-                            for i, row in enumerate(x)), dtype=np.intp, count=len(x))
-        return cls(x[[i for _, i in index.values()]], code)
+        code = np.empty(n, dtype=np.intp)
+        for start in range(0, n, cls.JOIN_BLOCK):
+            block = join(slice(start, start + cls.JOIN_BLOCK))
+            code[start : start + len(block)] = np.fromiter(
+                (index.setdefault(row.tobytes(), (len(index), i))[0]
+                 for i, row in enumerate(block, start)), dtype=np.intp, count=len(block))
+        firsts = np.fromiter((i for _, i in index.values()), dtype=np.intp, count=len(index))
+        return cls(join(firsts), code)
 
     def __len__(self):
         return len(self.code)

@@ -60,6 +60,9 @@ class StochasticPolicy:
 
     def set_flat(self, vec):
         vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (self.n_params,):
+            raise ValueError(f"flat vector of length {vec.size} (shape {vec.shape}) "
+                             f"!= {self.n_params} policy parameters")
         n = self.net.n_params
         self.net.set_flat(vec[:n])
         if self.kind == "gaussian":

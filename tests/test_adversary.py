@@ -1,6 +1,8 @@
 """Discriminator loss/gradient oracles and the cost-regularizer conjugacy
 machinery, including hand-evaluated values and grid-search cross-checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,40 @@ class TestCountedLoss:
         imit, exp = self._batches()
         with pytest.raises(ValueError, match="counts shape"):
             adversary.disc_loss_grad(make_disc(), imit, exp, np.ones(3))
+
+
+class TestDiscLossGradOrder:
+    """disc_loss_grad finishes the imitator side before the expert forward:
+    the same sums as with both sides alive, and one cache at a time."""
+
+    def test_bit_identical_to_both_sides_at_once(self):
+        d = make_disc(input_dim=8, seed=7)
+        rng = np.random.default_rng(7)
+        imit, exp = rng.normal(size=(30, 8)), rng.normal(size=(20, 8))
+        wi, we = rng.integers(1, 5, size=30) * 1.0, rng.integers(1, 5, size=20) * 1.0
+        ni, ne = wi.sum(), we.sum()
+        di, ci = adversary.disc_values(d, imit)
+        de, ce = adversary.disc_values(d, exp)
+        want = float(-(np.sum(wi * np.log(di)) / ni + np.sum(we * np.log(1.0 - de)) / ne))
+        want_grad = (nets.mlp_backward(d.params, ci, (-wi / (ni * di))[:, None])
+                     + nets.mlp_backward(d.params, ce, (we / (ne * (1.0 - de)))[:, None]))
+        loss, grad = adversary.disc_loss_grad(d, imit, exp, wi, we)
+        assert loss == want and grad.tobytes() == want_grad.tobytes()
+
+    def test_peak_memory_holds_one_side_at_a_time(self):
+        # point-mass shapes: with both sides' forward caches alive the traced
+        # peak was 9.3 MB; one side at a time it is about 4.6 MB
+        d = make_disc(input_dim=8, seed=8)
+        rng = np.random.default_rng(8)
+        imit, exp = rng.normal(size=(2200, 8)), rng.normal(size=(1334, 8))
+        adversary.disc_loss_grad(d, imit, exp)
+        tracemalloc.start()
+        try:
+            adversary.disc_loss_grad(d, imit, exp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestDiscTraining:

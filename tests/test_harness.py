@@ -66,7 +66,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("value,key", [
         (value, key) for value in (0, -1)
         for key in ("eval_every", "d_steps", "eval_episodes")] + [
-        (0, "batch_size"), (-3, "iterations"), (1.5, "gamma"), (0, "hidden")])
+        (0, "batch_size"), (-3, "iterations"), (1.5, "gamma"), (0, "hidden"),
+        (0, "inverse_epochs"), (0, "bc_epochs"), (0.0, "disc_lr"), (-1e-3, "disc_lr")])
     def test_train_count_below_one_rejected(self, tmp_path, key, value):
         path = tmp_path / "bad.ini"
         path.write_text(f"[train]\n{key} = {value}\n")

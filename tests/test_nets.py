@@ -349,6 +349,94 @@ class TestDistinctRows:
         per_row = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
         assert rows.sum_rows(per_row).tolist() == [[8.0, 80.0], [2.0, 20.0]]
 
+    @staticmethod
+    def coded_like_their_join(*parts):
+        """DistinctRows.of(*parts), checked byte for byte against the coding
+        of the joined array, and that coding against the joined array."""
+        rows = nets.DistinctRows.of(*parts)
+        x = np.concatenate(parts, axis=1)
+        joined = nets.DistinctRows.of(x)
+        assert joined.distinct[joined.code].tobytes() == x.tobytes()
+        firsts = [int(np.flatnonzero(joined.code == j)[0]) for j in range(len(joined.distinct))]
+        assert firsts == sorted(firsts)
+        assert rows.distinct.shape == joined.distinct.shape
+        assert rows.distinct.dtype == joined.distinct.dtype
+        assert rows.distinct.tobytes() == joined.distinct.tobytes()
+        assert rows.code.tobytes() == joined.code.tobytes()
+        assert rows.counts.tobytes() == joined.counts.tobytes()
+        return rows
+
+    def test_parts_code_like_their_join_where_rows_agree_in_one_part(self):
+        a = np.array([[1.0], [1.0], [2.0], [1.0], [2.0]])
+        b = np.array([[5.0, 6.0], [7.0, 8.0], [5.0, 6.0], [5.0, 6.0], [7.0, 8.0]])
+        rows = self.coded_like_their_join(a, b)
+        assert rows.code.tolist() == [0, 1, 2, 0, 3]
+
+    def test_parts_keep_signed_zeros_apart(self):
+        a = np.array([[1.0], [1.0], [1.0]])
+        b = np.array([[0.0, 2.0], [-0.0, 2.0], [0.0, 2.0]])
+        rows = self.coded_like_their_join(a, b)
+        assert rows.code.tolist() == [0, 1, 0]
+        assert np.signbit(rows.distinct[:, 1]).tolist() == [False, True]
+
+    @pytest.mark.parametrize("blocks, offset", [(1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_parts_code_like_their_join_around_a_block_boundary(self, blocks, offset):
+        n = blocks * nets.DistinctRows.JOIN_BLOCK + offset
+        rng = np.random.default_rng(12)
+        a, b = np.eye(3)[rng.integers(3, size=n)], np.eye(4)[rng.integers(4, size=n)]
+        # rows first seen at the end of the first block and in the last one
+        a[min(n, nets.DistinctRows.JOIN_BLOCK) - 1] = [2.0, 0.0, 0.0]
+        a[n - 1] = [3.0, 0.0, 0.0]
+        self.coded_like_their_join(a, b, a[:, :1])
+
+    def test_parts_of_zero_rows(self):
+        rows = self.coded_like_their_join(np.empty((0, 2)), np.empty((0, 3)))
+        assert rows.distinct.shape == (0, 5) and len(rows) == 0
+
+    def test_parts_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="different lengths"):
+            nets.DistinctRows.of(np.zeros((4, 2)), np.zeros((3, 2)))
+
+
+class TestForwardCache:
+    """The forward cache holds each layer's input and the output layer's
+    pre-activation; the hidden pre-activations are not kept."""
+
+    @pytest.mark.parametrize("activation", nets.HIDDEN_ACTIVATIONS)
+    def test_holds_no_hidden_preactivation(self, activation):
+        rows = 300
+        rng = np.random.default_rng(30)
+        net = nets.init_mlp([5, 64, 64, 3], activation, rng=rng)
+        x = rng.normal(size=(rows, 5))
+        out, cache = nets.mlp_forward(net, x)
+        assert sorted(cache) == ["inputs", "preact"]
+        assert cache["inputs"][0] is x and cache["preact"] is out
+        hidden = cache["inputs"][1:]
+        assert [h.shape for h in hidden] == [(rows, 64), (rows, 64)]
+        # the first hidden input is the activation, which differs from the
+        # pre-activation wherever the activation is not the identity
+        z = x @ net.weights[0] + net.biases[0]
+        assert not np.array_equal(hidden[0], z)
+
+    @pytest.mark.parametrize("activation, slope", [("relu", 0.0),
+                                                   ("leaky_relu", nets.LEAKY_SLOPE)])
+    def test_gradient_at_zero_and_subnormal_preactivations(self, activation, slope):
+        # the backward pass reads the derivative off the activation h; it must
+        # equal the rule on the pre-activation z, 1 where z > 0 and the slope
+        # elsewhere, at z = 0.0, -0.0 and negative subnormals too
+        z = np.array([[0.0, -0.0, -5e-324, -1e-310, 5e-324, 1.0, -1.0]])
+        h = np.maximum(z, 0.0) if activation == "relu" else np.where(z > 0.0, z, slope * z)
+        rng = np.random.default_rng(31)
+        net = nets.init_mlp([2, 7, 3], activation, rng=rng)
+        x, g = rng.normal(size=(1, 2)), rng.normal(size=(1, 3))
+        _, cache = nets.mlp_forward(net, x)
+        cache["inputs"][1] = h   # the activation of the chosen pre-activations
+        grad = nets.mlp_backward(net, cache, g)
+
+        delta = (g @ net.weights[1].T) * np.where(z > 0.0, 1.0, slope)
+        want = nets.MlpParams([x.T @ delta, h.T @ g], [delta.sum(axis=0), g.sum(axis=0)])
+        assert grad.tobytes() == want.flat.tobytes()
+
 
 def plain_head_grad(out, y):
     """Gradient of the mean softmax cross-entropy (integer y) or of half the

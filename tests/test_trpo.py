@@ -91,6 +91,18 @@ class TestPolicyDistribution:
         policy.set_flat(flat)
         assert np.all(policy.log_std == trpo.LOG_STD_MAX)
 
+    @pytest.mark.parametrize("make", [gaussian_policy, categorical_policy],
+                             ids=["gaussian", "categorical"])
+    def test_set_flat_of_another_length_rejected(self, make):
+        # a Gaussian policy took two extra entries as a longer log-std, and a
+        # categorical one dropped them
+        policy = make()
+        before = policy.flat_params()
+        for length in (policy.n_params + 2, policy.n_params - 1):
+            with pytest.raises(ValueError, match=f"length {length} .*!= {policy.n_params}"):
+                policy.set_flat(np.zeros(length))
+        assert policy.flat_params().tobytes() == before.tobytes()
+
     def test_log_prob_gradient_matches_fd(self):
         for policy, action in ((categorical_policy(seed=2), 1),
                                (gaussian_policy(seed=2), np.array([0.3, -0.7]))):
