@@ -36,8 +36,8 @@ print("  state marginals:", occ.mass.sum(axis=1), "(hand: [4/3, 2/3])")
 print("  total mass:     ", occ.total_mass(), "(hand: 1/(1-gamma) = 2)")
 
 # The total-mass identity sum(rho) = 1/(1-gamma) holds for every policy on
-# every MDP without terminal states; it is the first thing to check when an
-# occupancy computation looks suspicious.
+# every MDP; it is the first thing to check when an occupancy computation
+# looks suspicious.
 
 # --- exact vs empirical on a gridworld -----------------------------------
 

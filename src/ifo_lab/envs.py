@@ -5,13 +5,14 @@ Environments expose:
   step(actions, episodes=None) -> (obs, rewards, dones)
   spec: EnvSpec
 step takes actions with a leading episode axis and returns arrays with that
-axis. With `episodes` it steps only the listed episodes, so that episodes
-can end independently; stepping an episode before reset or after its end is
-an error. One episode is a batch of one.
+axis. With `episodes` it steps only the listed episodes, so that a rollout
+can drop an aborted episode and go on with the rest; stepping an episode
+before reset or after its end is an error. An episode ends at the horizon
+and nowhere else. One episode is a batch of one.
 Tabular environments additionally expose .mdp (a TabularMDP) and
-.state_index (the (n,) current discrete states); their observations are
-one-hot. Continuous dynamics are integrated with fixed-step semi-implicit
-Euler.
+.state_index, the (n,) current discrete states that their one-hot
+observations encode. Continuous dynamics are integrated with fixed-step
+semi-implicit Euler.
 
 Policies follow the same convention: act(obs, keys, t) takes (n, obs_dim)
 observations, the n episode keys and the step t, and returns one action per
@@ -54,7 +55,6 @@ class TabularMDP:
     P: np.ndarray
     R: np.ndarray
     p0: np.ndarray
-    terminal: np.ndarray | None = None
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=np.float64)
@@ -69,8 +69,6 @@ class TabularMDP:
             raise ValueError("transition rows must sum to 1 within 1e-12")
         if abs(self.p0.sum() - 1.0) > 1e-12:
             raise ValueError("p0 must sum to 1 within 1e-12")
-        if self.terminal is not None:
-            self.terminal = np.asarray(self.terminal, dtype=bool)
 
     @property
     def n_states(self):
@@ -83,13 +81,13 @@ class TabularMDP:
 
 @dataclass
 class Trajectory:
-    """One episode: states has shape (T+1, obs_dim), actions/rewards length T."""
+    """One episode: states has shape (T+1, obs_dim), actions/rewards length
+    T; T is the horizon unless the episode aborted."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     seed: int                 # the episode key
-    state_indices: np.ndarray | None = None
     aborted: bool = False
 
     @property
@@ -191,15 +189,10 @@ class _EpisodeBatch:
             raise RuntimeError("step after episode end")
         return rows, np.asarray(actions)
 
-    def _advance(self, rows, ended=None):
-        """Count one step of rows; returns their done flags. `ended` marks
-        rows whose episode ends before the horizon."""
+    def _advance(self, rows):
+        """Count one step of rows; returns their done flags."""
         self._t[rows] += 1
-        done = self._t[rows] >= self.spec.horizon
-        if ended is not None:
-            done |= ended
-            self._t[rows[done]] = self.spec.horizon
-        return done
+        return self._t[rows] >= self.spec.horizon
 
 
 class TabularEnv(_EpisodeBatch):
@@ -234,8 +227,7 @@ class TabularEnv(_EpisodeBatch):
         u = uniforms(self._keys[rows], self._t[rows] + 1, ENV_SLOT, 1)[:, 0]
         s_next = sample_categorical(self.mdp.P[s, a], u)
         self.state_index[rows] = s_next
-        terminal = None if self.mdp.terminal is None else self.mdp.terminal[s_next]
-        return self._eye[s_next], reward, self._advance(rows, terminal)
+        return self._eye[s_next], reward, self._advance(rows)
 
 
 def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40, gamma=0.95):
@@ -413,15 +405,14 @@ class PointMassController:
 def rollout(policy, env, n_episodes, seed, deterministic=False):
     """Run n_episodes episodes whose keys derive from the master seed.
 
-    The episodes run in lockstep: each time step t makes one batched policy
-    act and one batched env step over the running episodes. A policy emitting
-    a non-finite action row aborts that row's episode, which is returned with
-    aborted=True.
+    The episodes run in lockstep to the horizon: each time step t makes one
+    batched policy act and one batched env step over the running episodes.
+    A policy emitting a non-finite action row aborts that row's episode,
+    which is returned cut short with aborted=True.
     """
     keys = np.random.SeedSequence(seed).generate_state(n_episodes, np.uint64)
     spec = env.spec
     horizon = spec.horizon
-    tabular = spec.state_count > 0
     # episode-major buffers, so each trajectory is a contiguous view
     states = np.empty((n_episodes, horizon + 1, spec.obs_dim))
     if spec.action_kind == "discrete":
@@ -429,40 +420,26 @@ def rollout(policy, env, n_episodes, seed, deterministic=False):
     else:
         actions = np.empty((n_episodes, horizon, spec.action_dim))
     rewards = np.empty((n_episodes, horizon))
-    indices = np.empty((n_episodes, horizon + 1), dtype=int) if tabular else None
-    lengths = np.zeros(n_episodes, dtype=int)
-    aborted = np.zeros(n_episodes, dtype=bool)
+    lengths = np.full(n_episodes, horizon)  # or the step at which an episode aborted
 
     states[:, 0] = env.reset(keys)
-    if tabular:
-        indices[:, 0] = env.state_index
     live = np.arange(n_episodes)
-    t = 0
-    while live.size:
+    for t in range(horizon):
         a = np.asarray(policy.act(states[live, t], keys[live], t,
                                   deterministic=deterministic))
         finite = np.isfinite(a.reshape(len(live), -1)).all(axis=1)
         if not finite.all():
-            aborted[live[~finite]] = True
+            lengths[live[~finite]] = t
             live = live[finite]
             if not live.size:
                 break
             a = a[finite]
-        obs, r, done = env.step(a, live)
-        states[live, t + 1] = obs
+        states[live, t + 1], rewards[live, t], _ = env.step(a, live)
         actions[live, t] = a
-        rewards[live, t] = r
-        if tabular:
-            indices[live, t + 1] = env.state_index[live]
-        lengths[live] += 1
-        live = live[~done]
-        t += 1
     return [
         Trajectory(
             states=states[i, : n + 1], actions=actions[i, :n], rewards=rewards[i, :n],
-            seed=int(key),
-            state_indices=None if indices is None else indices[i, : n + 1],
-            aborted=bool(aborted[i]),
+            seed=int(key), aborted=bool(n < horizon),
         )
         for i, (key, n) in enumerate(zip(keys, lengths))
     ]

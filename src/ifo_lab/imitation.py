@@ -233,12 +233,22 @@ class TrainReport:
             json.dump(self.summary(), fh, indent=2)
 
 
+def _whole_episodes(policy, env, n_episodes, seed, deterministic=False):
+    """rollout's episodes, each run to the horizon; an aborted episode raises
+    FloatingPointError, which the trainers report as report.aborted."""
+    trajs = rollout(policy, env, n_episodes, seed, deterministic=deterministic)
+    if any(tr.aborted for tr in trajs):
+        raise FloatingPointError("a policy emitted a non-finite action")
+    return trajs
+
+
 def evaluate(policy, env, n_episodes, seed):
     """Deterministic-mode evaluation: Gaussian policies act at the mean,
-    categorical at the argmax. Returns (mean return, std)."""
+    categorical at the argmax. Returns (mean return, std); an aborted
+    episode raises FloatingPointError."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    trajs = rollout(policy, env, n_episodes, seed, deterministic=True)
+    trajs = _whole_episodes(policy, env, n_episodes, seed, deterministic=True)
     returns = np.array([tr.total_return for tr in trajs])
     return float(returns.mean()), float(returns.std())
 
@@ -254,8 +264,8 @@ def scaled_score(mean, random_mean, expert_mean):
 
 def _record(expert, env, n_trajectories, seed):
     """Deterministic expert rollouts and the expert's mean return over at
-    least ten more episodes."""
-    trajs = rollout(expert, env, n_trajectories, seed, deterministic=True)
+    least ten more episodes. An aborted episode raises FloatingPointError."""
+    trajs = _whole_episodes(expert, env, n_trajectories, seed, deterministic=True)
     mean_ret, _ = evaluate(expert, env, max(n_trajectories, 10), seed + 1)
     return trajs, mean_ret
 
@@ -286,18 +296,10 @@ def record_demonstrations_with_actions(expert, env, n_trajectories, seed):
 
 
 def collect_batch(policy, env, min_steps, seed):
-    """Whole episodes until at least min_steps transitions are gathered. A
-    top-up episode that aborts raises FloatingPointError: a policy that aborts
-    every episode would otherwise keep the loop going for ever."""
-    n_eps = max(1, int(np.ceil(min_steps / env.spec.horizon)))
-    trajs = rollout(policy, env, n_eps, seed)
-    while sum(tr.n_steps for tr in trajs if not tr.aborted) < min_steps:
-        n_eps += 1
-        (extra,) = rollout(policy, env, 1, seed * 1_000_003 + n_eps)
-        if extra.aborted:
-            raise FloatingPointError("a top-up episode emitted a non-finite action")
-        trajs.append(extra)
-    return trajs
+    """The ceil(min_steps / H) episodes of one rollout, each H steps long,
+    so at least min_steps transitions. An aborted episode raises
+    FloatingPointError."""
+    return _whole_episodes(policy, env, int(np.ceil(min_steps / env.spec.horizon)), seed)
 
 
 def _iteration_seed(seed, iteration):
@@ -400,7 +402,8 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
                 table = policy_to_tabular(policy, spec.state_count)
                 occ = occupancy.exact_occupancy(env.mdp, table, gamma)
             else:
-                occ = occupancy.empirical_occupancy(trajs, gamma, bins=bins)
+                occ = occupancy.empirical_occupancy([tr.states for tr in trajs], gamma,
+                                                    bins=bins)
             occ_dist = occupancy_distance(occ, occupancy_ref)
         eval_ret = ""
         if (it + 1) % config.eval_every == 0 or it == iterations - 1:

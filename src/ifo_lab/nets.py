@@ -44,7 +44,7 @@ import sys
 
 import numpy as np
 
-HIDDEN_ACTIVATIONS = ("tanh", "relu", "leaky_relu")
+HIDDEN_ACTIVATIONS = ("tanh", "leaky_relu")
 OUTPUT_TRANSFORMS = ("identity", "sigmoid")
 LEAKY_SLOPE = 0.01
 SIGMOID_CLAMP = 1e-8
@@ -165,8 +165,6 @@ def _act(z, tag):
     """The hidden activation of z, written over z."""
     if tag == "tanh":
         return np.tanh(z, out=z)
-    if tag == "relu":
-        return np.maximum(z, 0.0, out=z)
     return np.multiply(z, LEAKY_SLOPE, out=z, where=~(z > 0.0))
 
 
@@ -201,16 +199,14 @@ def _work(cache, key, shape):
 def _act_deriv(cache, k, tag):
     """Derivative of hidden layer k's activation at its pre-activation z,
     read off the activation h (the next layer's input), computed once and
-    kept if the cache keeps a workspace. For relu and leaky_relu, h > 0
-    exactly where z > 0, at signed zeros and subnormals too."""
+    kept if the cache keeps a workspace. For leaky_relu, h > 0 exactly
+    where z > 0, at signed zeros and subnormals too."""
     workspace = cache.get("workspace", {})  # a plain cache keeps nothing
     deriv = workspace.get(("deriv", k))
     if deriv is None:
         h = cache["inputs"][k + 1]
         if tag == "tanh":
             deriv = 1.0 - h * h
-        elif tag == "relu":
-            deriv = (h > 0.0).astype(np.float64)
         else:
             deriv = np.where(h > 0.0, 1.0, LEAKY_SLOPE)
         workspace[("deriv", k)] = deriv

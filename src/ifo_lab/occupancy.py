@@ -2,13 +2,13 @@
 one empirical estimator, and distances between occupancies.
 
 The exact oracle solves the discounted visitation linear system
-(I - gamma * P_pi^T) d = p0 and forms rho(s, s') = d(s) * P_pi(s, s').
-For MDPs without terminal states the total mass is exactly 1 / (1 - gamma).
-Episodic estimators truncate at the horizon H, which biases the total by at
-most gamma^H / (1 - gamma); callers pick H and gamma so that this is
-negligible before comparing against the oracle.
+(I - gamma * P_pi^T) d = p0 and forms rho(s, s') = d(s) * P_pi(s, s');
+its total mass is exactly 1 / (1 - gamma). Episodes end at the horizon H,
+which biases an empirical total by at most gamma^H / (1 - gamma); callers
+pick H and gamma so that this is negligible before comparing against the
+oracle.
 
-One empirical estimator serves index arrays, trajectories and decoded
+One empirical estimator serves index arrays, rollout states and decoded
 demonstrations in one array pass per call. Continuous states are binned per
 dimension by truncating (x - low) / (high - low) * bins and clipping to
 [0, bins - 1]. Transition t weighs the Python float gamma**t and masses are
@@ -73,12 +73,8 @@ class StateTransitionOccupancy:
 
 
 def exact_occupancy(mdp, policy_table, gamma):
-    """Exact discounted state-transition occupancy of a tabular policy.
-
-    Terminal states are treated as absorbing and contribute no outgoing
-    transition mass, so the 1/(1-gamma) total-mass identity holds only for
-    MDPs without terminal states.
-    """
+    """Exact discounted state-transition occupancy of a tabular policy; its
+    total mass is 1 / (1 - gamma)."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1); the system is singular at gamma = 1")
     table = np.asarray(policy_table, dtype=np.float64)
@@ -89,44 +85,24 @@ def exact_occupancy(mdp, policy_table, gamma):
         raise ValueError("policy rows must be distributions over actions")
     # P_pi[s, s'] = sum_a pi(a|s) P(s'|s, a)
     P_pi = np.einsum("sa,sat->st", table, mdp.P)
-    if mdp.terminal is not None and mdp.terminal.any():
-        term = np.where(mdp.terminal)[0]
-        P_pi = P_pi.copy()
-        P_pi[term] = 0.0
-        P_pi[term, term] = 1.0
     d = np.linalg.solve(np.eye(S) - gamma * P_pi.T, mdp.p0)
-    rho = d[:, None] * P_pi
-    if mdp.terminal is not None and mdp.terminal.any():
-        rho[mdp.terminal] = 0.0
-    return StateTransitionOccupancy(gamma, mass=rho)
+    return StateTransitionOccupancy(gamma, mass=d[:, None] * P_pi)
 
 
-def empirical_occupancy(trajectories, gamma, bins=None, n_states=None):
+def empirical_occupancy(episodes, gamma, bins=None, n_states=None):
     """Estimate the occupancy from rollouts; step t weighs gamma^t, averaged
     over episodes.
 
-    trajectories is an (episodes, T+1) integer array of tabular state
-    indices (the output of envs.simulate_tabular) or a sequence of
-    episodes, each a Trajectory (aborted ones are skipped) or an array of
-    its states: (T+1,) indices for a tabular estimate, (T+1, dim) for a
-    binned one. Tabular inputs need n_states and give a dense S x S mass;
-    continuous inputs need a BinSpec and give a mass_map keyed by
+    episodes is an (E, T+1) integer array of tabular state indices
+    (the output of envs.simulate_tabular) or a sequence with one array of
+    states per episode: (T+1,) indices for a tabular estimate, (T+1, dim)
+    for a binned one. Tabular inputs need n_states and give a dense S x S
+    mass; continuous inputs need a BinSpec and give a mass_map keyed by
     (bin(s), bin(s')) in order of first appearance.
     """
-    if isinstance(trajectories, np.ndarray) and n_states is None:
+    if isinstance(episodes, np.ndarray) and n_states is None:
         raise ValueError("index-array input requires n_states")
-    episodes = []
-    for tr in trajectories:
-        if isinstance(tr, np.ndarray):
-            episodes.append(tr)
-        elif tr.aborted:
-            continue
-        elif n_states is None:
-            episodes.append(tr.states)
-        elif tr.state_indices is None:
-            raise ValueError("tabular estimate requires trajectories with state indices")
-        else:
-            episodes.append(tr.state_indices)
+    episodes = list(episodes)
     lengths = np.array([len(ep) for ep in episodes], dtype=np.int64)
     if not episodes or lengths.min() == 0:
         raise ValueError("empty trajectory set")

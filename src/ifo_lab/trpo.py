@@ -339,7 +339,6 @@ class RolloutBatch:
 
     @classmethod
     def from_trajectories(cls, trajectories):
-        trajectories = [tr for tr in trajectories if not tr.aborted and tr.n_steps > 0]
         states = np.concatenate([tr.states[:-1] for tr in trajectories])
         next_states = np.concatenate([tr.states[1:] for tr in trajectories])
         actions = np.concatenate([np.asarray(tr.actions) for tr in trajectories])

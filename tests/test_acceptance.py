@@ -40,7 +40,7 @@ def _rel_err(analytic, fd):
     return float(np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8))
 
 
-def _random_no_terminal_mdp(rng, n_states, n_actions):
+def _random_mdp(rng, n_states, n_actions):
     return il.TabularMDP(
         P=rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)),
         R=rng.normal(size=(n_states, n_actions)),
@@ -164,7 +164,7 @@ def test_criterion_1_gradient_exactness(capfd):
 
 def test_criterion_2_occupancy_oracle(capfd):
     """Total occupancy mass equals 1/(1-gamma) within 1e-9 on 20 random
-    no-terminal MDPs; the two-state alternation hand case matches within
+    MDPs; the two-state alternation hand case matches within
     1e-12; < 10 s."""
     start = time.time()
     rng = np.random.default_rng(42)
@@ -172,7 +172,7 @@ def test_criterion_2_occupancy_oracle(capfd):
     for _ in range(20):
         n_states = int(rng.integers(2, 9))
         n_actions = int(rng.integers(2, 5))
-        mdp = _random_no_terminal_mdp(rng, n_states, n_actions)
+        mdp = _random_mdp(rng, n_states, n_actions)
         table = rng.dirichlet(np.ones(n_actions), size=n_states)
         gamma = float(rng.uniform(0.5, 0.99))
         occ = occupancy.exact_occupancy(mdp, table, gamma)

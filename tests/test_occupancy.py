@@ -9,6 +9,8 @@ paths are bit-identical with scalar powers and within 1e-14 of the loops
 as they were.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,29 +35,28 @@ def scalar_powers(gamma, n):
     return np.array([gamma**t for t in range(n)], dtype=np.float64)
 
 
-def old_empirical_occupancy(trajectories, gamma, bins=None, n_states=None,
+def old_empirical_occupancy(episodes, gamma, bins=None, n_states=None,
                             powers=numpy_powers):
-    """The per-transition estimator as it was before vectorization."""
-    if isinstance(trajectories, np.ndarray):
-        E, T1 = trajectories.shape
+    """The per-transition estimator as it was before vectorization, over a
+    2-D index array or one array of states per episode."""
+    if isinstance(episodes, np.ndarray):
+        E, T1 = episodes.shape
         weights = powers(gamma, T1 - 1)
         mass = np.zeros((n_states, n_states))
-        flat = trajectories[:, :-1] * n_states + trajectories[:, 1:]
+        flat = episodes[:, :-1] * n_states + episodes[:, 1:]
         for t in range(T1 - 1):
             mass.ravel()[:] += np.bincount(flat[:, t], minlength=n_states * n_states) * weights[t]
         return occupancy.StateTransitionOccupancy(gamma, mass=mass / E)
-    trajectories = [tr for tr in trajectories if not tr.aborted]
-    n_eps = len(trajectories)
+    n_eps = len(episodes)
     if n_states is not None:
         mass = np.zeros((n_states, n_states))
-        for tr in trajectories:
-            idx = tr.state_indices
+        for idx in episodes:
             np.add.at(mass, (idx[:-1], idx[1:]), powers(gamma, len(idx) - 1))
         return occupancy.StateTransitionOccupancy(gamma, mass=mass / n_eps)
     mass_map = {}
-    for tr in trajectories:
-        for t in range(tr.n_steps):
-            key = (old_bin_index(bins, tr.states[t]), old_bin_index(bins, tr.states[t + 1]))
+    for states in episodes:
+        for t in range(len(states) - 1):
+            key = (old_bin_index(bins, states[t]), old_bin_index(bins, states[t + 1]))
             mass_map[key] = mass_map.get(key, 0.0) + gamma**t
     for k in mass_map:
         mass_map[k] /= n_eps
@@ -81,17 +82,22 @@ def old_demo_occupancy(demos, gamma, n_states=None, bins=None, powers=numpy_powe
     return occupancy.StateTransitionOccupancy(gamma, mass_map=mass_map, bins=bins)
 
 
+Episode = namedtuple("Episode", "states indices aborted")
+
+
 @st.composite
 def episode_sets(draw):
     """Variable-length episodes (zero-step and aborted ones included) with
     continuous states on, between and outside the bin bounds, and tabular
-    indices, plus the BinSpec, n_states and gamma to estimate them with."""
+    indices, plus the BinSpec, n_states and gamma to estimate them with. An
+    aborted episode ends in a NaN state; the per-episode estimates take only
+    the others, as a trainer passes only whole episodes."""
     dim = draw(st.integers(1, 3))
     lows = draw(st.lists(st.floats(-3.0, 0.0), min_size=dim, max_size=dim))
     widths = draw(st.lists(st.floats(0.1, 3.0), min_size=dim, max_size=dim))
     bins = occupancy.BinSpec.from_bounds(lows, np.add(lows, widths), bins=draw(st.integers(1, 5)))
     n_states = draw(st.integers(1, 5))
-    trajs = []
+    episodes = []
     for k in range(draw(st.integers(1, 6))):
         T = draw(st.integers(0, 8))
         states = np.empty((T + 1, dim))
@@ -103,9 +109,8 @@ def episode_sets(draw):
         if aborted:
             states[-1] = np.nan
         idx = np.array(draw(st.lists(st.integers(0, n_states - 1), min_size=T + 1, max_size=T + 1)))
-        trajs.append(envs.Trajectory(states=states, actions=np.zeros(T), rewards=np.zeros(T),
-                                     seed=k, state_indices=idx, aborted=aborted))
-    return trajs, bins, n_states, draw(st.floats(0.5, 0.999))
+        episodes.append(Episode(states, idx, aborted))
+    return episodes, bins, n_states, draw(st.floats(0.5, 0.999))
 
 
 def random_mdp(rng, n_states, n_actions):
@@ -170,39 +175,21 @@ class TestExactOccupancy:
         occ_b = occupancy.exact_occupancy(mdp, pi_b, 0.9)
         np.testing.assert_allclose(occ_a.mass, occ_b.mass, atol=1e-12)
 
-    def test_terminal_states_contribute_no_outgoing_mass(self):
-        P = np.zeros((2, 1, 2))
-        P[0, 0, 1] = 1.0
-        P[1, 0, 1] = 1.0
-        mdp = envs.TabularMDP(P=P, R=np.zeros((2, 1)), p0=np.array([1.0, 0.0]),
-                              terminal=np.array([False, True]))
-        occ = occupancy.exact_occupancy(mdp, np.ones((2, 1)), 0.9)
-        assert np.all(occ.mass[1] == 0.0)
-        assert occ.mass[0, 1] == pytest.approx(1.0)
-
 
 class TestEmpiricalOccupancy:
     def test_single_one_step_episode(self):
-        tr = envs.Trajectory(states=np.eye(2), actions=np.array([0]),
-                             rewards=np.zeros(1), seed=0,
-                             state_indices=np.array([0, 1]))
-        occ = occupancy.empirical_occupancy([tr], 0.7, n_states=2)
+        occ = occupancy.empirical_occupancy([np.array([0, 1])], 0.7, n_states=2)
         assert occ.mass[0, 1] == pytest.approx(1.0)
         assert occ.total_mass() == pytest.approx(1.0)
 
     def test_duplicate_episodes_average_to_one(self):
-        tr = envs.Trajectory(states=np.eye(2), actions=np.array([0]),
-                             rewards=np.zeros(1), seed=0,
-                             state_indices=np.array([0, 1]))
-        one = occupancy.empirical_occupancy([tr], 0.7, n_states=2)
-        two = occupancy.empirical_occupancy([tr, tr], 0.7, n_states=2)
+        idx = np.array([0, 1])
+        one = occupancy.empirical_occupancy([idx], 0.7, n_states=2)
+        two = occupancy.empirical_occupancy([idx, idx], 0.7, n_states=2)
         np.testing.assert_allclose(one.mass, two.mass)
 
     def test_discount_weighting(self):
-        tr = envs.Trajectory(states=np.eye(3), actions=np.zeros(2, int),
-                             rewards=np.zeros(2), seed=0,
-                             state_indices=np.array([0, 1, 2]))
-        occ = occupancy.empirical_occupancy([tr], 0.5, n_states=3)
+        occ = occupancy.empirical_occupancy([np.array([0, 1, 2])], 0.5, n_states=3)
         assert occ.mass[0, 1] == pytest.approx(1.0)
         assert occ.mass[1, 2] == pytest.approx(0.5)
 
@@ -213,20 +200,15 @@ class TestEmpiricalOccupancy:
     def test_index_array_input_matches_trajectory_input(self):
         arr = np.array([[0, 1, 0], [0, 1, 1]])
         occ_arr = occupancy.empirical_occupancy(arr, 0.9, n_states=2)
-        trajs = []
-        for row in arr:
-            trajs.append(envs.Trajectory(
-                states=np.eye(2)[row], actions=np.zeros(2, int),
-                rewards=np.zeros(2), seed=0, state_indices=row))
-        occ_tr = occupancy.empirical_occupancy(trajs, 0.9, n_states=2)
+        # one index array per episode, decoded from its one-hot states
+        episodes = [np.argmax(np.eye(2)[row], axis=1) for row in arr]
+        occ_tr = occupancy.empirical_occupancy(episodes, 0.9, n_states=2)
         np.testing.assert_allclose(occ_arr.mass, occ_tr.mass)
 
     def test_binned_continuous_occupancy(self):
         bins = occupancy.BinSpec.from_bounds([-1.0], [1.0], bins=4)
         states = np.array([[-0.9], [-0.1], [0.9]])
-        tr = envs.Trajectory(states=states, actions=np.zeros(2),
-                             rewards=np.zeros(2), seed=0)
-        occ = occupancy.empirical_occupancy([tr], 0.5, bins=bins)
+        occ = occupancy.empirical_occupancy([states], 0.5, bins=bins)
         assert occ.mass_map[((0,), (1,))] == pytest.approx(1.0)
         assert occ.mass_map[((1,), (3,))] == pytest.approx(0.5)
 
@@ -244,11 +226,8 @@ class TestEmpiricalOccupancy:
 
 
     def test_out_of_range_trajectory_index_rejected(self):
-        tr = envs.Trajectory(states=np.eye(3)[[0, 2]], actions=np.array([0]),
-                             rewards=np.zeros(1), seed=0,
-                             state_indices=np.array([0, -1]))
         with pytest.raises(ValueError, match=r"state index -1 outside \[0, 3\)"):
-            occupancy.empirical_occupancy([tr], 0.9, n_states=3)
+            occupancy.empirical_occupancy([np.array([0, -1])], 0.9, n_states=3)
 
     def test_out_of_range_array_index_rejected(self):
         with pytest.raises(ValueError, match=r"state index 3 outside \[0, 3\)"):
@@ -261,38 +240,39 @@ class TestEstimatorParity:
     @settings(max_examples=60, deadline=None)
     @given(episode_sets())
     def test_matches_per_transition_loops(self, case):
-        trajs, bins, n_states, gamma = case
-        live = [tr for tr in trajs if not tr.aborted]
+        episodes, bins, n_states, gamma = case
+        states = [ep.states for ep in episodes if not ep.aborted]
+        indices = [ep.indices for ep in episodes if not ep.aborted]
 
-        new = occupancy.empirical_occupancy(trajs, gamma, bins=bins)
-        old = old_empirical_occupancy(trajs, gamma, bins=bins)
+        new = occupancy.empirical_occupancy(states, gamma, bins=bins)
+        old = old_empirical_occupancy(states, gamma, bins=bins)
         assert list(new.mass_map.items()) == list(old.mass_map.items())
         assert new.total_mass() == old.total_mass()
-        for tr in live:
-            grid = bins.indices(tr.states)
-            assert [tuple(row) for row in grid.tolist()] == [old_bin_index(bins, x) for x in tr.states]
+        for x in states:
+            grid = bins.indices(x)
+            assert [tuple(row) for row in grid.tolist()] == [old_bin_index(bins, s) for s in x]
 
-        ref_new = occupancy.empirical_occupancy(live[-1:], gamma, bins=bins)
-        ref_old = old_empirical_occupancy(live[-1:], gamma, bins=bins)
+        ref_new = occupancy.empirical_occupancy(states[-1:], gamma, bins=bins)
+        ref_old = old_empirical_occupancy(states[-1:], gamma, bins=bins)
         if new.total_mass() > 0 and ref_new.total_mass() > 0:
             assert (occupancy.occupancy_distance(new, ref_new)
                     == occupancy.occupancy_distance(old, ref_old))
 
-        demos = imitation.DemonstrationSet("test", len(bins.lows), [tr.states for tr in live], 0, 0.0)
+        demos = imitation.DemonstrationSet("test", len(bins.lows), states, 0, 0.0)
         new = imitation.demo_occupancy(demos, gamma, bins=bins)
         old = old_demo_occupancy(demos, gamma, bins=bins)
         assert list(new.mass_map.items()) == list(old.mass_map.items())
 
-        new = occupancy.empirical_occupancy(trajs, gamma, n_states=n_states)
+        new = occupancy.empirical_occupancy(indices, gamma, n_states=n_states)
         np.testing.assert_array_equal(
-            new.mass, old_empirical_occupancy(trajs, gamma, n_states=n_states,
+            new.mass, old_empirical_occupancy(indices, gamma, n_states=n_states,
                                               powers=scalar_powers).mass)
         np.testing.assert_allclose(
-            new.mass, old_empirical_occupancy(trajs, gamma, n_states=n_states).mass,
+            new.mass, old_empirical_occupancy(indices, gamma, n_states=n_states).mass,
             rtol=1e-14, atol=0.0)
 
         one_hot = imitation.DemonstrationSet(
-            "test", n_states, [np.eye(n_states)[tr.state_indices] for tr in live], 0, 0.0)
+            "test", n_states, [np.eye(n_states)[idx] for idx in indices], 0, 0.0)
         new = imitation.demo_occupancy(one_hot, gamma, n_states=n_states)
         np.testing.assert_array_equal(
             new.mass, old_demo_occupancy(one_hot, gamma, n_states=n_states,
@@ -301,8 +281,8 @@ class TestEstimatorParity:
             new.mass, old_demo_occupancy(one_hot, gamma, n_states=n_states).mass,
             rtol=1e-14, atol=0.0)
 
-        T1 = len(trajs[0].state_indices)
-        arr = np.array([tr.state_indices[:T1] for tr in trajs if len(tr.state_indices) >= T1])
+        T1 = len(episodes[0].indices)
+        arr = np.array([ep.indices[:T1] for ep in episodes if len(ep.indices) >= T1])
         np.testing.assert_allclose(
             occupancy.empirical_occupancy(arr, gamma, n_states=n_states).mass,
             old_empirical_occupancy(arr, gamma, n_states=n_states).mass,
@@ -312,9 +292,9 @@ class TestEstimatorParity:
         # 16 bins over 16 dimensions: 2^64 cells per state
         env = envs.PointMass(dim=8, horizon=30)
         bins = occupancy.BinSpec.from_bounds(*env.state_bounds, bins=16)
-        trajs = envs.rollout(envs.RandomPolicy(env.spec), env, 5, seed=2)
-        new = occupancy.empirical_occupancy(trajs, 0.9, bins=bins)
-        old = old_empirical_occupancy(trajs, 0.9, bins=bins)
+        states = [tr.states for tr in envs.rollout(envs.RandomPolicy(env.spec), env, 5, seed=2)]
+        new = occupancy.empirical_occupancy(states, 0.9, bins=bins)
+        old = old_empirical_occupancy(states, 0.9, bins=bins)
         assert len(new.mass_map) > 10
         assert list(new.mass_map.items()) == list(old.mass_map.items())
 
@@ -322,11 +302,11 @@ class TestEstimatorParity:
         env = envs.PointMass(horizon=60)
         bins = occupancy.BinSpec.from_bounds(*env.state_bounds, bins=16)
         expert = imitation.record_demonstrations(envs.PointMassController(env), env, 4, 1)
-        trajs = envs.rollout(envs.RandomPolicy(env.spec), env, 12, seed=5)
+        states = [tr.states for tr in envs.rollout(envs.RandomPolicy(env.spec), env, 12, seed=5)]
         new_ref = imitation.demo_occupancy(expert, 0.99, bins=bins)
         old_ref = old_demo_occupancy(expert, 0.99, bins=bins)
-        new = occupancy.empirical_occupancy(trajs, 0.99, bins=bins)
-        old = old_empirical_occupancy(trajs, 0.99, bins=bins)
+        new = occupancy.empirical_occupancy(states, 0.99, bins=bins)
+        old = old_empirical_occupancy(states, 0.99, bins=bins)
         assert list(new.mass_map.items()) == list(old.mass_map.items())
         assert list(new_ref.mass_map.items()) == list(old_ref.mass_map.items())
         assert (occupancy.occupancy_distance(new, new_ref)
