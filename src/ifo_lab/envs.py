@@ -2,13 +2,12 @@
 
 Environments expose:
   reset(keys) -> (n, obs_dim) observations, one episode per uint64 key
-  step(actions, episodes=None) -> (obs, rewards, dones)
+  step(actions) -> (obs, rewards, dones)
   spec: EnvSpec
-step takes actions with a leading episode axis and returns arrays with that
-axis. With `episodes` it steps only the listed episodes, so that a rollout
-can drop an aborted episode and go on with the rest; stepping an episode
-before reset or after its end is an error. An episode ends at the horizon
-and nowhere else. One episode is a batch of one.
+step takes one action per episode of the batch, with a leading episode
+axis, and returns arrays with that axis: the whole batch steps together.
+Stepping before reset or after the horizon is an error. An episode ends at
+the horizon and nowhere else. One episode is a batch of one.
 Tabular environments additionally expose .mdp (a TabularMDP) and
 .state_index, the (n,) current discrete states that their one-hot
 observations encode. Continuous dynamics are integrated with fixed-step
@@ -165,34 +164,27 @@ def _row_dot(x):
 
 
 class _EpisodeBatch:
-    """Reset/step bookkeeping shared by the environments: per-episode step
-    counts over a batch of episodes."""
+    """Reset/step bookkeeping shared by the environments: one step count
+    for a batch of episodes that step together."""
 
     _t = None
 
     def _begin(self, keys, k):
         """Start one episode per key; returns k uniforms each for its first state."""
         self._keys = np.asarray(keys, dtype=np.uint64)
-        self._all = np.arange(len(self._keys))
-        self._t = np.zeros(len(self._keys), dtype=int)
+        self._t = 0
         return uniforms(self._keys, 0, ENV_SLOT, k)
 
-    def _rows(self, actions, episodes):
-        """(episode indices, actions) of a step."""
+    def _check_step(self):
         if self._t is None:
             raise RuntimeError("step before reset")
-        if episodes is None:
-            rows = self._all
-        else:
-            rows = np.asarray(episodes, dtype=int)
-        if np.any(self._t[rows] >= self.spec.horizon):
+        if self._t >= self.spec.horizon:
             raise RuntimeError("step after episode end")
-        return rows, np.asarray(actions)
 
-    def _advance(self, rows):
-        """Count one step of rows; returns their done flags."""
-        self._t[rows] += 1
-        return self._t[rows] >= self.spec.horizon
+    def _advance(self):
+        """Count one step; returns the batch's done flags."""
+        self._t += 1
+        return np.full(len(self._keys), self._t >= self.spec.horizon)
 
 
 class TabularEnv(_EpisodeBatch):
@@ -214,20 +206,20 @@ class TabularEnv(_EpisodeBatch):
         self.state_index = sample_categorical(p0, u)
         return self._eye[self.state_index]
 
-    def step(self, actions, episodes=None):
-        rows, a = self._rows(actions, episodes)
-        if a.shape != rows.shape:
-            raise ValueError(f"{a.shape} actions for {len(rows)} episodes")
+    def step(self, actions):
+        self._check_step()
+        a = np.asarray(actions)
+        if a.shape != self._keys.shape:
+            raise ValueError(f"{a.shape} actions for {len(self._keys)} episodes")
         a = a.astype(int)
         bad = (a < 0) | (a >= self.mdp.n_actions)
         if np.any(bad):
             raise ValueError(f"action {a[bad][0]} outside 0..{self.mdp.n_actions - 1}")
-        s = self.state_index[rows]
+        s = self.state_index
         reward = self.mdp.R[s, a]
-        u = uniforms(self._keys[rows], self._t[rows] + 1, ENV_SLOT, 1)[:, 0]
-        s_next = sample_categorical(self.mdp.P[s, a], u)
-        self.state_index[rows] = s_next
-        return self._eye[s_next], reward, self._advance(rows)
+        u = uniforms(self._keys, self._t + 1, ENV_SLOT, 1)[:, 0]
+        self.state_index = sample_categorical(self.mdp.P[s, a], u)
+        return self._eye[self.state_index], reward, self._advance()
 
 
 def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40, gamma=0.95):
@@ -278,19 +270,18 @@ class PointMass(_EpisodeBatch):
         self._vel = np.zeros_like(self._pos)
         return np.concatenate([self._pos, self._vel], axis=1)
 
-    def step(self, actions, episodes=None):
-        rows, a = self._rows(actions, episodes)
-        a = np.clip(a.astype(np.float64), self.spec.action_low, self.spec.action_high)
-        if a.shape != (len(rows), self.dim):
-            raise ValueError(f"action shape {a.shape} != ({len(rows)}, {self.dim})")
-        vel = self._vel[rows] + self.dt * a
-        pos = self._pos[rows] + self.dt * vel
-        self._vel[rows] = vel
-        self._pos[rows] = pos
-        err = pos - self.target
+    def step(self, actions):
+        self._check_step()
+        a = np.clip(np.asarray(actions, dtype=np.float64),
+                    self.spec.action_low, self.spec.action_high)
+        if a.shape != self._pos.shape:
+            raise ValueError(f"action shape {a.shape} != {self._pos.shape}")
+        self._vel = self._vel + self.dt * a
+        self._pos = self._pos + self.dt * self._vel
+        err = self._pos - self.target
         reward = -_row_dot(err) - self.action_cost * _row_dot(a)
-        obs = np.concatenate([pos, vel], axis=1)
-        return obs, reward, self._advance(rows)
+        obs = np.concatenate([self._pos, self._vel], axis=1)
+        return obs, reward, self._advance()
 
 
 class PendulumSwingup(_EpisodeBatch):
@@ -336,22 +327,19 @@ class PendulumSwingup(_EpisodeBatch):
         self._omega = jitter[:, 1]
         return self._obs(self._theta, self._omega)
 
-    def step(self, actions, episodes=None):
-        rows, a = self._rows(actions, episodes)
-        a = a.astype(np.float64)
-        if a.size != len(rows):
+    def step(self, actions):
+        self._check_step()
+        a = np.asarray(actions, dtype=np.float64)
+        if a.size != len(self._theta):
             raise ValueError(f"action shape {a.shape}: one torque per episode expected")
         u = np.clip(a.reshape(-1), -self.max_torque, self.max_torque)
-        theta, omega = self._theta[rows], self._omega[rows]
-        acc = (self.g / self.length) * np.sin(theta) \
-            + u / (self.m * self.length**2) - self.damping * omega
-        omega = omega + self.dt * acc
-        theta = theta + self.dt * omega
-        theta = (theta + np.pi) % (2 * np.pi) - np.pi
-        self._theta[rows] = theta
-        self._omega[rows] = omega
-        reward = np.cos(theta) - self.torque_cost * u * u
-        return self._obs(theta, omega), reward, self._advance(rows)
+        acc = (self.g / self.length) * np.sin(self._theta) \
+            + u / (self.m * self.length**2) - self.damping * self._omega
+        self._omega = self._omega + self.dt * acc
+        theta = self._theta + self.dt * self._omega
+        self._theta = (theta + np.pi) % (2 * np.pi) - np.pi
+        reward = np.cos(self._theta) - self.torque_cost * u * u
+        return self._obs(self._theta, self._omega), reward, self._advance()
 
 
 class RandomPolicy:
@@ -406,10 +394,14 @@ def rollout(policy, env, n_episodes, seed, deterministic=False):
     """Run n_episodes episodes whose keys derive from the master seed.
 
     The episodes run in lockstep to the horizon: each time step t makes one
-    batched policy act and one batched env step over the running episodes.
-    A policy emitting a non-finite action row aborts that row's episode,
-    which is returned cut short with aborted=True.
+    policy act and one env step over all n episodes. A policy emitting a
+    non-finite action row aborts that row's episode: the episode is
+    returned cut short at that step with aborted=True, and the batch goes on
+    stepping it with a zero action so that it stays whole. The rollout stops
+    early once every episode has aborted.
     """
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     keys = np.random.SeedSequence(seed).generate_state(n_episodes, np.uint64)
     spec = env.spec
     horizon = spec.horizon
@@ -423,19 +415,17 @@ def rollout(policy, env, n_episodes, seed, deterministic=False):
     lengths = np.full(n_episodes, horizon)  # or the step at which an episode aborted
 
     states[:, 0] = env.reset(keys)
-    live = np.arange(n_episodes)
     for t in range(horizon):
-        a = np.asarray(policy.act(states[live, t], keys[live], t,
-                                  deterministic=deterministic))
-        finite = np.isfinite(a.reshape(len(live), -1)).all(axis=1)
+        a = np.asarray(policy.act(states[:, t], keys, t, deterministic=deterministic))
+        finite = np.isfinite(a.reshape(n_episodes, -1)).all(axis=1)
         if not finite.all():
-            lengths[live[~finite]] = t
-            live = live[finite]
-            if not live.size:
+            lengths[~finite & (lengths > t)] = t
+            if np.all(lengths <= t):
                 break
-            a = a[finite]
-        states[live, t + 1], rewards[live, t], _ = env.step(a, live)
-        actions[live, t] = a
+            a = a.copy()
+            a[~finite] = 0
+        states[:, t + 1], rewards[:, t], _ = env.step(a)
+        actions[:, t] = a
     return [
         Trajectory(
             states=states[i, : n + 1], actions=actions[i, :n], rewards=rewards[i, :n],

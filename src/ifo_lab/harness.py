@@ -29,13 +29,16 @@ from .imitation import (DemonstrationSet, DemonstrationSetWithActions,
 
 THREADS_ENV_VAR = "IFO_LAB_THREADS"
 
-_ENV_KEYS = {
-    "name": str,
-    "width": int, "height": int, "slip_prob": float,
-    "horizon": int, "gamma": float,
-    "dim": int, "init_radius": float, "dt": float, "action_cost": float,
-    "max_torque": float, "damping": float,
+_COMMON_ENV_KEYS = {"horizon": int, "gamma": float}
+# [env] name -> (factory, the keys it takes besides name, horizon and gamma)
+_ENVS = {
+    "gridworld": (envs.gridworld, {"width": int, "height": int, "slip_prob": float}),
+    "point_mass": (envs.PointMass, {"dim": int, "init_radius": float, "dt": float,
+                                    "action_cost": float}),
+    "pendulum": (envs.PendulumSwingup, {"dt": float, "max_torque": float, "damping": float}),
 }
+_ENV_KEYS = {"name": str, **_COMMON_ENV_KEYS,
+             **{k: t for _, keys in _ENVS.values() for k, t in keys.items()}}
 
 _RUN_KEYS = {
     "seed": int,
@@ -88,6 +91,8 @@ class ExperimentConfig:
     def __init__(self, env=None, train=None, run=None):
         self.env = {"name": "gridworld", **(env or {})}
         self.run = {**_RUN_DEFAULTS, **(run or {})}
+        if self.run["n_demos"] < 1:
+            raise ValueError(f"[run] n_demos must be >= 1, got {self.run['n_demos']}")
         train = dict(train or {})
         if "hidden" in train:
             train["hidden"] = tuple(train["hidden"])
@@ -129,16 +134,20 @@ class ExperimentConfig:
 
 
 def make_env(env_cfg):
-    """Environment factory keyed by the [env] section's name."""
+    """Environment factory keyed by the [env] section's name. A key of
+    another environment, or an integer value below 1, is rejected."""
     cfg = dict(env_cfg)
     name = cfg.pop("name")
-    if name == "gridworld":
-        return envs.gridworld(**cfg)
-    if name == "point_mass":
-        return envs.PointMass(**cfg)
-    if name == "pendulum":
-        return envs.PendulumSwingup(**cfg)
-    raise ValueError(f"unknown environment {name!r}")
+    if name not in _ENVS:
+        raise ValueError(f"unknown environment {name!r}")
+    factory, keys = _ENVS[name]
+    keys = {**_COMMON_ENV_KEYS, **keys}
+    for key, value in cfg.items():
+        if key not in keys:
+            raise ValueError(f"[env] {key} does not apply to environment {name!r}")
+        if keys[key] is int and value < 1:
+            raise ValueError(f"[env] {key} of environment {name!r} must be >= 1, got {value}")
+    return factory(**cfg)
 
 
 def n_workers():
@@ -316,7 +325,7 @@ def cli_dispatch(args):
     env = make_env(config.env)
 
     if args.command == "train-expert":
-        iterations = args.iterations or config.run["expert_iterations"]
+        iterations = config.run["expert_iterations"] if args.iterations is None else args.iterations
         policy, report = train_expert(env, config.train, iterations, seed)
         out_dir = _write_run(config.run_dir(seed, args.out, tag="expert"),
                              policy, report, policy_name="expert_policy.mlp")
@@ -326,7 +335,7 @@ def cli_dispatch(args):
 
     if args.command == "record-demos":
         expert = _load_policy(env, args.expert)
-        n = args.n or config.run["n_demos"]
+        n = config.run["n_demos"] if args.n is None else args.n
         recorder = (record_demonstrations_with_actions if args.with_actions
                     else record_demonstrations)
         demos = recorder(expert, env, n, seed)

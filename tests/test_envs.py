@@ -241,13 +241,23 @@ class TestRollout:
         assert all(tr.n_steps == 17 for tr in trajs)
 
     def test_non_finite_action_aborts_episode(self):
+        calls = []
+
         class BadPolicy:
             def act(self, obs, keys, t, deterministic=False):
+                calls.append(t)
                 return np.array([np.nan, 0.0])
 
         env = envs.PointMass()
         trajs = envs.rollout(BadPolicy(), env, 1, 0)
-        assert trajs[0].aborted
+        assert trajs[0].aborted and trajs[0].n_steps == 0
+        assert calls == [0]  # the rollout stops once every episode has aborted
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_episodes_rejected(self, n):
+        env = envs.PointMass()
+        with pytest.raises(ValueError, match="n_episodes"):
+            envs.rollout(envs.RandomPolicy(env.spec), env, n, 0)
 
     def test_empirical_visitation_matches_dp(self):
         # uniform policy on a slippery gridworld: discounted visitation from
@@ -286,23 +296,6 @@ class TestBatchedStepping:
         np.testing.assert_array_equal(obs[1:2], envs.PointMass().reset([4]))
         obs, rewards, dones = env.step(np.zeros((3, 2)))
         assert obs.shape == (3, 4) and rewards.shape == (3,) and dones.shape == (3,)
-
-    def test_subset_of_episodes_steps_alone(self):
-        env = envs.gridworld(3, 3, slip_prob=0.0, horizon=4)
-        env.reset([0, 1, 2])
-        obs, rewards, dones = env.step(np.array([0, 2]), episodes=[0, 2])
-        assert obs.shape == (2, 9)
-        np.testing.assert_array_equal(env.state_index, [1, 0, 3])
-
-    def test_step_after_episode_end_rejected_per_episode(self):
-        env = envs.PointMass(horizon=2)
-        env.reset([0, 1])
-        env.step(np.zeros((2, 2)))
-        env.step(np.zeros((1, 2)), episodes=[0])
-        with pytest.raises(RuntimeError):
-            env.step(np.zeros((2, 2)))
-        _, _, done = env.step(np.zeros((1, 2)), episodes=[1])
-        assert done[0]
 
     def test_step_before_reset_rejected(self):
         for env in (envs.gridworld(2, 2), envs.PointMass(), envs.PendulumSwingup()):
@@ -520,25 +513,36 @@ class TestLockstepRollout:
             assert tr.states.base is not None  # a view into the batch buffer
 
     def test_non_finite_row_aborts_only_its_episode(self):
-        env = envs.PointMass(horizon=40)
-        expert = envs.PointMassController(env)
-        clean = envs.rollout(expert, env, 4, seed=2)
-        trigger = clean[2].states[10]
+        cases = [c for c in _CASES
+                 if c[0] in ("pointmass-controller", "pointmass-gaussian", "gridworld-tabular")]
+        for _, env, policy in cases:
+            self.check_abort_in_batch(env, policy)
 
-        class NanAtState:
-            """The controller, except NaN on reaching one episode's state."""
+    @staticmethod
+    def check_abort_in_batch(env, policy):
+        """One episode of four aborts at step 10; the batch stays whole."""
+        tabular = env.spec.state_count > 0
+        clean = envs.rollout(policy, env, 4, seed=2)
+        key = clean[2].seed
+        rows_seen = []
+
+        class NanAtStep:
+            """The policy, except NaN in one episode's row from step 10 on."""
 
             def act(self, obs, keys, t, deterministic=False):
-                a = np.array(expert.act(obs, keys, t), dtype=np.float64)
-                a[np.all(np.abs(obs - trigger) < 1e-12, axis=-1)] = np.nan
+                rows_seen.append(len(obs))
+                a = np.array(policy.act(obs, keys, t), dtype=np.float64)
+                a[(np.asarray(keys) == key) & (t >= 10)] = np.nan
                 return a
 
-        got = envs.rollout(NanAtState(), env, 4, seed=2)
-        assert_same_episodes(got, reference_rollout(NanAtState(), env, 4, seed=2),
-                             tabular=False)
+        got = envs.rollout(NanAtStep(), env, 4, seed=2)
+        # every act call covers the whole batch, the aborted episode too
+        assert rows_seen == [4] * env.spec.horizon
+        assert_same_episodes(got, reference_rollout(NanAtStep(), env, 4, seed=2), tabular)
         assert [tr.aborted for tr in got] == [False, False, True, False]
         assert got[2].n_steps == 10
         np.testing.assert_array_equal(got[2].states, clean[2].states[:11])
         for i in (0, 1, 3):
             np.testing.assert_array_equal(got[i].states, clean[i].states)
             np.testing.assert_array_equal(got[i].actions, clean[i].actions)
+            np.testing.assert_array_equal(got[i].rewards, clean[i].rewards)

@@ -8,15 +8,16 @@ entries) were recorded with float64 numpy 2.4 and OpenBLAS at 2 threads on a
 2-CPU x86-64 machine. Each run trains in a child interpreter with
 OPENBLAS_NUM_THREADS=2 and hands its parameters back as float.hex strings,
 so the verdict does not depend on the thread count of the calling shell
-(with 1 thread the gridworld parameters differ in the last bits). Changes to
-the hot paths must keep them:
+(a child at 1 thread lands exactly on the three gridworld recordings and
+within 2.4e-12 of the point-mass ones). Changes to the hot paths must keep
+them:
 
 - gridworld bit for bit: its rollouts make the same counter-based draws
   (envs.random_bits), so nothing may differ.
 - point-mass within 1e-9 per entry: a batched GEMM row may differ from a
   one-row product in the last bit, and three TRPO steps grow that to about
-  2e-14 here. A different BLAS thread count moves the same entries by up to
-  6e-14. Any change of behaviour moves them by orders of magnitude more.
+  2e-14 here. Going from 2 BLAS threads to 1 moves its parameters by up
+  to 2.2e-12. Any change of behaviour moves them by orders of magnitude more.
 
 A labelled behaviour change first reports how far each recording moved,
 the largest absolute deviation of its norm and sampled entries from the

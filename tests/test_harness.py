@@ -74,6 +74,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_ini(path)
 
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_no_demos_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[run]\nn_demos = {value}\n")
+        with pytest.raises(ValueError, match=r"\[run\] n_demos"):
+            ExperimentConfig.from_ini(path)
+
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -129,6 +136,14 @@ class TestMakeEnv:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_env({"name": "mujoco"})
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("gridworld", "width", 0), ("gridworld", "height", -1), ("gridworld", "horizon", 0),
+        ("point_mass", "dim", 0), ("gridworld", "max_torque", 1.0),
+        ("gridworld", "dim", 2), ("point_mass", "width", 3), ("pendulum", "init_radius", 1.0)])
+    def test_bad_value_or_foreign_key_rejected(self, name, key, value):
+        with pytest.raises(ValueError, match=f"{key}.*{name}"):
+            make_env({"name": name, key: value})
 
 
 class TestWorkers:
@@ -221,6 +236,25 @@ class TestCli:
         assert rc != 0
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
+
+    def test_zero_iterations_flag_kept(self, config_file, tmp_path, capsys):
+        # the config's expert_iterations is 2; --iterations 0 trains none
+        assert self.run("train-expert", "--config", str(config_file),
+                        "--out", str(tmp_path), "--iterations", "0") == 0
+        run_dir = Path(json.loads(capsys.readouterr().out.splitlines()[-1])["run_dir"])
+        assert json.loads((run_dir / "summary.json").read_text())["iterations"] == 0
+
+    def test_zero_demos_flag_kept(self, config_file, tmp_path, capsys):
+        # the config's n_demos is 3; --n 0 reaches the recorder and is rejected
+        env = make_env(ExperimentConfig.from_ini(config_file).env)
+        expert = tmp_path / "expert.mlp"
+        il.make_policy(env.spec, hidden=(16,), seed=0).save(expert)
+        rc = self.run("record-demos", "--config", str(config_file), "--expert",
+                      str(expert), "--out", str(tmp_path / "demos.bin"), "--n", "0")
+        assert rc != 0
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError" and "n_episodes" in payload["message"]
+        assert not (tmp_path / "demos.bin").exists()
 
     def test_full_pipeline(self, config_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
