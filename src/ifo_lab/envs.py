@@ -15,7 +15,8 @@ semi-implicit Euler.
 
 Policies follow the same convention: act(obs, keys, t) takes (n, obs_dim)
 observations, the n episode keys and the step t, and returns one action per
-row.
+row. rollout runs a policy over a batch of episodes and returns a Rollout,
+the record of its episode-major buffers.
 
 Randomness is stateless: every draw is a hash of (episode key, step, slot,
 column), so an episode's draws do not depend on which other episodes share
@@ -80,8 +81,9 @@ class TabularMDP:
 
 @dataclass
 class Trajectory:
-    """One episode: states has shape (T+1, obs_dim), actions/rewards length
-    T; T is the horizon unless the episode aborted."""
+    """One episode of a Rollout, as views into its buffers: states has
+    shape (T+1, obs_dim), actions/rewards length T; T is the horizon unless
+    the episode aborted."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -96,6 +98,41 @@ class Trajectory:
     @property
     def total_return(self):
         return float(self.rewards.sum())
+
+
+@dataclass(eq=False)
+class Rollout:
+    """The episode-major buffers of one rollout of n episodes of horizon H:
+    states (n, H+1, obs_dim), actions (n, H) ints or (n, H, action_dim),
+    rewards (n, H), the (n,) episode keys and the (n,) lengths, H for a
+    whole episode and the abort step for an aborted one. Past an episode's
+    length its rows are not part of the episode.
+
+    The record is also the sequence of its episodes: len() is n, and
+    indexing or iterating gives each episode as a Trajectory of views.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    keys: np.ndarray
+    lengths: np.ndarray
+
+    @property
+    def aborted(self):
+        """(n,) flags of the episodes cut short."""
+        return self.lengths < self.rewards.shape[1]
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        n = self.lengths[i]
+        return Trajectory(self.states[i, : n + 1], self.actions[i, :n], self.rewards[i, :n],
+                          seed=int(self.keys[i]), aborted=bool(self.aborted[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 # splitmix64's constants (Steele et al., OOPSLA 2014) and an odd key multiplier, as
@@ -394,18 +431,19 @@ def rollout(policy, env, n_episodes, seed, deterministic=False):
     """Run n_episodes episodes whose keys derive from the master seed.
 
     The episodes run in lockstep to the horizon: each time step t makes one
-    policy act and one env step over all n episodes. A policy emitting a
-    non-finite action row aborts that row's episode: the episode is
-    returned cut short at that step with aborted=True, and the batch goes on
-    stepping it with a zero action so that it stays whole. The rollout stops
-    early once every episode has aborted.
+    policy act and one env step over all n episodes, written into the
+    episode-major buffers of the Rollout returned. A policy emitting a
+    non-finite action row aborts that row's episode: its length is that
+    step, so its Trajectory is cut short with aborted=True, and the batch
+    goes on stepping it with a zero action so that it stays whole. The
+    rollout stops early once every episode has aborted.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     keys = np.random.SeedSequence(seed).generate_state(n_episodes, np.uint64)
     spec = env.spec
     horizon = spec.horizon
-    # episode-major buffers, so each trajectory is a contiguous view
+    # episode-major, so each episode is a contiguous block
     states = np.empty((n_episodes, horizon + 1, spec.obs_dim))
     if spec.action_kind == "discrete":
         actions = np.empty((n_episodes, horizon), dtype=int)
@@ -426,13 +464,7 @@ def rollout(policy, env, n_episodes, seed, deterministic=False):
             a[~finite] = 0
         states[:, t + 1], rewards[:, t], _ = env.step(a)
         actions[:, t] = a
-    return [
-        Trajectory(
-            states=states[i, : n + 1], actions=actions[i, :n], rewards=rewards[i, :n],
-            seed=int(key), aborted=bool(n < horizon),
-        )
-        for i, (key, n) in enumerate(zip(keys, lengths))
-    ]
+    return Rollout(states, actions, rewards, keys, lengths)
 
 
 def simulate_tabular(mdp, table, n_episodes, horizon, seed):

@@ -234,12 +234,12 @@ class TrainReport:
 
 
 def _whole_episodes(policy, env, n_episodes, seed, deterministic=False):
-    """rollout's episodes, each run to the horizon; an aborted episode raises
-    FloatingPointError, which the trainers report as report.aborted."""
-    trajs = rollout(policy, env, n_episodes, seed, deterministic=deterministic)
-    if any(tr.aborted for tr in trajs):
+    """rollout's record, each episode run to the horizon; an aborted episode
+    raises FloatingPointError, which the trainers report as report.aborted."""
+    episodes = rollout(policy, env, n_episodes, seed, deterministic=deterministic)
+    if np.any(episodes.aborted):
         raise FloatingPointError("a policy emitted a non-finite action")
-    return trajs
+    return episodes
 
 
 def evaluate(policy, env, n_episodes, seed):
@@ -248,8 +248,7 @@ def evaluate(policy, env, n_episodes, seed):
     episode raises FloatingPointError."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    trajs = _whole_episodes(policy, env, n_episodes, seed, deterministic=True)
-    returns = np.array([tr.total_return for tr in trajs])
+    returns = _whole_episodes(policy, env, n_episodes, seed, deterministic=True).rewards.sum(axis=1)
     return float(returns.mean()), float(returns.std())
 
 
@@ -265,39 +264,38 @@ def scaled_score(mean, random_mean, expert_mean):
 def _record(expert, env, n_trajectories, seed):
     """Deterministic expert rollouts and the expert's mean return over at
     least ten more episodes. An aborted episode raises FloatingPointError."""
-    trajs = _whole_episodes(expert, env, n_trajectories, seed, deterministic=True)
+    episodes = _whole_episodes(expert, env, n_trajectories, seed, deterministic=True)
     mean_ret, _ = evaluate(expert, env, max(n_trajectories, 10), seed + 1)
-    return trajs, mean_ret
+    return episodes, mean_ret
 
 
 def record_demonstrations(expert, env, n_trajectories, seed):
     """Record state-only trajectories; the action stream is discarded at
     recording time, not merely hidden."""
-    trajs, mean_ret = _record(expert, env, n_trajectories, seed)
+    episodes, mean_ret = _record(expert, env, n_trajectories, seed)
     return DemonstrationSet(
         env_id=env.spec.env_id, state_dim=env.spec.obs_dim,
-        trajectories=[tr.states.copy() for tr in trajs],
+        trajectories=list(episodes.states),
         recording_seed=seed, expert_mean_return=mean_ret,
     )
 
 
 def record_demonstrations_with_actions(expert, env, n_trajectories, seed):
     """Action-retaining recording path for the action-aware baseline only."""
-    trajs, mean_ret = _record(expert, env, n_trajectories, seed)
+    episodes, mean_ret = _record(expert, env, n_trajectories, seed)
     spec = env.spec
     return DemonstrationSetWithActions(
         env_id=spec.env_id, state_dim=spec.obs_dim,
         action_kind=spec.action_kind if spec.action_kind == "box" else "discrete",
         action_dim=spec.action_dim if spec.action_kind == "box" else 1,
-        trajectories=[tr.states.copy() for tr in trajs],
-        actions=[np.asarray(tr.actions) for tr in trajs],
+        trajectories=list(episodes.states), actions=list(episodes.actions),
         recording_seed=seed, expert_mean_return=mean_ret,
     )
 
 
 def collect_batch(policy, env, min_steps, seed):
-    """The ceil(min_steps / H) episodes of one rollout, each H steps long,
-    so at least min_steps transitions. An aborted episode raises
+    """The record of one rollout of ceil(min_steps / H) episodes, each H
+    steps long, so at least min_steps transitions. An aborted episode raises
     FloatingPointError."""
     return _whole_episodes(policy, env, int(np.ceil(min_steps / env.spec.horizon)), seed)
 
@@ -380,8 +378,8 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
     snapshot = policy.copy()
     for it in range(iterations):
         try:
-            trajs = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
-            batch = trpo.RolloutBatch.from_trajectories(trajs)
+            episodes = collect_batch(policy, env, config.batch_size, _iteration_seed(seed, it))
+            batch = trpo.RolloutBatch.of(episodes)
             disc_loss = mean_reward = ""
             if reward is not None:
                 batch.rewards, disc_loss = reward(batch)
@@ -402,14 +400,13 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
                 table = policy_to_tabular(policy, spec.state_count)
                 occ = occupancy.exact_occupancy(env.mdp, table, gamma)
             else:
-                occ = occupancy.empirical_occupancy([tr.states for tr in trajs], gamma,
-                                                    bins=bins)
+                occ = occupancy.empirical_occupancy(episodes.states, gamma, bins=bins)
             occ_dist = occupancy_distance(occ, occupancy_ref)
         eval_ret = ""
         if (it + 1) % config.eval_every == 0 or it == iterations - 1:
             eval_ret, _ = evaluate(policy, env, config.eval_episodes,
                                    _iteration_seed(seed + 7, it))
-        report.add_row(iteration=it, mean_return=float(np.mean([tr.total_return for tr in trajs])),
+        report.add_row(iteration=it, mean_return=float(np.mean(episodes.rewards.sum(axis=1))),
                        disc_loss=disc_loss, mean_reward=mean_reward, kl=diag["kl"],
                        occupancy_distance=occ_dist, accepted=diag["accepted"],
                        eval_return=eval_ret)
@@ -455,24 +452,26 @@ def _action_features(spec, actions):
     return np.asarray(actions, dtype=np.float64)
 
 
-def _adversarial_reward(config, seed, features, expert_x):
+def _adversarial_reward(config, seed, features, expert_parts):
     """The reward hook of the adversarial trainers. On each fresh rollout it
     takes d_steps Adam steps of one discriminator, each against as many
     resampled expert rows, then pays -log D from the updated discriminator.
-    features(states, next_states, actions) builds the discriminator's input
-    rows; the trainer built expert_x with it too.
+    features(states, next_states, actions) gives the parts whose rows,
+    joined side by side, are the discriminator's input rows; the trainer
+    built expert_parts with it too.
 
     The expert rows are coded once per run and the imitator rows once per
-    rollout (nets.DistinctRows). The discriminator then sees each distinct
-    row once, weighted by how often it occurs in the rollout or was drawn in
-    the resample."""
+    rollout, from their parts (nets.DistinctRows.of), so the joined rows are
+    never built. The discriminator then sees each distinct row once,
+    weighted by how often it occurs in the rollout or was drawn in the
+    resample."""
     rng = np.random.default_rng(seed)
-    disc = adversary.Discriminator(expert_x.shape[1], hidden=config.hidden,
+    expert = nets.DistinctRows.of(*expert_parts)
+    disc = adversary.Discriminator(expert.distinct.shape[1], hidden=config.hidden,
                                    lr=config.disc_lr, seed=seed + 2)
-    expert = nets.DistinctRows.of(expert_x)
 
     def reward(batch):
-        imit = nets.DistinctRows.of(features(batch.states, batch.next_states, batch.actions))
+        imit = nets.DistinctRows.of(*features(batch.states, batch.next_states, batch.actions))
         disc_loss = None
         for _ in range(config.d_steps):
             # the drawn rows go in ascending code order; a take() would give
@@ -504,7 +503,7 @@ def gaifo_train(env, demos, config, seed, expert_occupancy=None):
         occ_ref = demo_occupancy(demos, gamma, n_states=env.spec.state_count or None, bins=bins)
 
     def features(states, next_states, actions):
-        return adversary.pair_features(states, next_states)
+        return states, next_states
     reward = _adversarial_reward(config, seed, features, features(*demos.transition_pairs(), None))
     policy, report = _train(env, config, config.iterations, seed, "gaifo", reward, occ_ref)
     return policy, _scored(report, env, config, seed, demos)
@@ -515,7 +514,7 @@ def gail_train(env, demos, config, seed):
     _check_demos(env, demos, DemonstrationSetWithActions, "gail_train")
 
     def features(states, next_states, actions):
-        return adversary.pair_features(states, _action_features(env.spec, actions))
+        return states, _action_features(env.spec, actions).reshape(*states.shape[:-1], -1)
     s = np.concatenate([tr[:-1] for tr in demos.trajectories])
     acts = np.concatenate([np.asarray(a) for a in demos.actions])
     reward = _adversarial_reward(config, seed, features, features(s, None, acts))
@@ -526,16 +525,19 @@ def gail_train(env, demos, config, seed):
 def fit_inverse_model(states, actions, next_states, spec, config, seed):
     """Fit an inverse dynamics MLP (s, s') -> a on exploration data.
 
-    Returns (predict function, validation metric). The metric is error rate
-    for discrete actions and RMS error for continuous ones, on a held-out
-    tenth of the rows. The (s, s') rows are coded without joining the two
-    arrays (nets.DistinctRows.of), and the metric runs the network once over
-    the distinct validation rows and gathers each row's output by its code.
+    states and next_states are (n, d), or (n, H, d) such as a batch's views
+    of its rollout's buffer, and actions holds one action per row in C
+    order. Returns (predict function, validation metric). The metric is
+    error rate for discrete actions and RMS error for continuous ones, on a
+    held-out tenth of the rows. The (s, s') rows are coded from the two
+    arrays as they are (nets.DistinctRows.of), and the metric runs the
+    network once over the distinct validation rows and gathers each row's
+    output by its code.
     """
-    n = len(states)
+    x = nets.DistinctRows.of(states, next_states)
+    n = len(x)
     if n == 0:
         raise ValueError("no exploration data")
-    x = nets.DistinctRows.of(states, next_states)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_val = max(1, n // 10)
@@ -584,7 +586,7 @@ def bco_train(env, demos, config, seed):
     policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed)
     try:
         # phase 1: self-supervised exploration with a random policy
-        batch = trpo.RolloutBatch.from_trajectories(collect_batch(
+        batch = trpo.RolloutBatch.of(collect_batch(
             RandomPolicy(spec), env, config.exploration_steps, seed + 11))
         predict, val_metric = fit_inverse_model(
             batch.states, batch.actions, batch.next_states, spec, config, seed + 13)

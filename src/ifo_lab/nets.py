@@ -383,7 +383,7 @@ class DistinctRows:
     distinct rows in order of first appearance.
     """
 
-    JOIN_BLOCK = 4096   # rows joined at a time by of(*parts)
+    JOIN_BLOCK = 4096   # about the rows joined at a time by of(*parts)
 
     def __init__(self, distinct, code):
         self.distinct = distinct
@@ -392,27 +392,37 @@ class DistinctRows:
 
     @classmethod
     def of(cls, *parts):
-        """The rows of one array, or of equal-length arrays taken as joined
-        side by side: of(a, b) gives, bit for bit, the distinct rows, code
-        and counts of of(np.concatenate([a, b], axis=1)), but joins only
-        JOIN_BLOCK rows at a time and the distinct rows, so the whole joined
-        array is never built."""
-        n = len(parts[0])
-        if any(len(p) != n for p in parts):
-            raise ValueError(f"parts of different lengths {[len(p) for p in parts]}")
+        """The rows of one array, or of arrays taken as joined side by side.
 
-        def join(rows):
-            return np.concatenate([p[rows] for p in parts], axis=1)
+        A part is (n, d), or (n, H, d) for n episodes of H rows each, whose
+        rows are taken in C order, as reshape(n * H, d) takes them; all
+        parts share their leading shape. of(a, b) gives, bit for bit, the
+        distinct rows, code and counts of of(np.concatenate([a.reshape(-1,
+        d_a), b.reshape(-1, d_b)], axis=1)), but joins only about JOIN_BLOCK
+        rows at a time, in whole episodes, and the distinct rows, so neither
+        the joined array nor a flat copy of a part is ever built.
+        """
+        lead = parts[0].shape[:-1]
+        if any(p.shape[:-1] != lead for p in parts) or len(lead) not in (1, 2):
+            raise ValueError(f"parts of leading shapes {[p.shape[:-1] for p in parts]}: "
+                             "they need one shared (n,) or (n, H)")
+        if len(lead) == 1:
+            parts = [p[:, None] for p in parts]
+        n_episodes, h = parts[0].shape[:2]
 
         index = {}  # row bytes -> (code, index of the row's first appearance)
-        code = np.empty(n, dtype=np.intp)
-        for start in range(0, n, cls.JOIN_BLOCK):
-            block = join(slice(start, start + cls.JOIN_BLOCK))
+        code = np.empty(n_episodes * h, dtype=np.intp)
+        per_block = max(1, cls.JOIN_BLOCK // max(h, 1))
+        for first in range(0, n_episodes, per_block):
+            block = np.concatenate([p[first : first + per_block] for p in parts], axis=2)
+            block = block.reshape(-1, block.shape[2])
+            start = first * h
             code[start : start + len(block)] = np.fromiter(
                 (index.setdefault(row.tobytes(), (len(index), i))[0]
                  for i, row in enumerate(block, start)), dtype=np.intp, count=len(block))
         firsts = np.fromiter((i for _, i in index.values()), dtype=np.intp, count=len(index))
-        return cls(join(firsts), code)
+        episode, step = np.divmod(firsts, max(h, 1))
+        return cls(np.concatenate([p[episode, step] for p in parts], axis=1), code)
 
     def __len__(self):
         return len(self.code)

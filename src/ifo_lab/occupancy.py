@@ -93,23 +93,28 @@ def empirical_occupancy(episodes, gamma, bins=None, n_states=None):
     """Estimate the occupancy from rollouts; step t weighs gamma^t, averaged
     over episodes.
 
-    episodes is an (E, T+1) integer array of tabular state indices
-    (the output of envs.simulate_tabular) or a sequence with one array of
+    episodes is an array with a leading episode axis, (E, T+1) integer
+    tabular state indices (the output of envs.simulate_tabular) or (E, T+1,
+    dim) states (a Rollout's states), or a sequence with one array of
     states per episode: (T+1,) indices for a tabular estimate, (T+1, dim)
     for a binned one. Tabular inputs need n_states and give a dense S x S
     mass; continuous inputs need a BinSpec and give a mass_map keyed by
     (bin(s), bin(s')) in order of first appearance.
     """
-    if isinstance(episodes, np.ndarray) and n_states is None:
-        raise ValueError("index-array input requires n_states")
-    episodes = list(episodes)
-    lengths = np.array([len(ep) for ep in episodes], dtype=np.int64)
-    if not episodes or lengths.min() == 0:
+    if isinstance(episodes, np.ndarray):
+        if episodes.ndim == 2 and n_states is None:
+            raise ValueError("index-array input requires n_states")
+        lengths = np.full(len(episodes), episodes.shape[1], dtype=np.int64)
+        states = episodes.reshape(-1, *episodes.shape[2:])
+    else:
+        episodes = list(episodes)
+        lengths = np.array([len(ep) for ep in episodes], dtype=np.int64)
+        states = np.concatenate(episodes) if episodes else None
+    if not len(lengths) or lengths.min() == 0:
         raise ValueError("empty trajectory set")
     if n_states is None and bins is None:
         raise ValueError("continuous estimate requires a BinSpec")
 
-    states = np.concatenate(episodes)
     if n_states is not None:
         bad = (states < 0) | (states >= n_states)
         if bad.any():

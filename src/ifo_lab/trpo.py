@@ -322,10 +322,12 @@ def conjugate_gradient(apply_A, b, iters=10, tol=1e-10):
 
 @dataclass
 class RolloutBatch:
-    """Flattened on-policy experience; dones delimit episodes.
+    """On-policy experience, one row per transition; dones delimit episodes.
 
-    coded_states() codes the states on first use; the value fit, the value
-    prediction and the policy step share that one coding.
+    states and next_states are (rows, obs_dim), or (n, H, obs_dim) with the
+    rows in C order, as in a batch of a rollout (of); the per-row arrays
+    are flat. coded_states() codes the states on first use; the value fit,
+    the value prediction and the policy step share that one coding.
     """
 
     states: np.ndarray
@@ -338,16 +340,19 @@ class RolloutBatch:
     _coded: CodedStates = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_trajectories(cls, trajectories):
-        states = np.concatenate([tr.states[:-1] for tr in trajectories])
-        next_states = np.concatenate([tr.states[1:] for tr in trajectories])
-        actions = np.concatenate([np.asarray(tr.actions) for tr in trajectories])
-        rewards = np.concatenate([tr.rewards for tr in trajectories])
-        dones = np.concatenate([
-            np.arange(tr.n_steps) == tr.n_steps - 1 for tr in trajectories
-        ])
-        return cls(states=states, actions=actions, rewards=np.asarray(rewards, float),
-                   next_states=next_states, dones=dones)
+    def of(cls, rollout):
+        """The batch of an envs.Rollout of whole episodes, copying none of
+        its buffers: states and next_states are the views states[:, :-1] and
+        states[:, 1:] of its states, and actions and rewards flat views."""
+        n, horizon = rollout.rewards.shape
+        if np.any(rollout.aborted):
+            raise ValueError("a batch takes whole episodes, and one aborted")
+        dones = np.zeros((n, horizon), dtype=bool)
+        dones[:, -1] = True
+        return cls(states=rollout.states[:, :-1],
+                   actions=rollout.actions.reshape(n * horizon, *rollout.actions.shape[2:]),
+                   rewards=rollout.rewards.reshape(-1), next_states=rollout.states[:, 1:],
+                   dones=dones.reshape(-1))
 
     def __len__(self):
         return len(self.rewards)

@@ -277,23 +277,24 @@ def test_criterion_5_trust_region_contract(capfd, point_mass_setup):
     kl_ok = True
     improvement_ok = True
     for it in range(50):
-        trajs = collect_batch(policy, env, 512, 1_000 + it)
-        batch = trpo.RolloutBatch.from_trajectories(trajs)
-        old_logp = policy.log_prob(batch.states, batch.actions)
-        imit_x = adversary.pair_features(batch.states, batch.next_states)
+        batch = trpo.RolloutBatch.of(collect_batch(policy, env, 512, 1_000 + it))
+        # the batch's (n, H, obs_dim) views, flattened for the plain-array API
+        states = batch.states.reshape(-1, spec.obs_dim)
+        old_logp = policy.log_prob(states, batch.actions)
+        imit_x = adversary.pair_features(states, batch.next_states.reshape(-1, spec.obs_dim))
         idx = rng.integers(len(expert_x), size=len(imit_x))
         adversary.disc_update(disc, imit_x, expert_x[idx])
         batch.rewards = adversary.policy_reward(disc, imit_x)
         trpo.compute_advantages(batch, vf, spec.gamma, 0.97)
         old = policy.copy()
-        base = trpo.surrogate_loss(policy, batch.states, batch.actions,
+        base = trpo.surrogate_loss(policy, states, batch.actions,
                                    batch.advantages, old_logp)
         diag = trpo.trpo_update(policy, vf, batch, delta=delta)
         if diag["accepted"]:
             accepted += 1
-            kl = trpo.mean_kl(old, policy, batch.states)
+            kl = trpo.mean_kl(old, policy, states)
             improvement = trpo.surrogate_loss(
-                policy, batch.states, batch.actions,
+                policy, states, batch.actions,
                 batch.advantages, old_logp) - base
             kl_ok = kl_ok and kl <= 1.1 * delta
             improvement_ok = improvement_ok and improvement >= 0.0
@@ -391,8 +392,7 @@ def test_criterion_8_baseline_integrity(capfd):
     start = time.time()
     env = il.gridworld(width=8, height=8, horizon=50)
     cfg = TrainConfig(inverse_epochs=20)
-    trajs = collect_batch(RandomPolicy(env.spec), env, 20_000, 11)
-    batch = trpo.RolloutBatch.from_trajectories(trajs)
+    batch = trpo.RolloutBatch.of(collect_batch(RandomPolicy(env.spec), env, 20_000, 11))
     _, val_error = fit_inverse_model(batch.states, batch.actions,
                                      batch.next_states, env.spec, cfg, 13)
     accuracy = 1.0 - val_error

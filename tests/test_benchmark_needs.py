@@ -63,7 +63,7 @@ def test_info_functions_read_real_results(perfbench):
     env = il.gridworld(3, 3, horizon=4)
     policy = trpo.make_policy(env.spec, hidden=(8,), seed=0)
     vf = trpo.ValueFunction(env.spec.obs_dim, hidden=(8,), seed=1)
-    batch = trpo.RolloutBatch.from_trajectories(envs.rollout(policy, env, 3, 2))
+    batch = trpo.RolloutBatch.of(envs.rollout(policy, env, 3, 2))
     trpo.compute_advantages(batch, vf, env.spec.gamma)
     diag = trpo.trpo_update(policy, vf, batch)
     aborting = (NanForFirstEpisode(env.spec), env, 3, 2)

@@ -15,9 +15,11 @@ them:
 - gridworld bit for bit: its rollouts make the same counter-based draws
   (envs.random_bits), so nothing may differ.
 - point-mass within 1e-9 per entry: a batched GEMM row may differ from a
-  one-row product in the last bit, and three TRPO steps grow that to about
-  2e-14 here. Going from 2 BLAS threads to 1 moves its parameters by up
-  to 2.2e-12. Any change of behaviour moves them by orders of magnitude more.
+  one-row product in the last bit, and three TRPO steps grow that: the
+  code lands 1.23e-12 from the point-mass recording and 1.8e-15 from the
+  GAIL one (--deviation below; GRID, EXPERT and BCO read 0.0). Going from
+  2 BLAS threads to 1 moves its parameters by up to 2.2e-12. Any change of
+  behaviour moves them by orders of magnitude more.
 
 A labelled behaviour change first reports how far each recording moved,
 the largest absolute deviation of its norm and sampled entries from the

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -352,9 +353,10 @@ class TestDistinctRows:
     @staticmethod
     def coded_like_their_join(*parts):
         """DistinctRows.of(*parts), checked byte for byte against the coding
-        of the joined array, and that coding against the joined array."""
+        of the joined array of the parts' rows in C order, and that coding
+        against the joined array."""
         rows = nets.DistinctRows.of(*parts)
-        x = np.concatenate(parts, axis=1)
+        x = np.concatenate([p.reshape(-1, p.shape[-1]) for p in parts], axis=1)
         joined = nets.DistinctRows.of(x)
         assert joined.distinct[joined.code].tobytes() == x.tobytes()
         firsts = [int(np.flatnonzero(joined.code == j)[0]) for j in range(len(joined.distinct))]
@@ -393,9 +395,47 @@ class TestDistinctRows:
         rows = self.coded_like_their_join(np.empty((0, 2)), np.empty((0, 3)))
         assert rows.distinct.shape == (0, 5) and len(rows) == 0
 
+    @pytest.mark.parametrize("n, h", [(1300, 7), (3, nets.DistinctRows.JOIN_BLOCK + 5),
+                                      (1, 10), (0, 5)],
+                             ids=["H-not-dividing-block", "episode-over-block",
+                                  "one-episode", "no-episodes"])
+    def test_episode_parts_code_like_their_flat_join(self, n, h):
+        """(n, H, d) parts, here the views buffer[:, :-1] and buffer[:, 1:]
+        of an episode-major buffer as a batch takes them, code like their
+        flattened join."""
+        rng = np.random.default_rng(13)
+        buffer = np.eye(4)[rng.integers(4, size=(n, h + 1))]
+        extra = np.eye(3)[rng.integers(3, size=(n, h))]
+        per_block = max(1, nets.DistinctRows.JOIN_BLOCK // h)
+        if n:
+            # a row first seen at the end of the first block of episodes, a
+            # row first seen at the start of the next and seen again there,
+            # and a row first seen last
+            buffer[min(n, per_block) - 1, h - 1] = [2.0, 0.0, 0.0, 0.0]
+            if n > per_block:
+                buffer[per_block, 0] = [3.0, 0.0, 0.0, 0.0]
+                buffer[per_block, 1] = [2.0, 0.0, 0.0, 0.0]
+            buffer[n - 1, h] = [4.0, 0.0, 0.0, 0.0]
+        self.coded_like_their_join(buffer[:, :-1], buffer[:, 1:], extra)
+
+    def test_episode_parts_keep_signed_zeros_apart(self):
+        buffer = np.zeros((2, 4, 2))
+        buffer[..., 1] = 2.0
+        buffer[0, 1, 0] = buffer[1, 3, 0] = -0.0
+        rows = self.coded_like_their_join(buffer[:, :-1], buffer[:, 1:])
+        assert rows.code.tolist() == [0, 1, 2, 2, 2, 0]
+        assert np.signbit(rows.distinct[:, [0, 2]]).tolist() == [
+            [False, True], [True, False], [False, False]]
+
     def test_parts_of_different_lengths_rejected(self):
-        with pytest.raises(ValueError, match="different lengths"):
-            nets.DistinctRows.of(np.zeros((4, 2)), np.zeros((3, 2)))
+        # the message names the leading shapes: (n, H) parts with different
+        # H have the same length
+        for parts in [(np.zeros((4, 2)), np.zeros((3, 2))),
+                      (np.zeros((4, 5, 2)), np.zeros((4, 6, 2))),
+                      (np.zeros((4, 2)), np.zeros((4, 1, 2)))]:
+            shapes = str([p.shape[:-1] for p in parts])
+            with pytest.raises(ValueError, match=re.escape(shapes)):
+                nets.DistinctRows.of(*parts)
 
 
 class TestForwardCache:

@@ -302,12 +302,16 @@ class TestEstimatorParity:
         env = envs.PointMass(horizon=60)
         bins = occupancy.BinSpec.from_bounds(*env.state_bounds, bins=16)
         expert = imitation.record_demonstrations(envs.PointMassController(env), env, 4, 1)
-        states = [tr.states for tr in envs.rollout(envs.RandomPolicy(env.spec), env, 12, seed=5)]
+        episodes = envs.rollout(envs.RandomPolicy(env.spec), env, 12, seed=5)
+        states = [tr.states for tr in episodes]
         new_ref = imitation.demo_occupancy(expert, 0.99, bins=bins)
         old_ref = old_demo_occupancy(expert, 0.99, bins=bins)
         new = occupancy.empirical_occupancy(states, 0.99, bins=bins)
         old = old_empirical_occupancy(states, 0.99, bins=bins)
         assert list(new.mass_map.items()) == list(old.mass_map.items())
+        # the record's (12, 61, 4) states, as the training loop passes them
+        buffered = occupancy.empirical_occupancy(episodes.states, 0.99, bins=bins)
+        assert list(buffered.mass_map.items()) == list(old.mass_map.items())
         assert list(new_ref.mass_map.items()) == list(old_ref.mass_map.items())
         assert (occupancy.occupancy_distance(new, new_ref)
                 == occupancy.occupancy_distance(old, old_ref))

@@ -221,8 +221,7 @@ class TestGae:
     def test_advantages_normalized(self):
         env = envs.PointMass(horizon=20)
         policy = gaussian_policy(obs_dim=4, action_dim=2, seed=8)
-        trajs = envs.rollout(policy, env, 3, 0)
-        batch = trpo.RolloutBatch.from_trajectories(trajs)
+        batch = trpo.RolloutBatch.of(envs.rollout(policy, env, 3, 0))
         vf = trpo.ValueFunction(4, hidden=(8,), seed=0)
         trpo.compute_advantages(batch, vf, 0.99, 0.97)
         assert batch.advantages.mean() == pytest.approx(0.0, abs=1e-10)
