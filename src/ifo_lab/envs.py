@@ -2,7 +2,7 @@
 
 Environments expose:
   reset(keys) -> (n, obs_dim) observations, one episode per uint64 key
-  step(actions) -> (obs, rewards, dones)
+  step(actions) -> (obs, rewards)
   spec: EnvSpec
 step takes one action per episode of the batch, with a leading episode
 axis, and returns arrays with that axis: the whole batch steps together.
@@ -15,8 +15,9 @@ semi-implicit Euler.
 
 Policies follow the same convention: act(obs, keys, t) takes (n, obs_dim)
 observations, the n episode keys and the step t, and returns one action per
-row. rollout runs a policy over a batch of episodes and returns a Rollout,
-the record of its episode-major buffers.
+row. rollout runs a policy over a batch of episodes to the horizon and
+returns a Rollout, the record of its episode-major buffers; a non-finite
+action raises instead.
 
 Randomness is stateless: every draw is a hash of (episode key, step, slot,
 column), so an episode's draws do not depend on which other episodes share
@@ -63,11 +64,12 @@ class TabularMDP:
         S, A, S2 = self.P.shape
         if S != S2 or self.R.shape != (S, A) or self.p0.shape != (S,):
             raise ValueError(f"inconsistent MDP shapes P{self.P.shape} R{self.R.shape} p0{self.p0.shape}")
-        if np.any(self.P < 0) or np.any(self.p0 < 0):
+        # written so that NaN fails each check
+        if not (np.all(self.P >= 0) and np.all(self.p0 >= 0)):
             raise ValueError("negative probabilities")
-        if np.max(np.abs(self.P.sum(axis=2) - 1.0)) > 1e-12:
+        if not np.max(np.abs(self.P.sum(axis=2) - 1.0)) <= 1e-12:
             raise ValueError("transition rows must sum to 1 within 1e-12")
-        if abs(self.p0.sum() - 1.0) > 1e-12:
+        if not abs(self.p0.sum() - 1.0) <= 1e-12:
             raise ValueError("p0 must sum to 1 within 1e-12")
 
     @property
@@ -81,32 +83,23 @@ class TabularMDP:
 
 @dataclass
 class Trajectory:
-    """One episode of a Rollout, as views into its buffers: states has
-    shape (T+1, obs_dim), actions/rewards length T; T is the horizon unless
-    the episode aborted."""
+    """One episode of a Rollout, as views into its buffers: states (H+1,
+    obs_dim), and H actions and rewards."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     seed: int                 # the episode key
+    # always False, as a rollout is whole or raises; the benchmark's tracer
+    # counts aborted episodes off this field
     aborted: bool = False
-
-    @property
-    def n_steps(self):
-        return len(self.rewards)
-
-    @property
-    def total_return(self):
-        return float(self.rewards.sum())
 
 
 @dataclass(eq=False)
 class Rollout:
     """The episode-major buffers of one rollout of n episodes of horizon H:
     states (n, H+1, obs_dim), actions (n, H) ints or (n, H, action_dim),
-    rewards (n, H), the (n,) episode keys and the (n,) lengths, H for a
-    whole episode and the abort step for an aborted one. Past an episode's
-    length its rows are not part of the episode.
+    rewards (n, H) and the (n,) episode keys. Every episode runs to H.
 
     The record is also the sequence of its episodes: len() is n, and
     indexing or iterating gives each episode as a Trajectory of views.
@@ -116,23 +109,12 @@ class Rollout:
     actions: np.ndarray
     rewards: np.ndarray
     keys: np.ndarray
-    lengths: np.ndarray
-
-    @property
-    def aborted(self):
-        """(n,) flags of the episodes cut short."""
-        return self.lengths < self.rewards.shape[1]
 
     def __len__(self):
         return len(self.keys)
 
     def __getitem__(self, i):
-        n = self.lengths[i]
-        return Trajectory(self.states[i, : n + 1], self.actions[i, :n], self.rewards[i, :n],
-                          seed=int(self.keys[i]), aborted=bool(self.aborted[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return Trajectory(self.states[i], self.actions[i], self.rewards[i], seed=int(self.keys[i]))
 
 
 # splitmix64's constants (Steele et al., OOPSLA 2014) and an odd key multiplier, as
@@ -218,11 +200,6 @@ class _EpisodeBatch:
         if self._t >= self.spec.horizon:
             raise RuntimeError("step after episode end")
 
-    def _advance(self):
-        """Count one step; returns the batch's done flags."""
-        self._t += 1
-        return np.full(len(self._keys), self._t >= self.spec.horizon)
-
 
 class TabularEnv(_EpisodeBatch):
     """Episodic wrapper around a TabularMDP with one-hot observations."""
@@ -256,7 +233,8 @@ class TabularEnv(_EpisodeBatch):
         reward = self.mdp.R[s, a]
         u = uniforms(self._keys, self._t + 1, ENV_SLOT, 1)[:, 0]
         self.state_index = sample_categorical(self.mdp.P[s, a], u)
-        return self._eye[self.state_index], reward, self._advance()
+        self._t += 1
+        return self._eye[self.state_index], reward
 
 
 def gridworld(width=5, height=5, goal=None, slip_prob=0.0, horizon=40, gamma=0.95):
@@ -318,7 +296,8 @@ class PointMass(_EpisodeBatch):
         err = self._pos - self.target
         reward = -_row_dot(err) - self.action_cost * _row_dot(a)
         obs = np.concatenate([self._pos, self._vel], axis=1)
-        return obs, reward, self._advance()
+        self._t += 1
+        return obs, reward
 
 
 class PendulumSwingup(_EpisodeBatch):
@@ -376,7 +355,8 @@ class PendulumSwingup(_EpisodeBatch):
         theta = self._theta + self.dt * self._omega
         self._theta = (theta + np.pi) % (2 * np.pi) - np.pi
         reward = np.cos(self._theta) - self.torque_cost * u * u
-        return self._obs(self._theta, self._omega), reward, self._advance()
+        self._t += 1
+        return self._obs(self._theta, self._omega), reward
 
 
 class RandomPolicy:
@@ -402,7 +382,7 @@ class TabularPolicy:
 
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.float64)
-        if np.any(self.table < 0) or np.max(np.abs(self.table.sum(axis=1) - 1.0)) > 1e-9:
+        if not (np.all(self.table >= 0) and np.max(np.abs(self.table.sum(axis=1) - 1.0)) <= 1e-9):
             raise ValueError("policy rows must be distributions")
 
     def act(self, obs, keys, t, deterministic=False):
@@ -432,11 +412,9 @@ def rollout(policy, env, n_episodes, seed, deterministic=False):
 
     The episodes run in lockstep to the horizon: each time step t makes one
     policy act and one env step over all n episodes, written into the
-    episode-major buffers of the Rollout returned. A policy emitting a
-    non-finite action row aborts that row's episode: its length is that
-    step, so its Trajectory is cut short with aborted=True, and the batch
-    goes on stepping it with a zero action so that it stays whole. The
-    rollout stops early once every episode has aborted.
+    episode-major buffers of the Rollout returned. A non-finite action
+    anywhere in the batch raises FloatingPointError naming its step, before
+    the environment steps with it.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -450,21 +428,15 @@ def rollout(policy, env, n_episodes, seed, deterministic=False):
     else:
         actions = np.empty((n_episodes, horizon, spec.action_dim))
     rewards = np.empty((n_episodes, horizon))
-    lengths = np.full(n_episodes, horizon)  # or the step at which an episode aborted
 
     states[:, 0] = env.reset(keys)
     for t in range(horizon):
         a = np.asarray(policy.act(states[:, t], keys, t, deterministic=deterministic))
-        finite = np.isfinite(a.reshape(n_episodes, -1)).all(axis=1)
-        if not finite.all():
-            lengths[~finite & (lengths > t)] = t
-            if np.all(lengths <= t):
-                break
-            a = a.copy()
-            a[~finite] = 0
-        states[:, t + 1], rewards[:, t], _ = env.step(a)
+        if not np.isfinite(a).all():
+            raise FloatingPointError(f"a policy emitted a non-finite action at step {t}")
+        states[:, t + 1], rewards[:, t] = env.step(a)
         actions[:, t] = a
-    return Rollout(states, actions, rewards, keys, lengths)
+    return Rollout(states, actions, rewards, keys)
 
 
 def simulate_tabular(mdp, table, n_episodes, horizon, seed):

@@ -169,7 +169,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "d_steps", "eval_every", "eval_episodes",
-                     "inverse_epochs", "bc_epochs"):
+                     "exploration_steps", "inverse_epochs", "bc_epochs"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -233,22 +233,11 @@ class TrainReport:
             json.dump(self.summary(), fh, indent=2)
 
 
-def _whole_episodes(policy, env, n_episodes, seed, deterministic=False):
-    """rollout's record, each episode run to the horizon; an aborted episode
-    raises FloatingPointError, which the trainers report as report.aborted."""
-    episodes = rollout(policy, env, n_episodes, seed, deterministic=deterministic)
-    if np.any(episodes.aborted):
-        raise FloatingPointError("a policy emitted a non-finite action")
-    return episodes
-
-
 def evaluate(policy, env, n_episodes, seed):
     """Deterministic-mode evaluation: Gaussian policies act at the mean,
-    categorical at the argmax. Returns (mean return, std); an aborted
-    episode raises FloatingPointError."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
-    returns = _whole_episodes(policy, env, n_episodes, seed, deterministic=True).rewards.sum(axis=1)
+    categorical at the argmax. Returns (mean return, std); a non-finite
+    action raises FloatingPointError (from rollout)."""
+    returns = rollout(policy, env, n_episodes, seed, deterministic=True).rewards.sum(axis=1)
     return float(returns.mean()), float(returns.std())
 
 
@@ -263,8 +252,8 @@ def scaled_score(mean, random_mean, expert_mean):
 
 def _record(expert, env, n_trajectories, seed):
     """Deterministic expert rollouts and the expert's mean return over at
-    least ten more episodes. An aborted episode raises FloatingPointError."""
-    episodes = _whole_episodes(expert, env, n_trajectories, seed, deterministic=True)
+    least ten more episodes. A non-finite action raises FloatingPointError."""
+    episodes = rollout(expert, env, n_trajectories, seed, deterministic=True)
     mean_ret, _ = evaluate(expert, env, max(n_trajectories, 10), seed + 1)
     return episodes, mean_ret
 
@@ -280,14 +269,20 @@ def record_demonstrations(expert, env, n_trajectories, seed):
     )
 
 
+def _action_layout(spec):
+    """(kind, dim) of a recording's actions on spec; a discrete action is one column."""
+    if spec.action_kind == "box":
+        return "box", spec.action_dim
+    return "discrete", 1
+
+
 def record_demonstrations_with_actions(expert, env, n_trajectories, seed):
     """Action-retaining recording path for the action-aware baseline only."""
     episodes, mean_ret = _record(expert, env, n_trajectories, seed)
-    spec = env.spec
+    action_kind, action_dim = _action_layout(env.spec)
     return DemonstrationSetWithActions(
-        env_id=spec.env_id, state_dim=spec.obs_dim,
-        action_kind=spec.action_kind if spec.action_kind == "box" else "discrete",
-        action_dim=spec.action_dim if spec.action_kind == "box" else 1,
+        env_id=env.spec.env_id, state_dim=env.spec.obs_dim,
+        action_kind=action_kind, action_dim=action_dim,
         trajectories=list(episodes.states), actions=list(episodes.actions),
         recording_seed=seed, expert_mean_return=mean_ret,
     )
@@ -295,9 +290,9 @@ def record_demonstrations_with_actions(expert, env, n_trajectories, seed):
 
 def collect_batch(policy, env, min_steps, seed):
     """The record of one rollout of ceil(min_steps / H) episodes, each H
-    steps long, so at least min_steps transitions. An aborted episode raises
-    FloatingPointError."""
-    return _whole_episodes(policy, env, int(np.ceil(min_steps / env.spec.horizon)), seed)
+    steps long, so at least min_steps transitions. A non-finite action
+    raises FloatingPointError."""
+    return rollout(policy, env, int(np.ceil(min_steps / env.spec.horizon)), seed)
 
 
 def _iteration_seed(seed, iteration):
@@ -428,6 +423,12 @@ def _check_demos(env, demos, kind, trainer):
         raise TypeError(f"{trainer} takes a {kind.__name__}, not a {type(demos).__name__}")
     if demos.env_id != env.spec.env_id:
         raise ValueError(f"demo env id {demos.env_id!r} != env {env.spec.env_id!r}")
+    if demos.state_dim != env.spec.obs_dim:
+        raise ValueError(f"demo state dim {demos.state_dim} != env obs dim {env.spec.obs_dim}")
+    if kind is DemonstrationSetWithActions:
+        got, want = (demos.action_kind, demos.action_dim), _action_layout(env.spec)
+        if got != want:
+            raise ValueError(f"demo actions {got} != env actions {want}")
 
 
 def _scored(report, env, config, seed, demos):
@@ -578,8 +579,6 @@ def bco_train(env, demos, config, seed):
     the policy as it stood (Adam raises before a non-finite step).
     """
     _check_demos(env, demos, DemonstrationSet, "bco_train")
-    if config.exploration_steps <= 0:
-        raise ValueError("exploration budget must be positive")
     spec = env.spec
     report = TrainReport("bco", seed)
     start = time.time()

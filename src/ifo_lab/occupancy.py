@@ -81,7 +81,7 @@ def exact_occupancy(mdp, policy_table, gamma):
     S = mdp.n_states
     if table.shape != (S, mdp.n_actions):
         raise ValueError(f"policy table shape {table.shape} != ({S}, {mdp.n_actions})")
-    if np.any(table < 0) or np.max(np.abs(table.sum(axis=1) - 1.0)) > 1e-9:
+    if not (np.all(table >= 0) and np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-9):  # NaN fails
         raise ValueError("policy rows must be distributions over actions")
     # P_pi[s, s'] = sum_a pi(a|s) P(s'|s, a)
     P_pi = np.einsum("sa,sat->st", table, mdp.P)

@@ -41,10 +41,6 @@ class StochasticPolicy:
         return self.net.in_dim
 
     @property
-    def action_dim(self):
-        return self.net.out_dim
-
-    @property
     def n_params(self):
         extra = self.log_std.size if self.kind == "gaussian" else 0
         return self.net.n_params + extra
@@ -322,40 +318,32 @@ def conjugate_gradient(apply_A, b, iters=10, tol=1e-10):
 
 @dataclass
 class RolloutBatch:
-    """On-policy experience, one row per transition; dones delimit episodes.
+    """On-policy experience, one row per transition.
 
-    states and next_states are (rows, obs_dim), or (n, H, obs_dim) with the
-    rows in C order, as in a batch of a rollout (of); the per-row arrays
-    are flat. coded_states() codes the states on first use; the value fit,
-    the value prediction and the policy step share that one coding.
+    states and next_states are (n, H, obs_dim), n episodes of H steps in C
+    order as in a batch of a rollout (of), or (rows, obs_dim) for a policy
+    step alone; the per-row arrays are flat. coded_states() codes the
+    states on first use; the value fit, the value prediction and the policy
+    step share that one coding.
     """
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     next_states: np.ndarray
-    dones: np.ndarray
     advantages: np.ndarray = None
     returns: np.ndarray = None
     _coded: CodedStates = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, rollout):
-        """The batch of an envs.Rollout of whole episodes, copying none of
-        its buffers: states and next_states are the views states[:, :-1] and
-        states[:, 1:] of its states, and actions and rewards flat views."""
+        """The batch of an envs.Rollout, copying none of its buffers: states
+        and next_states are the views states[:, :-1] and states[:, 1:] of its
+        states, and actions and rewards flat views."""
         n, horizon = rollout.rewards.shape
-        if np.any(rollout.aborted):
-            raise ValueError("a batch takes whole episodes, and one aborted")
-        dones = np.zeros((n, horizon), dtype=bool)
-        dones[:, -1] = True
         return cls(states=rollout.states[:, :-1],
                    actions=rollout.actions.reshape(n * horizon, *rollout.actions.shape[2:]),
-                   rewards=rollout.rewards.reshape(-1), next_states=rollout.states[:, 1:],
-                   dones=dones.reshape(-1))
-
-    def __len__(self):
-        return len(self.rewards)
+                   rewards=rollout.rewards.reshape(-1), next_states=rollout.states[:, 1:])
 
     def coded_states(self):
         """The states as a CodedStates, made once per batch."""
@@ -364,20 +352,18 @@ class RolloutBatch:
         return self._coded
 
 
-def gae(rewards, values, dones, gamma, lam):
-    """Generalized advantage estimation; episodes end where dones is True
-    (no bootstrap past an episode boundary)."""
-    T = len(rewards)
-    adv = np.zeros(T)
-    running = 0.0
-    for t in range(T - 1, -1, -1):
-        if dones[t]:
-            running = 0.0
-            delta = rewards[t] - values[t]
-        else:
-            delta = rewards[t] + gamma * values[t + 1] - values[t]
-        running = delta + gamma * lam * running
-        adv[t] = running
+def gae(rewards, values, gamma, lam):
+    """Generalized advantage estimation (Schulman et al. 2016) over (n, H)
+    rewards and values, one episode per row. The last step of a row
+    bootstraps nothing: its TD error is r - v."""
+    deltas = np.empty(rewards.shape)
+    deltas[:, :-1] = rewards[:, :-1] + gamma * values[:, 1:] - values[:, :-1]
+    deltas[:, -1] = rewards[:, -1] - values[:, -1]
+    adv = np.empty(rewards.shape)
+    running = np.zeros(len(rewards))
+    for t in range(rewards.shape[1] - 1, -1, -1):
+        running = deltas[:, t] + gamma * lam * running
+        adv[:, t] = running
     return adv
 
 
@@ -385,7 +371,8 @@ def compute_advantages(batch, value_fn, gamma, lam=0.97):
     """Fill batch.advantages (normalized) and batch.returns (value targets)."""
     states = batch.coded_states()
     values = value_fn.predict(states.distinct)[states.code]
-    adv = gae(batch.rewards, values, batch.dones, gamma, lam)
+    shape = batch.states.shape[:2]  # (n episodes, H steps)
+    adv = gae(batch.rewards.reshape(shape), values.reshape(shape), gamma, lam).reshape(-1)
     batch.returns = adv + values
     std = adv.std()
     batch.advantages = (adv - adv.mean()) / (std if std > 1e-8 else 1.0)

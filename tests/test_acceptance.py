@@ -307,8 +307,7 @@ def test_criterion_5_trust_region_contract(capfd, point_mass_setup):
     actions = bandit.act(states, np.random.SeedSequence(0).generate_state(256, np.uint64), 0)
     rewards = (actions == 0).astype(float)
     batch = trpo.RolloutBatch(states=states, actions=actions, rewards=rewards,
-                              next_states=states,
-                              dones=np.ones(len(states), bool))
+                              next_states=states)
     adv = rewards - rewards.mean()
     batch.advantages = adv / adv.std()
     batch.returns = rewards

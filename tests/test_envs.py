@@ -23,14 +23,16 @@ class TestTabularMDP:
     def test_rejects_non_stochastic_rows(self):
         P = np.zeros((2, 1, 2))
         P[:, 0, 0] = 0.9  # rows sum to 0.9
-        with pytest.raises(ValueError):
-            envs.TabularMDP(P=P, R=np.zeros((2, 1)), p0=np.array([1.0, 0.0]))
+        for bad in (P, np.full((2, 1, 2), np.nan)):
+            with pytest.raises(ValueError):
+                envs.TabularMDP(P=bad, R=np.zeros((2, 1)), p0=np.array([1.0, 0.0]))
 
     def test_rejects_bad_p0(self):
         P = np.zeros((2, 1, 2))
         P[:, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            envs.TabularMDP(P=P, R=np.zeros((2, 1)), p0=np.array([0.5, 0.0]))
+        for p0 in ([0.5, 0.0], [np.nan, np.nan]):
+            with pytest.raises(ValueError):
+                envs.TabularMDP(P=P, R=np.zeros((2, 1)), p0=np.array(p0))
 
     def test_rejects_negative_probabilities(self):
         P = np.zeros((2, 1, 2))
@@ -38,6 +40,13 @@ class TestTabularMDP:
         P[:, 0, 1] = -0.5
         with pytest.raises(ValueError):
             envs.TabularMDP(P=P, R=np.zeros((2, 1)), p0=np.array([1.0, 0.0]))
+
+
+class TestTabularPolicy:
+    def test_rejects_non_distributions(self):
+        for table in ([[0.5, 0.4]], [[1.5, -0.5]], [[np.nan, np.nan]]):
+            with pytest.raises(ValueError, match="distributions"):
+                envs.TabularPolicy(table)
 
 
 class TestGridworld:
@@ -61,18 +70,17 @@ class TestGridworld:
     def test_reward_only_on_goal(self):
         env = envs.gridworld(2, 1, goal=(1, 0), slip_prob=0.0, horizon=3)
         env.reset([0])
-        _, r0, _ = env.step([0])   # move onto the goal: reward paid for standing on start
+        _, r0 = env.step([0])   # move onto the goal: reward paid for standing on start
         assert r0.tolist() == [0.0]
-        _, r1, _ = env.step([0])   # standing on the goal now
+        _, r1 = env.step([0])   # standing on the goal now
         assert r1.tolist() == [1.0]
 
     def test_step_after_done_rejected(self):
         env = envs.gridworld(2, 2, horizon=2)
         env.reset([0])
         env.step([0])
-        _, _, done = env.step([0])
-        assert done[0]
-        with pytest.raises(RuntimeError):
+        env.step([0])
+        with pytest.raises(RuntimeError, match="after episode end"):
             env.step([0])
 
     def test_transition_rows_stochastic_with_slip(self):
@@ -109,12 +117,11 @@ class TestGridworld:
         env = envs.gridworld(5, 5, slip_prob=0.0, horizon=40)
         _, table = envs.value_iteration(env.mdp, env.spec.gamma)
         policy = envs.TabularPolicy(table)
-        trajs = envs.rollout(policy, env, 5, 0, deterministic=True)
+        episodes = envs.rollout(policy, env, 5, 0, deterministic=True)
         goal = 24
-        for tr in trajs:
-            assert np.argmax(tr.states[-1]) == goal
-            # shortest path is 8 moves; 32 on-goal steps of reward 1 follow
-            assert tr.total_return == pytest.approx(32.0)
+        assert np.all(np.argmax(episodes.states[:, -1], axis=1) == goal)
+        # shortest path is 8 moves; 32 on-goal steps of reward 1 follow
+        np.testing.assert_allclose(episodes.rewards.sum(axis=1), 32.0)
 
 
 class TestPointMass:
@@ -122,14 +129,14 @@ class TestPointMass:
         env = envs.PointMass(init_radius=0.0)
         obs = env.reset([0])
         np.testing.assert_array_equal(obs, np.zeros((1, 4)))
-        obs, reward, _ = env.step(np.zeros((1, 2)))
+        obs, reward = env.step(np.zeros((1, 2)))
         np.testing.assert_array_equal(obs, np.zeros((1, 4)))
         assert reward.tolist() == [0.0]
 
     def test_semi_implicit_euler_hand_step(self):
         env = envs.PointMass(init_radius=0.0, dt=0.05)
         env.reset([0])
-        obs, reward, _ = env.step(np.array([[1.0, 0.0]]))
+        obs, reward = env.step(np.array([[1.0, 0.0]]))
         # v' = v + dt*a = [0.05, 0]; x' = x + dt*v' = [0.0025, 0]
         np.testing.assert_allclose(obs, [[0.0025, 0.0, 0.05, 0.0]])
         assert reward[0] == pytest.approx(-(0.0025**2) - 0.01 * 1.0)
@@ -137,9 +144,9 @@ class TestPointMass:
     def test_actions_clipped_to_bounds(self):
         env = envs.PointMass(init_radius=0.0)
         env.reset([0])
-        big, _, _ = env.step(np.array([[100.0, 0.0]]))
+        big, _ = env.step(np.array([[100.0, 0.0]]))
         env.reset([0])
-        unit, _, _ = env.step(np.array([[1.0, 0.0]]))
+        unit, _ = env.step(np.array([[1.0, 0.0]]))
         np.testing.assert_array_equal(big, unit)
 
     def test_reset_deterministic_in_seed(self):
@@ -150,8 +157,7 @@ class TestPointMass:
         env = envs.PointMass()
         expert = envs.PointMassController(env)
         trajs = envs.rollout(expert, env, 3, 0, deterministic=True)
-        for tr in trajs:
-            assert np.linalg.norm(tr.states[-1][:2]) < 0.05
+        assert np.all(np.linalg.norm(trajs.states[:, -1, :2], axis=1) < 0.05)
 
 
 class TestPendulum:
@@ -218,9 +224,9 @@ class TestPendulum:
     def test_torque_clipped(self):
         env = envs.PendulumSwingup(max_torque=2.0)
         env.reset([0])
-        big, _, _ = env.step([[100.0]])
+        big, _ = env.step([[100.0]])
         env.reset([0])
-        capped, _, _ = env.step([[2.0]])
+        capped, _ = env.step([[2.0]])
         np.testing.assert_array_equal(big, capped)
 
 
@@ -237,8 +243,9 @@ class TestRollout:
 
     def test_horizon_respected(self):
         env = envs.PointMass(horizon=17)
-        trajs = envs.rollout(envs.RandomPolicy(env.spec), env, 2, 0)
-        assert all(tr.n_steps == 17 for tr in trajs)
+        episodes = envs.rollout(envs.RandomPolicy(env.spec), env, 2, 0)
+        assert episodes.states.shape == (2, 18, 4)
+        assert episodes.actions.shape == (2, 17, 2) and episodes.rewards.shape == (2, 17)
 
     def test_non_finite_action_aborts_episode(self):
         calls = []
@@ -246,12 +253,12 @@ class TestRollout:
         class BadPolicy:
             def act(self, obs, keys, t, deterministic=False):
                 calls.append(t)
-                return np.array([np.nan, 0.0])
+                return np.array([[np.nan, 0.0]])
 
         env = envs.PointMass()
-        trajs = envs.rollout(BadPolicy(), env, 1, 0)
-        assert trajs[0].aborted and trajs[0].n_steps == 0
-        assert calls == [0]  # the rollout stops once every episode has aborted
+        with pytest.raises(FloatingPointError, match="non-finite action at step 0"):
+            envs.rollout(BadPolicy(), env, 1, 0)
+        assert calls == [0]
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_episodes_rejected(self, n):
@@ -294,8 +301,8 @@ class TestBatchedStepping:
         obs = env.reset([3, 4, 5])
         assert obs.shape == (3, 4)
         np.testing.assert_array_equal(obs[1:2], envs.PointMass().reset([4]))
-        obs, rewards, dones = env.step(np.zeros((3, 2)))
-        assert obs.shape == (3, 4) and rewards.shape == (3,) and dones.shape == (3,)
+        obs, rewards = env.step(np.zeros((3, 2)))
+        assert obs.shape == (3, 4) and rewards.shape == (3,)
 
     def test_step_before_reset_rejected(self):
         for env in (envs.gridworld(2, 2), envs.PointMass(), envs.PendulumSwingup()):
@@ -428,22 +435,15 @@ class TestCounterDraws:
 
 
 def reference_rollout(policy, env, n_episodes, seed, deterministic=False):
-    """Each episode run alone, as a batch of one, with its own step
-    counter; the oracle for the lockstep rollout."""
+    """Each episode run alone, as a batch of one, to the horizon; the oracle
+    for the lockstep rollout."""
     trajs = []
     for key in np.random.SeedSequence(seed).generate_state(n_episodes, np.uint64):
         (obs,) = env.reset([key])
         states, actions, rewards = [obs], [], []
-        aborted = False
-        done = False
-        t = 0
-        while not done:
+        for t in range(env.spec.horizon):
             (a,) = policy.act(obs[None], [key], t, deterministic=deterministic)
-            t += 1
-            if not np.all(np.isfinite(np.asarray(a, dtype=np.float64))):
-                aborted = True
-                break
-            obs, r, done = (x[0] for x in env.step(a[None]))
+            obs, r = (x[0] for x in env.step(a[None]))
             states.append(obs)
             actions.append(a)
             rewards.append(r)
@@ -451,7 +451,7 @@ def reference_rollout(policy, env, n_episodes, seed, deterministic=False):
             states=np.asarray(states, dtype=np.float64),
             actions=np.asarray(actions),
             rewards=np.asarray(rewards, dtype=np.float64),
-            seed=int(key), aborted=aborted,
+            seed=int(key),
         ))
     return trajs
 
@@ -461,14 +461,13 @@ def assert_same_episodes(got, want, tabular):
     batched GEMM row may differ from a one-row product in the last bit)."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.seed == w.seed and g.aborted == w.aborted
-        assert g.states.shape == w.states.shape
-        assert g.n_steps == w.n_steps
+        assert g.seed == w.seed and not g.aborted
+        assert g.states.shape == w.states.shape and g.rewards.shape == w.rewards.shape
         if tabular:
             np.testing.assert_array_equal(g.actions, w.actions)
             np.testing.assert_array_equal(g.states, w.states)
             np.testing.assert_array_equal(g.rewards, w.rewards)
-        elif w.n_steps:
+        else:
             np.testing.assert_allclose(g.states, w.states, rtol=0, atol=1e-12)
             np.testing.assert_allclose(g.actions, w.actions, rtol=0, atol=1e-12)
             np.testing.assert_allclose(g.rewards, w.rewards, rtol=0, atol=1e-12)
@@ -512,37 +511,23 @@ class TestLockstepRollout:
             assert tr.states.flags.c_contiguous
             assert tr.states.base is not None  # a view into the batch buffer
 
-    def test_non_finite_row_aborts_only_its_episode(self):
-        cases = [c for c in _CASES
-                 if c[0] in ("pointmass-controller", "pointmass-gaussian", "gridworld-tabular")]
-        for _, env, policy in cases:
-            self.check_abort_in_batch(env, policy)
+    def test_non_finite_row_raises_at_its_step(self):
+        """A NaN in one episode's row at step 10 raises FloatingPointError
+        naming step 10, and the policy is never asked for step 11."""
+        for _, env, policy in [c for c in _CASES if c[0] in (
+                "pointmass-controller", "pointmass-gaussian", "gridworld-tabular")]:
+            steps = []
 
-    @staticmethod
-    def check_abort_in_batch(env, policy):
-        """One episode of four aborts at step 10; the batch stays whole."""
-        tabular = env.spec.state_count > 0
-        clean = envs.rollout(policy, env, 4, seed=2)
-        key = clean[2].seed
-        rows_seen = []
+            class NanAtStep:
+                """The policy, except NaN in episode 2's row from step 10 on."""
 
-        class NanAtStep:
-            """The policy, except NaN in one episode's row from step 10 on."""
+                def act(self, obs, keys, t, deterministic=False):
+                    steps.append(t)
+                    a = np.array(policy.act(obs, keys, t), dtype=np.float64)
+                    if t >= 10:
+                        a[2] = np.nan
+                    return a
 
-            def act(self, obs, keys, t, deterministic=False):
-                rows_seen.append(len(obs))
-                a = np.array(policy.act(obs, keys, t), dtype=np.float64)
-                a[(np.asarray(keys) == key) & (t >= 10)] = np.nan
-                return a
-
-        got = envs.rollout(NanAtStep(), env, 4, seed=2)
-        # every act call covers the whole batch, the aborted episode too
-        assert rows_seen == [4] * env.spec.horizon
-        assert_same_episodes(got, reference_rollout(NanAtStep(), env, 4, seed=2), tabular)
-        assert [tr.aborted for tr in got] == [False, False, True, False]
-        assert got[2].n_steps == 10
-        np.testing.assert_array_equal(got[2].states, clean[2].states[:11])
-        for i in (0, 1, 3):
-            np.testing.assert_array_equal(got[i].states, clean[i].states)
-            np.testing.assert_array_equal(got[i].actions, clean[i].actions)
-            np.testing.assert_array_equal(got[i].rewards, clean[i].rewards)
+            with pytest.raises(FloatingPointError, match="non-finite action at step 10"):
+                envs.rollout(NanAtStep(), env, 4, seed=2)
+            assert steps == list(range(11))

@@ -2,6 +2,7 @@
 report bookkeeping, and short end-to-end runs of every training loop."""
 
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -222,8 +223,8 @@ class TestEvaluate:
     def test_single_episode_equals_rollout_return(self, gridworld_demos):
         env, expert, _ = gridworld_demos
         mean, std = imitation.evaluate(expert, env, 1, 77)
-        (tr,) = envs.rollout(expert, env, 1, 77, deterministic=True)
-        assert mean == pytest.approx(tr.total_return)
+        episodes = envs.rollout(expert, env, 1, 77, deterministic=True)
+        assert mean == pytest.approx(episodes.rewards.sum())
         assert std == 0.0
 
     def test_rejects_zero_episodes(self, gridworld_demos):
@@ -326,6 +327,11 @@ class TestGaifoTrain:
         other = il.gridworld(3, 3)
         with pytest.raises(ValueError):
             il.gaifo_train(other, demos, TrainConfig(iterations=1), 0)
+
+    def test_state_dim_mismatch_rejected(self, point_mass_demos):
+        _, _, demos = point_mass_demos
+        with pytest.raises(ValueError, match="demo state dim 4 != env obs dim 6"):
+            il.gaifo_train(il.PointMass(dim=3), demos, TrainConfig(iterations=1), 0)
 
     def test_rejects_action_bearing_demos(self, point_mass_demos):
         env, expert, _ = point_mass_demos
@@ -457,12 +463,10 @@ class TestCollectBatch:
         policy = envs.RandomPolicy(env.spec)
         got = imitation.collect_batch(policy, env, min_steps, 5)
         want = envs.rollout(policy, env, math.ceil(min_steps / 20), 5)
-        assert len(got) == len(want) >= 1
-        for g, w in zip(got, want):
-            assert g.n_steps == 20 and g.seed == w.seed and not g.aborted
-            np.testing.assert_array_equal(g.states, w.states)
-            np.testing.assert_array_equal(g.actions, w.actions)
-            np.testing.assert_array_equal(g.rewards, w.rewards)
+        assert got.rewards.shape == (math.ceil(min_steps / 20), 20)
+        for g, w in [(got.states, want.states), (got.actions, want.actions),
+                     (got.rewards, want.rewards), (got.keys, want.keys)]:
+            np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize("call", [imitation.collect_batch, imitation.evaluate,
                                       record_demonstrations,
@@ -575,6 +579,16 @@ class TestGailTrain:
         with pytest.raises(TypeError):
             il.gail_train(env, demos, TrainConfig(iterations=1), 0)
 
+    def test_state_and_action_mismatch_rejected(self, point_mass_demos):
+        env, expert, _ = point_mass_demos
+        demos_a = record_demonstrations_with_actions(expert, env, 2, 0)
+        with pytest.raises(ValueError, match="demo state dim 4 != env obs dim 6"):
+            il.gail_train(il.PointMass(dim=3), demos_a, TrainConfig(iterations=1), 0)
+        discrete = dataclasses.replace(demos_a, action_kind="discrete", action_dim=1)
+        with pytest.raises(ValueError, match=r"demo actions \('discrete', 1\) != "
+                                             r"env actions \('box', 2\)"):
+            il.gail_train(env, discrete, TrainConfig(iterations=1), 0)
+
     def test_short_run_produces_report(self, point_mass_demos):
         env, expert, _ = point_mass_demos
         demos_a = record_demonstrations_with_actions(expert, env, 5, 0)
@@ -586,11 +600,16 @@ class TestGailTrain:
 
 
 class TestBcoTrain:
-    def test_zero_exploration_rejected(self, point_mass_demos):
-        env, _, demos = point_mass_demos
-        cfg = TrainConfig(exploration_steps=0)
-        with pytest.raises(ValueError):
-            il.bco_train(env, demos, cfg, 0)
+    def test_zero_exploration_rejected(self):
+        with pytest.raises(ValueError, match="exploration_steps must be >= 1, got 0"):
+            TrainConfig(exploration_steps=0)
+
+    def test_state_dim_mismatch_rejected(self, point_mass_demos, monkeypatch):
+        """Rejected before any exploration, not by a shape error after it."""
+        _, _, demos = point_mass_demos
+        monkeypatch.setattr(imitation, "collect_batch", None)
+        with pytest.raises(ValueError, match="demo state dim 4 != env obs dim 6"):
+            il.bco_train(il.PointMass(dim=3), demos, TrainConfig(iterations=1), 0)
 
     def test_inverse_model_recovers_point_mass_actions(self, point_mass_demos):
         # point-mass dynamics are affine in the action, so the inverse model
@@ -676,16 +695,9 @@ class TestBcoTrain:
                 (batch.next_states.reshape(-1, d),
                  np.concatenate([tr.states[1:] for tr in episodes])),
                 (batch.actions, np.concatenate([tr.actions for tr in episodes])),
-                (batch.rewards, np.concatenate([tr.rewards for tr in episodes])),
-                (batch.dones, np.tile(np.arange(6) == 5, len(episodes)))]:
+                (batch.rewards, np.concatenate([tr.rewards for tr in episodes]))]:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-
-    def test_batch_of_an_aborted_rollout_rejected(self):
-        env = il.gridworld(3, 3, horizon=6)
-        episodes = envs.rollout(NanAtStep(envs.RandomPolicy(env.spec), 2), env, 3, 2)
-        with pytest.raises(ValueError, match="whole episodes"):
-            trpo.RolloutBatch.of(episodes)
 
     def test_poor_inverse_fit_warns_but_continues(self, point_mass_demos):
         env, _, demos = point_mass_demos

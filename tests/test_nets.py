@@ -577,8 +577,7 @@ class TestFitSupervised:
         rng = np.random.default_rng(8)
         states = np.eye(4)[rng.integers(4, size=50)]
         batch = trpo.RolloutBatch(states=states, actions=np.zeros(50, int),
-                                  rewards=np.zeros(50), next_states=states,
-                                  dones=np.ones(50, bool))
+                                  rewards=np.zeros(50), next_states=states)
         targets = rng.normal(size=50)
         fitted = []
         for coded in (batch.coded_states(), trpo.CodedStates.of(batch.states)):

@@ -157,8 +157,9 @@ class TestExactOccupancy:
             occupancy.exact_occupancy(alternation_mdp(), np.ones((2, 1)), 1.0)
 
     def test_rejects_non_stochastic_policy(self):
-        with pytest.raises(ValueError):
-            occupancy.exact_occupancy(alternation_mdp(), np.full((2, 1), 0.5), 0.9)
+        for value in (0.5, np.nan):
+            with pytest.raises(ValueError, match="distributions"):
+                occupancy.exact_occupancy(alternation_mdp(), np.full((2, 1), value), 0.9)
 
     def test_action_relabeling_symmetry(self):
         # two distinct policies inducing the same Markov chain must yield

@@ -175,48 +175,63 @@ class TestMeanKl:
 
 
 class TestGae:
-    def brute_force(self, rewards, values, dones, gamma, lam):
-        # O(T^2): advantage at t is the lambda-weighted sum of k-step TD
-        # errors, restarting at episode boundaries
-        T = len(rewards)
-        adv = np.zeros(T)
-        for t in range(T):
-            coef = 1.0
-            for k in range(t, T):
-                v_next = 0.0 if dones[k] else gamma * values[k + 1]
-                adv[t] += coef * (rewards[k] + v_next - values[k])
-                if dones[k]:
-                    break
-                coef *= gamma * lam
+    def brute_force(self, rewards, values, gamma, lam):
+        # O(H^2) per episode: advantage at t is the lambda-weighted sum of
+        # k-step TD errors up to the episode's last step
+        adv = np.zeros(rewards.shape)
+        H = rewards.shape[1]
+        for i in range(len(rewards)):
+            for t in range(H):
+                coef = 1.0
+                for k in range(t, H):
+                    v_next = gamma * values[i, k + 1] if k + 1 < H else 0.0
+                    adv[i, t] += coef * (rewards[i, k] + v_next - values[i, k])
+                    coef *= gamma * lam
         return adv
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
-        T = 23
-        rewards = rng.normal(size=T)
-        values = rng.normal(size=T + 1)
-        dones = np.zeros(T, bool)
-        dones[[7, 15, 22]] = True
-        got = trpo.gae(rewards, values, dones, 0.97, 0.95)
-        expect = self.brute_force(rewards, values, dones, 0.97, 0.95)
+        rewards = rng.normal(size=(3, 8))
+        values = rng.normal(size=(3, 8))
+        got = trpo.gae(rewards, values, 0.97, 0.95)
+        expect = self.brute_force(rewards, values, 0.97, 0.95)
         np.testing.assert_allclose(got, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_equal_a_flat_loop_bit_for_bit(self, sign):
+        """One (n, H) pass gives the bytes of the backward loop over the
+        flattened episodes, restarting at each episode's last step."""
+        rng = np.random.default_rng(9)
+        rewards = sign * np.abs(rng.normal(size=(5, 13)))
+        values = rng.normal(size=(5, 13))
+        gamma, lam = 0.99, 0.97
+        r, v = rewards.reshape(-1), values.reshape(-1)
+        flat = np.zeros(len(r))
+        running = 0.0
+        for t in range(len(r) - 1, -1, -1):
+            if t % 13 == 12:
+                running = 0.0
+                delta = r[t] - v[t]
+            else:
+                delta = r[t] + gamma * v[t + 1] - v[t]
+            running = delta + gamma * lam * running
+            flat[t] = running
+        assert trpo.gae(rewards, values, gamma, lam).tobytes() == flat.tobytes()
 
     def test_lambda_zero_is_td_error(self):
         rng = np.random.default_rng(7)
-        rewards = rng.normal(size=5)
-        values = rng.normal(size=6)
-        dones = np.array([False, False, False, False, True])
-        got = trpo.gae(rewards, values, dones, 0.9, 0.0)
-        expect = rewards + 0.9 * values[1:6] - values[:5]
-        expect[-1] = rewards[-1] - values[4]
+        rewards = rng.normal(size=(1, 5))
+        values = rng.normal(size=(1, 5))
+        got = trpo.gae(rewards, values, 0.9, 0.0)
+        expect = rewards.copy()
+        expect[:, :-1] += 0.9 * values[:, 1:]
+        expect -= values
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_lambda_one_zero_values_is_return_to_go(self):
-        rewards = np.array([1.0, 1.0, 1.0])
-        values = np.zeros(4)
-        dones = np.array([False, False, True])
-        got = trpo.gae(rewards, values, dones, 0.5, 1.0)
-        np.testing.assert_allclose(got, [1.75, 1.5, 1.0])
+        rewards = np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 4.0]])
+        got = trpo.gae(rewards, np.zeros((2, 3)), 0.5, 1.0)
+        np.testing.assert_allclose(got, [[1.75, 1.5, 1.0], [2.0, 4.0, 4.0]])
 
     def test_advantages_normalized(self):
         env = envs.PointMass(horizon=20)
@@ -382,7 +397,7 @@ class TestTrpoUpdate:
         actions = policy.act(states, np.random.SeedSequence(seed).generate_state(n, np.uint64), 0)
         rewards = (actions == 0).astype(float)
         batch = trpo.RolloutBatch(states=states, actions=actions, rewards=rewards,
-                                  next_states=states, dones=np.ones(n, bool))
+                                  next_states=states)
         adv = rewards - rewards.mean()
         batch.advantages = (adv - adv.mean()) / adv.std()
         batch.returns = rewards
@@ -391,7 +406,7 @@ class TestTrpoUpdate:
     def test_zero_advantages_leave_policy(self):
         policy = categorical_policy(n_actions=2, seed=14)
         batch = self.bandit_batch(policy)
-        batch.advantages = np.zeros(len(batch))
+        batch.advantages = np.zeros(len(batch.rewards))
         before = policy.flat_params()
         diag = trpo.trpo_update(policy, None, batch)
         assert not diag["accepted"]
@@ -565,7 +580,7 @@ class TestTrpoUpdateForwards:
     def batch(kind, seed):
         policy, _, states, actions, adv, _ = policy_step_case(kind, 200, 6, seed)
         batch = trpo.RolloutBatch(states=states, actions=actions, rewards=adv,
-                                  next_states=states, dones=np.ones(len(states), bool))
+                                  next_states=states)
         batch.advantages = (adv - adv.mean()) / adv.std()
         return policy, batch
 
