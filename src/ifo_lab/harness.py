@@ -252,10 +252,17 @@ def aggregate_runs(run_dirs):
 
 
 def _load_policy(env, path):
+    """A policy checkpoint whose inputs, kind and outputs fit env's spec."""
     policy = trpo.StochasticPolicy.load(path)
-    if policy.obs_dim != env.spec.obs_dim:
+    spec = env.spec
+    if policy.obs_dim != spec.obs_dim:
         raise ValueError(f"policy expects obs dim {policy.obs_dim}, "
-                         f"env has {env.spec.obs_dim}")
+                         f"env has {spec.obs_dim}")
+    got = (policy.kind, policy.net.out_dim)
+    want = (("categorical", spec.n_actions) if spec.action_kind == "discrete"
+            else ("gaussian", spec.action_dim))
+    if got != want:
+        raise ValueError(f"{path}: policy {got} != env policy {want}")
     return policy
 
 

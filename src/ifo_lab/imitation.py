@@ -49,18 +49,31 @@ def _read_demo_header(reader, magic, what, fmt):
     fields = reader.unpack(fmt, "header")
     if fields[0] != DEMO_FORMAT_VERSION:
         raise reader.error("header", f"unsupported demo format version {fields[0]}")
+    if fields[3] == 0:
+        raise reader.error("header", "no trajectories")
     try:
         return fields + (reader.take(fields[1], "env id").decode("utf-8"),)
     except UnicodeDecodeError:
         raise reader.error("env id", "not UTF-8") from None
 
 
-def _read_states(reader, k, state_dim):
-    field = f"trajectory {k} states"
-    (n_states,) = reader.unpack("<I", field)
-    if n_states == 0:
-        raise reader.error(field, "no states")
-    return reader.array("<f8", (n_states, state_dim), field)
+def _read_trajectories(reader, n_traj, state_dim, action_dtype=None, action_shape=()):
+    """The trajectories as one (n, T+1, state_dim) array and, with an
+    action dtype, their actions as one (n, T, *action_shape) array (else
+    None). Every trajectory must have trajectory 0's state count."""
+    states, actions = [], []
+    for k in range(n_traj):
+        field = f"trajectory {k} states"
+        (n_states,) = reader.unpack("<I", field)
+        if n_states == 0:
+            raise reader.error(field, "no states")
+        if states and n_states != len(states[0]):
+            raise reader.error(field, f"{n_states} states, trajectory 0 has {len(states[0])}")
+        states.append(reader.array("<f8", (n_states, state_dim), field))
+        if action_dtype is not None:
+            actions.append(reader.array(action_dtype, (n_states - 1, *action_shape),
+                                        f"trajectory {k} actions"))
+    return np.stack(states), np.stack(actions) if actions else None
 
 
 @dataclass
@@ -70,7 +83,7 @@ class DemonstrationSet:
 
     env_id: str
     state_dim: int
-    trajectories: list          # list of (T+1, state_dim) float arrays
+    trajectories: np.ndarray    # (n, T+1, state_dim) float64, one trajectory per row
     recording_seed: int
     expert_mean_return: float
 
@@ -85,10 +98,9 @@ class DemonstrationSet:
                                 self.recording_seed, self.expert_mean_return)
 
     def transition_pairs(self):
-        """All (s, s') pairs pooled across trajectories."""
-        s = np.concatenate([tr[:-1] for tr in self.trajectories])
-        s_next = np.concatenate([tr[1:] for tr in self.trajectories])
-        return s, s_next
+        """All (s, s') pairs: the (n, T, state_dim) views trajectories[:, :-1]
+        and trajectories[:, 1:]."""
+        return self.trajectories[:, :-1], self.trajectories[:, 1:]
 
     def save(self, path):
         _write_demo(path, DEMO_MAGIC, "<IIIIqd", self)
@@ -98,7 +110,7 @@ class DemonstrationSet:
         with nets.BinaryReader(path) as reader:
             _, _, state_dim, n_traj, seed, mean_ret, env_id = _read_demo_header(
                 reader, DEMO_MAGIC, "a demonstration file", "<IIIIqd")
-            trajectories = [_read_states(reader, k, state_dim) for k in range(n_traj)]
+            trajectories, _ = _read_trajectories(reader, n_traj, state_dim)
             reader.end()
         return cls(env_id, state_dim, trajectories, seed, mean_ret)
 
@@ -111,8 +123,8 @@ class DemonstrationSetWithActions:
     state_dim: int
     action_kind: str            # "discrete" | "box"
     action_dim: int             # 1 for discrete
-    trajectories: list          # (T+1, state_dim) arrays
-    actions: list               # (T,) int arrays or (T, action_dim) float arrays
+    trajectories: np.ndarray    # (n, T+1, state_dim) float64
+    actions: np.ndarray         # (n, T) int or (n, T, action_dim) float64
     recording_seed: int
     expert_mean_return: float
 
@@ -133,13 +145,8 @@ class DemonstrationSetWithActions:
             if kind not in (0, 1):
                 raise reader.error("header", f"unknown action kind {kind}")
             action_kind = "discrete" if kind == 0 else "box"
-            trajectories, actions = [], []
-            for k in range(n_traj):
-                trajectories.append(_read_states(reader, k, state_dim))
-                T = len(trajectories[-1]) - 1
-                field = f"trajectory {k} actions"
-                actions.append(reader.array("<i8", (T,), field) if action_kind == "discrete"
-                               else reader.array("<f8", (T, action_dim), field))
+            dtype, shape = ("<i8", ()) if kind == 0 else ("<f8", (action_dim,))
+            trajectories, actions = _read_trajectories(reader, n_traj, state_dim, dtype, shape)
             reader.end()
         return cls(env_id, state_dim, action_kind, action_dim,
                    trajectories, actions, seed, mean_ret)
@@ -165,11 +172,10 @@ class TrainConfig:
     exploration_steps: int = 50_000
     inverse_epochs: int = 10
     inverse_val_threshold: float = 0.5
-    bc_epochs: int = 100
 
     def __post_init__(self):
         for name in ("batch_size", "d_steps", "eval_every", "eval_episodes",
-                     "exploration_steps", "inverse_epochs", "bc_epochs"):
+                     "exploration_steps", "inverse_epochs"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -264,7 +270,7 @@ def record_demonstrations(expert, env, n_trajectories, seed):
     episodes, mean_ret = _record(expert, env, n_trajectories, seed)
     return DemonstrationSet(
         env_id=env.spec.env_id, state_dim=env.spec.obs_dim,
-        trajectories=list(episodes.states),
+        trajectories=episodes.states,
         recording_seed=seed, expert_mean_return=mean_ret,
     )
 
@@ -283,7 +289,7 @@ def record_demonstrations_with_actions(expert, env, n_trajectories, seed):
     return DemonstrationSetWithActions(
         env_id=env.spec.env_id, state_dim=env.spec.obs_dim,
         action_kind=action_kind, action_dim=action_dim,
-        trajectories=list(episodes.states), actions=list(episodes.actions),
+        trajectories=episodes.states, actions=episodes.actions,
         recording_seed=seed, expert_mean_return=mean_ret,
     )
 
@@ -337,8 +343,7 @@ def policy_to_tabular(policy, n_states):
 def demo_occupancy(demos, gamma, n_states=None, bins=None):
     """Empirical occupancy of a demonstration set: tabular one-hot states
     are decoded by argmax, continuous states are binned by the BinSpec."""
-    episodes = (demos.trajectories if n_states is None
-                else [np.argmax(tr, axis=1) for tr in demos.trajectories])
+    episodes = demos.trajectories if n_states is None else np.argmax(demos.trajectories, axis=2)
     return occupancy.empirical_occupancy(episodes, gamma, bins=bins, n_states=n_states)
 
 
@@ -350,16 +355,29 @@ def _occupancy_bins(env):
     return None
 
 
+def _final_evaluation(report, policy, env, config, seed):
+    """report.final_return of the policy a trainer returns. A
+    FloatingPointError from its evaluation ends the run as report.aborted
+    with final_return NaN."""
+    try:
+        report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0]
+    except FloatingPointError:
+        report.aborted = True
+        report.final_return = float("nan")
+
+
 def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=None):
     """The one training loop: rollout, per-transition rewards, advantages and
     a TRPO step (which fits the value baseline) per iteration.
 
     reward(batch) returns (rewards, disc_loss) for the fresh batch; None
     keeps the environment reward. A FloatingPointError anywhere in an
-    iteration, or non-finite policy parameters after it, ends the run as
-    report.aborted with the last finite policy. With occupancy_ref, each row
-    records the L1 distance of the policy's occupancy from it: exact on
-    tabular envs, binned from the rollout elsewhere. Returns (policy, report).
+    iteration (its rollout, step, occupancy tracking or evaluation), or
+    non-finite policy parameters after it, ends the run as report.aborted
+    with the policy as it stood before that iteration. With occupancy_ref,
+    each row records the L1 distance of the policy's occupancy from it:
+    exact on tabular envs, binned from the rollout elsewhere. Returns
+    (policy, report).
     """
     spec = env.spec
     gamma = config.gamma if config.gamma is not None else spec.gamma
@@ -381,26 +399,25 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
                 mean_reward = float(batch.rewards.mean())
             trpo.compute_advantages(batch, vf, gamma)
             diag = trpo.trpo_update(policy, vf, batch)
-            finite = np.all(np.isfinite(policy.flat_params()))
+            if not np.all(np.isfinite(policy.flat_params())):
+                raise FloatingPointError("non-finite policy parameters")
+            occ_dist = ""
+            if config.track_occupancy and occupancy_ref is not None:
+                if tabular:
+                    table = policy_to_tabular(policy, spec.state_count)
+                    occ = occupancy.exact_occupancy(env.mdp, table, gamma)
+                else:
+                    occ = occupancy.empirical_occupancy(episodes.states, gamma, bins=bins)
+                occ_dist = occupancy_distance(occ, occupancy_ref)
+            eval_ret = ""
+            if (it + 1) % config.eval_every == 0 or it == iterations - 1:
+                eval_ret, _ = evaluate(policy, env, config.eval_episodes,
+                                       _iteration_seed(seed + 7, it))
         except FloatingPointError:
-            finite = False
-        if not finite:
             policy = snapshot
             report.aborted = True
             break
         snapshot = policy.copy()
-        occ_dist = ""
-        if config.track_occupancy and occupancy_ref is not None:
-            if tabular:
-                table = policy_to_tabular(policy, spec.state_count)
-                occ = occupancy.exact_occupancy(env.mdp, table, gamma)
-            else:
-                occ = occupancy.empirical_occupancy(episodes.states, gamma, bins=bins)
-            occ_dist = occupancy_distance(occ, occupancy_ref)
-        eval_ret = ""
-        if (it + 1) % config.eval_every == 0 or it == iterations - 1:
-            eval_ret, _ = evaluate(policy, env, config.eval_episodes,
-                                   _iteration_seed(seed + 7, it))
         report.add_row(iteration=it, mean_return=float(np.mean(episodes.rewards.sum(axis=1))),
                        disc_loss=disc_loss, mean_reward=mean_reward, kl=diag["kl"],
                        occupancy_distance=occ_dist, accepted=diag["accepted"],
@@ -408,7 +425,7 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
         if eval_ret != "" and config.early_stop and it >= _EARLY_STOP_MIN_ITERS \
                 and stopper.update(eval_ret):
             break
-    report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0]
+    _final_evaluation(report, policy, env, config, seed)
     report.wall_clock = time.time() - start
     return policy, report
 
@@ -444,12 +461,10 @@ def _scored(report, env, config, seed, demos):
 
 
 def _action_features(spec, actions):
-    """Discriminator action features: one-hot for discrete, raw for box."""
+    """Discriminator action features, for actions of any leading shape:
+    one-hot for discrete, raw for box."""
     if spec.action_kind == "discrete":
-        acts = np.asarray(actions, dtype=int)
-        feats = np.zeros((len(acts), spec.n_actions))
-        feats[np.arange(len(acts)), acts] = 1.0
-        return feats
+        return np.eye(spec.n_actions)[np.asarray(actions, dtype=int)]
     return np.asarray(actions, dtype=np.float64)
 
 
@@ -516,9 +531,8 @@ def gail_train(env, demos, config, seed):
 
     def features(states, next_states, actions):
         return states, _action_features(env.spec, actions).reshape(*states.shape[:-1], -1)
-    s = np.concatenate([tr[:-1] for tr in demos.trajectories])
-    acts = np.concatenate([np.asarray(a) for a in demos.actions])
-    reward = _adversarial_reward(config, seed, features, features(s, None, acts))
+    expert_parts = features(demos.trajectories[:, :-1], None, demos.actions)
+    reward = _adversarial_reward(config, seed, features, expert_parts)
     policy, report = _train(env, config, config.iterations, seed, "gail", reward)
     return policy, _scored(report, env, config, seed, demos)
 
@@ -528,7 +542,8 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
 
     states and next_states are (n, d), or (n, H, d) such as a batch's views
     of its rollout's buffer, and actions holds one action per row in C
-    order. Returns (predict function, validation metric). The metric is
+    order. Returns (predict function, validation metric); predict(s, s_next)
+    takes the same layouts and gives one action per row. The metric is
     error rate for discrete actions and RMS error for continuous ones, on a
     held-out tenth of the rows. The (s, s') rows are coded from the two
     arrays as they are (nets.DistinctRows.of), and the metric runs the
@@ -556,8 +571,8 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
                         config.inverse_epochs, 256, rows=train_idx)
 
     def predict(s, s_next):
-        feats = np.concatenate([s, s_next], axis=1)
-        out, _ = nets.mlp_forward(net, feats)
+        feats = np.concatenate([s, s_next], axis=-1)
+        out, _ = nets.mlp_forward(net, feats.reshape(-1, feats.shape[-1]))
         if discrete:
             return out.argmax(axis=1)
         return out
@@ -571,12 +586,16 @@ def fit_inverse_model(states, actions, next_states, spec, config, seed):
     return predict, val_metric
 
 
+BC_EPOCHS = 100   # epochs of BCO's behavioral-cloning fit
+
+
 def bco_train(env, demos, config, seed):
     """Behavioral cloning from observation: exploration -> inverse dynamics
     model -> action inference on demo pairs -> behavioral cloning.
 
     A FloatingPointError in any phase ends the run as report.aborted with
-    the policy as it stood (Adam raises before a non-finite step).
+    the policy as it stood (Adam raises before a non-finite step); one in
+    the final evaluation also leaves final_return NaN.
     """
     _check_demos(env, demos, DemonstrationSet, "bco_train")
     spec = env.spec
@@ -601,10 +620,10 @@ def bco_train(env, demos, config, seed):
         # phase 3: behavioral cloning on (s, inferred action)
         nets.fit_supervised(policy.net, nets.AdamState(policy.net, alpha=1e-2),
                             nets.DistinctRows.of(s), inferred,
-                            np.random.default_rng(seed + 17), config.bc_epochs, 256)
+                            np.random.default_rng(seed + 17), BC_EPOCHS, 256)
     except FloatingPointError:
         report.aborted = True
-    report.final_return = evaluate(policy, env, config.eval_episodes, seed + 999)[0]
+    _final_evaluation(report, policy, env, config, seed)
     if not report.aborted:
         report.add_row(iteration=0, mean_return=report.final_return,
                        eval_return=report.final_return)

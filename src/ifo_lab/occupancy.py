@@ -8,12 +8,14 @@ which biases an empirical total by at most gamma^H / (1 - gamma); callers
 pick H and gamma so that this is negligible before comparing against the
 oracle.
 
-One empirical estimator serves index arrays, rollout states and decoded
-demonstrations in one array pass per call. Continuous states are binned per
-dimension by truncating (x - low) / (high - low) * bins and clipping to
-[0, bins - 1]. Transition t weighs the Python float gamma**t and masses are
-summed in trajectory-major order, bit-identical to adding the transitions
-one at a time; binned keys keep the order in which they first appear.
+One empirical estimator takes one episode-major array, the layout of a
+rollout's states and of a demonstration set's trajectories: (E, T+1) state
+indices or (E, T+1, dim) states, in one array pass per call. Continuous
+states are binned per dimension by truncating (x - low) / (high - low) *
+bins and clipping to [0, bins - 1]. Transition t weighs the Python float
+gamma**t and masses are summed in trajectory-major order, bit-identical to
+adding the transitions one at a time; binned keys keep the order in which
+they first appear.
 """
 
 from dataclasses import dataclass
@@ -93,48 +95,40 @@ def empirical_occupancy(episodes, gamma, bins=None, n_states=None):
     """Estimate the occupancy from rollouts; step t weighs gamma^t, averaged
     over episodes.
 
-    episodes is an array with a leading episode axis, (E, T+1) integer
-    tabular state indices (the output of envs.simulate_tabular) or (E, T+1,
-    dim) states (a Rollout's states), or a sequence with one array of
-    states per episode: (T+1,) indices for a tabular estimate, (T+1, dim)
-    for a binned one. Tabular inputs need n_states and give a dense S x S
-    mass; continuous inputs need a BinSpec and give a mass_map keyed by
-    (bin(s), bin(s')) in order of first appearance.
+    episodes is one array with a leading episode axis, taken by
+    np.asarray: (E, T+1) integer tabular state indices (the output of
+    envs.simulate_tabular) or (E, T+1, dim) states (a Rollout's states or a
+    DemonstrationSet's trajectories). Index inputs need n_states and give a
+    dense S x S mass; state inputs need a BinSpec and give a mass_map keyed
+    by (bin(s), bin(s')) in order of first appearance.
     """
-    if isinstance(episodes, np.ndarray):
-        if episodes.ndim == 2 and n_states is None:
-            raise ValueError("index-array input requires n_states")
-        lengths = np.full(len(episodes), episodes.shape[1], dtype=np.int64)
-        states = episodes.reshape(-1, *episodes.shape[2:])
-    else:
-        episodes = list(episodes)
-        lengths = np.array([len(ep) for ep in episodes], dtype=np.int64)
-        states = np.concatenate(episodes) if episodes else None
-    if not len(lengths) or lengths.min() == 0:
+    episodes = np.asarray(episodes)
+    if episodes.size == 0:
         raise ValueError("empty trajectory set")
     if n_states is None and bins is None:
         raise ValueError("continuous estimate requires a BinSpec")
+    if episodes.ndim != (2 if n_states is not None else 3):
+        raise ValueError(f"episodes of shape {episodes.shape}: need (E, T+1) indices "
+                         "with n_states or (E, T+1, dim) states with a BinSpec")
+    n_eps, T = episodes.shape[0], episodes.shape[1] - 1
 
     if n_states is not None:
-        bad = (states < 0) | (states >= n_states)
+        bad = (episodes < 0) | (episodes >= n_states)
         if bad.any():
-            raise ValueError(f"state index {states[bad][0]} outside [0, {n_states})")
-        cells, n_cells = states, n_states
+            raise ValueError(f"state index {episodes[bad][0]} outside [0, {n_states})")
+        cells, n_cells = episodes, n_states
     else:
-        grid = bins.indices(states)
+        grid = bins.indices(episodes.reshape(-1, episodes.shape[2]))
         n_cells = bins.bins ** grid.shape[1]
         if n_cells * n_cells <= np.iinfo(np.int64).max:
             cells = np.ravel_multi_index(grid.T, (bins.bins,) * grid.shape[1])
         else:  # too many cells for int64 pair codes: number the visited ones
             cells = np.unique(grid, axis=0, return_inverse=True)[1].ravel()
-            n_cells = len(states)
-    # trajectory-major positions of every s_t in `states`, and their t
-    ends = np.cumsum(lengths)
-    src = np.delete(np.arange(ends[-1]), ends - 1)
-    t = src - np.repeat(ends - lengths, lengths - 1)
-    weights = np.array([gamma**k for k in range(lengths.max() - 1)], dtype=np.float64)[t]
-    pairs = cells[src] * n_cells + cells[src + 1]
-    n_eps = len(episodes)
+            n_cells = len(grid)
+        cells = cells.reshape(n_eps, T + 1)
+    # trajectory-major pairs, transition t of each episode weighing gamma**t
+    pairs = (cells[:, :-1] * n_cells + cells[:, 1:]).ravel()
+    weights = np.tile(np.array([gamma**k for k in range(T)], dtype=np.float64), n_eps)
 
     if n_states is not None:
         mass = np.bincount(pairs, weights=weights, minlength=n_cells * n_cells)
@@ -142,7 +136,7 @@ def empirical_occupancy(episodes, gamma, bins=None, n_states=None):
     _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
     mass = np.bincount(inverse, weights=weights, minlength=len(first)) / n_eps
     order = np.argsort(first)
-    at = src[first[order]]
+    at = first[order] + first[order] // T  # each key's s_t in the flat states
     keys = zip(map(tuple, grid[at].tolist()), map(tuple, grid[at + 1].tolist()))
     mass_map = dict(zip(keys, mass[order].tolist()))
     return StateTransitionOccupancy(gamma, mass_map=mass_map, bins=bins)

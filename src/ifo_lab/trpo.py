@@ -108,9 +108,18 @@ class StochasticPolicy:
 
     @classmethod
     def load(cls, path):
+        """Inverse of save. A checkpoint with no policy kind, such as a
+        discriminator's, or a Gaussian one whose log_std does not have one
+        entry per output, is a ValueError that names the file and its header."""
         net, extra = nets.load_mlp(path)
-        log_std = np.asarray(extra["log_std"]) if extra["kind"] == "gaussian" else None
-        return cls(extra["kind"], net, log_std)
+        kind = extra.get("kind") if isinstance(extra, dict) else None
+        log_std = extra.get("log_std") if kind == "gaussian" else None
+        try:
+            if kind == "gaussian" and np.shape(log_std) != (net.out_dim,):
+                raise ValueError(f"log_std {log_std!r} needs one entry per output, {net.out_dim}")
+            return cls(kind, net, log_std)
+        except ValueError as err:
+            raise ValueError(f"{path}: header: {err}") from None
 
 
 def make_policy(spec, hidden=(64, 64), seed=0, init_log_std=-0.5):

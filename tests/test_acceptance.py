@@ -266,7 +266,8 @@ def test_criterion_5_trust_region_contract(capfd, point_mass_setup):
     env, demos, _ = point_mass_setup
     spec = env.spec
     delta = 0.01
-    s, s_next = demos.transition_pairs()
+    # the demonstrations' (n, T, obs_dim) views, flattened for the plain-array API
+    s, s_next = (x.reshape(-1, spec.obs_dim) for x in demos.transition_pairs())
     expert_x = adversary.pair_features(s, s_next)
 
     policy = trpo.make_policy(spec, hidden=(64, 64), seed=0)

@@ -56,7 +56,7 @@ class TestExperimentConfig:
         assert config.train.early_stop is False
         assert config.run["seed"] == 1
 
-    @pytest.mark.parametrize("key", ["lerning_rate", "gae_lambda"])
+    @pytest.mark.parametrize("key", ["lerning_rate", "gae_lambda", "bc_epochs"])
     def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.ini"
         path.write_text(f"[train]\n{key} = 3\n")
@@ -67,7 +67,7 @@ class TestExperimentConfig:
         (value, key) for value in (0, -1)
         for key in ("eval_every", "d_steps", "eval_episodes")] + [
         (0, "batch_size"), (-3, "iterations"), (1.5, "gamma"), (0, "hidden"),
-        (0, "inverse_epochs"), (0, "bc_epochs"), (0.0, "disc_lr"), (-1e-3, "disc_lr")])
+        (0, "inverse_epochs"), (0.0, "disc_lr"), (-1e-3, "disc_lr")])
     def test_train_count_below_one_rejected(self, tmp_path, key, value):
         path = tmp_path / "bad.ini"
         path.write_text(f"[train]\n{key} = {value}\n")
@@ -255,6 +255,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ValueError" and "n_episodes" in payload["message"]
         assert not (tmp_path / "demos.bin").exists()
+
+    def test_policy_of_another_env_rejected(self, tmp_path, capsys):
+        """eval rejects a checkpoint before any episode when it is no policy's,
+        or when its kind and outputs do not fit the env: a point-mass dim=2
+        policy has the 2x2 gridworld's obs dim, 4."""
+        ini = tmp_path / "grid.ini"
+        ini.write_text("[env]\nname = gridworld\nwidth = 2\nheight = 2\n")
+        point_mass = tmp_path / "point_mass.mlp"
+        il.make_policy(il.PointMass(dim=2).spec, hidden=(8,), seed=0).save(point_mass)
+        disc = tmp_path / "disc.mlp"
+        il.nets.save_mlp(disc, il.adversary.Discriminator(8, hidden=(8,)).params)
+        for path, problem in [
+                (point_mass, "policy ('gaussian', 2) != env policy ('categorical', 4)"),
+                (disc, "header: unknown policy kind None")]:
+            rc = self.run("eval", "--config", str(ini), "--policy", str(path), "--episodes", "2")
+            assert rc != 0
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == "ValueError"
+            assert payload["message"].startswith(str(path)) and problem in payload["message"]
 
     def test_full_pipeline(self, config_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")

@@ -74,9 +74,30 @@ class TestDemonstrationSet:
     def test_transition_pairs_are_consecutive(self, point_mass_demos):
         _, _, demos = point_mass_demos
         s, s_next = demos.transition_pairs()
+        assert np.shares_memory(s, demos.trajectories)
+        assert np.shares_memory(s_next, demos.trajectories)
+        s, s_next = s.reshape(-1, demos.state_dim), s_next.reshape(-1, demos.state_dim)
         assert len(s) == len(s_next) == sum(len(tr) - 1 for tr in demos.trajectories)
         np.testing.assert_array_equal(s[1], demos.trajectories[0][1])
         np.testing.assert_array_equal(s_next[0], demos.trajectories[0][1])
+
+    @pytest.mark.parametrize("with_actions", [False, True])
+    def test_recorders_keep_the_rollout_buffers(self, monkeypatch, point_mass_demos,
+                                                with_actions):
+        env, expert, _ = point_mass_demos
+        rollout, records = imitation.rollout, []
+
+        def recorded_rollout(*args, **kwargs):
+            records.append(rollout(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(imitation, "rollout", recorded_rollout)
+        recorder = record_demonstrations_with_actions if with_actions else record_demonstrations
+        demos = recorder(expert, env, 3, 0)
+        assert demos.trajectories is records[0].states
+        assert demos.trajectories.shape == (3, env.spec.horizon + 1, env.spec.obs_dim)
+        if with_actions:
+            assert demos.actions is records[0].actions
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -118,10 +139,11 @@ class TestDemonstrationSetWithActions:
 @st.composite
 def demo_files(draw):
     """A random demonstration set of either format (arbitrary float bits,
-    zero-step trajectories included)."""
+    zero-step trajectories included), one state count for all of its
+    trajectories."""
     state_dim = draw(st.integers(1, 3))
-    lengths = draw(st.lists(st.integers(1, 4), max_size=3))
-    trajectories = [draw(hnp.arrays(np.float64, (n, state_dim))) for n in lengths]
+    n_traj, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    trajectories = draw(hnp.arrays(np.float64, (n_traj, n, state_dim)))
     fields = dict(env_id=draw(st.text(max_size=8)), state_dim=state_dim,
                   trajectories=trajectories,
                   recording_seed=draw(st.integers(-2**63, 2**63 - 1)),
@@ -129,11 +151,11 @@ def demo_files(draw):
     if draw(st.booleans()):
         return DemonstrationSet(**fields)
     if draw(st.booleans()):
-        actions = [draw(hnp.arrays(np.int64, (n - 1,))) for n in lengths]
+        actions = draw(hnp.arrays(np.int64, (n_traj, n - 1)))
         return DemonstrationSetWithActions(action_kind="discrete", action_dim=1,
                                            actions=actions, **fields)
     action_dim = draw(st.integers(1, 2))
-    actions = [draw(hnp.arrays(np.float64, (n - 1, action_dim))) for n in lengths]
+    actions = draw(hnp.arrays(np.float64, (n_traj, n - 1, action_dim)))
     return DemonstrationSetWithActions(action_kind="box", action_dim=action_dim,
                                        actions=actions, **fields)
 
@@ -183,13 +205,13 @@ class TestDemoFileFormats:
 
     @pytest.mark.parametrize("with_actions", [False, True])
     def test_truncated_field_is_named(self, tmp_path, with_actions):
-        states = [np.zeros((3, 2)), np.ones((2, 2))]
+        states = np.stack([np.zeros((3, 2)), np.ones((3, 2))])
         fields = dict(env_id="grid", state_dim=2, trajectories=states,
                       recording_seed=1, expert_mean_return=0.5)
         if with_actions:
             demos = DemonstrationSetWithActions(
                 action_kind="box", action_dim=1,
-                actions=[np.zeros((2, 1)), np.ones((1, 1))], **fields)
+                actions=np.stack([np.zeros((2, 1)), np.ones((2, 1))]), **fields)
             header = 8 + 37
         else:
             demos = DemonstrationSet(**fields)
@@ -211,6 +233,37 @@ class TestDemoFileFormats:
         demos.save(path)
         with pytest.raises(ValueError, match="trajectory 0 states"):
             DemonstrationSet.load(path)
+
+    @staticmethod
+    def _written(path, with_actions, trajectories, actions):
+        """A file of either format holding the given per-trajectory arrays,
+        as any writer of the format could lay it out."""
+        fields = dict(env_id="grid", state_dim=2, trajectories=trajectories,
+                      recording_seed=1, expert_mean_return=0.5)
+        demos = (DemonstrationSetWithActions(action_kind="discrete", action_dim=1,
+                                             actions=actions, **fields)
+                 if with_actions else DemonstrationSet(**fields))
+        demos.save(path)
+        return type(demos)
+
+    @pytest.mark.parametrize("with_actions", [False, True])
+    def test_unequal_state_counts_rejected(self, tmp_path, with_actions):
+        path = tmp_path / "d.bin"
+        kind = self._written(path, with_actions,
+                             [np.zeros((3, 2)), np.ones((2, 2)), np.ones((3, 2))],
+                             [np.zeros(2, int), np.ones(1, int), np.ones(2, int)])
+        with pytest.raises(ValueError, match="trajectory 1 states: 2 states, trajectory 0 has 3") \
+                as err:
+            kind.load(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("with_actions", [False, True])
+    def test_zero_trajectories_rejected(self, tmp_path, with_actions):
+        path = tmp_path / "d.bin"
+        kind = self._written(path, with_actions, np.zeros((0, 3, 2)), np.zeros((0, 2), int))
+        with pytest.raises(ValueError, match="header: no trajectories") as err:
+            kind.load(path)
+        assert str(path) in str(err.value)
 
 
 class TestEvaluate:
@@ -361,6 +414,13 @@ class TestGaifoTrain:
         assert report.scaled_score < 0.9
 
 
+def _overflow_output(net):
+    """Finite parameters whose forward overflows: saturated tanh hidden units
+    times output weights of 1.7e308."""
+    net.biases[0][:] = 100.0
+    net.weights[-1][:] = 1.7e308
+
+
 def _poison_iteration_2(monkeypatch, point):
     """Make the third iteration of a trainer meet a non-finite value at
     `point`. Returns the policy parameters seen at the start of each
@@ -405,6 +465,16 @@ def _poison_iteration_2(monkeypatch, point):
             return loss, grads * np.nan if len(seen) == 3 else grads
 
         monkeypatch.setattr(adversary, "disc_loss_grad", nan_loss_grad)
+    if point == "overflowing forward":
+        update = trpo.trpo_update
+
+        def update_then_overflow(policy, value_fn, batch, *args, **kwargs):
+            diag = update(policy, value_fn, batch, *args, **kwargs)
+            if len(seen) == 3:
+                _overflow_output(policy.net)
+            return diag
+
+        monkeypatch.setattr(trpo, "trpo_update", update_then_overflow)
     if point == "fisher product":
         jvp = nets.mlp_jvp
 
@@ -417,20 +487,24 @@ def _poison_iteration_2(monkeypatch, point):
 
 
 class TestNonFiniteAbort:
-    """A non-finite value in the rollout, a gradient, the value net or the
-    TRPO step ends the run as aborted with the last finite policy, not with
-    an exception."""
+    """A non-finite value in the rollout, a gradient, the value net, the
+    TRPO step or the iteration's occupancy tracking or evaluation ends the
+    run as aborted with the last finite policy, not with an exception. An
+    overflowing forward is met by the evaluation of train_expert and by the
+    occupancy tracking of gaifo_train, each evaluating every iteration."""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("trainer,point", [
         (trainer, point) for trainer in ("expert", "gaifo")
         for point in ("rollout", "value net", "value gradient", "fisher product",
-                      "discriminator gradient")
+                      "discriminator gradient", "overflowing forward")
         if (trainer, point) != ("expert", "discriminator gradient")])
     def test_aborts_with_last_finite_snapshot(self, monkeypatch, gridworld_demos,
                                               trainer, point):
         env, _, demos = gridworld_demos
         cfg = TrainConfig(iterations=5, batch_size=128, hidden=(16,),
-                          eval_every=2, early_stop=False)
+                          eval_every=1 if point == "overflowing forward" else 2,
+                          early_stop=False)
         seen = _poison_iteration_2(monkeypatch, point)
         if trainer == "expert":
             policy, report = il.train_expert(env, cfg, cfg.iterations, seed=3)
@@ -512,7 +586,7 @@ class TestBcoNonFiniteAbort:
     @pytest.mark.parametrize("fit_index,point", [(0, "inverse model"), (1, "cloning")])
     def test_nan_gradient_aborts(self, monkeypatch, gridworld_demos, fit_index, point):
         env, _, demos = gridworld_demos
-        cfg = TrainConfig(exploration_steps=500, inverse_epochs=2, bc_epochs=2,
+        cfg = TrainConfig(exploration_steps=500, inverse_epochs=2,
                           hidden=(16,), eval_episodes=3, inverse_val_threshold=1.0)
         fit, backward = nets.fit_supervised, nets.mlp_backward
         fits = []
@@ -532,6 +606,29 @@ class TestBcoNonFiniteAbort:
         initial = trpo.make_policy(env.spec, hidden=cfg.hidden, seed=4)
         np.testing.assert_array_equal(policy.flat_params(), initial.flat_params())
         assert np.isfinite(report.final_return) and np.isfinite(report.scaled_score)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_clone_aborts_at_final_evaluation(self, monkeypatch, gridworld_demos):
+        """Cloning that leaves finite output weights of 1.7e308 makes the final
+        evaluation's forward overflow: the run ends aborted with final_return
+        NaN, not with an exception."""
+        env, _, demos = gridworld_demos
+        cfg = TrainConfig(exploration_steps=500, inverse_epochs=2,
+                          hidden=(16,), eval_episodes=3, inverse_val_threshold=1.0)
+        fit, fits = nets.fit_supervised, []
+
+        def fit_supervised(net, *args, **kwargs):
+            fit(net, *args, **kwargs)
+            fits.append(net)
+            if len(fits) == 2:
+                _overflow_output(net)
+
+        monkeypatch.setattr(nets, "fit_supervised", fit_supervised)
+        policy, report = il.bco_train(env, demos, cfg, 4)
+        assert len(fits) == 2 and fits[-1] is policy.net
+        assert report.aborted and report.rows == []
+        assert np.isnan(report.final_return) and np.isnan(report.scaled_score)
+        assert np.all(np.isfinite(policy.flat_params()))
 
 
 class TestTracedLookupSites:
@@ -567,7 +664,7 @@ class TestTracedLookupSites:
         env, _, demos = gridworld_demos
         calls = self._count_calls(monkeypatch, [
             (imitation, "fit_inverse_model", "fit_inverse_model")])
-        cfg = TrainConfig(exploration_steps=500, inverse_epochs=1, bc_epochs=1,
+        cfg = TrainConfig(exploration_steps=500, inverse_epochs=1,
                           hidden=(8,), eval_episodes=2, inverse_val_threshold=1.0)
         il.bco_train(env, demos, cfg, 0)
         assert calls == {"fit_inverse_model": 1}
@@ -588,6 +685,37 @@ class TestGailTrain:
         with pytest.raises(ValueError, match=r"demo actions \('discrete', 1\) != "
                                              r"env actions \('box', 2\)"):
             il.gail_train(env, discrete, TrainConfig(iterations=1), 0)
+
+    def test_expert_features_read_the_recording(self, monkeypatch, point_mass_demos,
+                                                gridworld_demos):
+        """The expert's state part is a view of the trajectories, and so is
+        its action part for box actions; for discrete ones it is the one-hot
+        rows of the actions. In C order both are the per-trajectory
+        concatenations."""
+        adversarial_reward, parts = imitation._adversarial_reward, []
+
+        def recorded(config, seed, features, expert_parts):
+            parts.append(expert_parts)
+            return adversarial_reward(config, seed, features, expert_parts)
+
+        monkeypatch.setattr(imitation, "_adversarial_reward", recorded)
+        cfg = TrainConfig(iterations=0, hidden=(8,), eval_episodes=1, track_occupancy=False)
+        for env, expert, _ in (point_mass_demos, gridworld_demos):
+            demos = record_demonstrations_with_actions(expert, env, 3, 0)
+            il.gail_train(env, demos, cfg, 0)
+            s, a = parts[-1]
+            assert np.shares_memory(s, demos.trajectories)
+            np.testing.assert_array_equal(s.reshape(-1, demos.state_dim),
+                                          np.concatenate([tr[:-1] for tr in demos.trajectories]))
+            flat = np.concatenate(list(demos.actions))
+            if env.spec.action_kind == "box":
+                assert np.shares_memory(a, demos.actions)
+                want = flat
+            else:
+                want = np.zeros((len(flat), env.spec.n_actions))
+                want[np.arange(len(flat)), flat] = 1.0
+            assert a.dtype == want.dtype
+            np.testing.assert_array_equal(a.reshape(want.shape), want)
 
     def test_short_run_produces_report(self, point_mass_demos):
         env, expert, _ = point_mass_demos
@@ -702,8 +830,7 @@ class TestBcoTrain:
     def test_poor_inverse_fit_warns_but_continues(self, point_mass_demos):
         env, _, demos = point_mass_demos
         cfg = TrainConfig(exploration_steps=500, inverse_epochs=1,
-                          bc_epochs=1, hidden=(8,), eval_episodes=2,
-                          inverse_val_threshold=1e-6)
+                          hidden=(8,), eval_episodes=2, inverse_val_threshold=1e-6)
         with pytest.warns(UserWarning, match="inverse model"):
             policy, report = il.bco_train(env, demos, cfg, 0)
         assert report.scaled_score is not None

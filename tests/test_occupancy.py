@@ -82,34 +82,29 @@ def old_demo_occupancy(demos, gamma, n_states=None, bins=None, powers=numpy_powe
     return occupancy.StateTransitionOccupancy(gamma, mass_map=mass_map, bins=bins)
 
 
-Episode = namedtuple("Episode", "states indices aborted")
+Episode = namedtuple("Episode", "states indices")
 
 
 @st.composite
 def episode_sets(draw):
-    """Variable-length episodes (zero-step and aborted ones included) with
+    """Episodes of one drawn length (zero-step ones included) with
     continuous states on, between and outside the bin bounds, and tabular
-    indices, plus the BinSpec, n_states and gamma to estimate them with. An
-    aborted episode ends in a NaN state; the per-episode estimates take only
-    the others, as a trainer passes only whole episodes."""
+    indices, plus the BinSpec, n_states and gamma to estimate them with."""
     dim = draw(st.integers(1, 3))
     lows = draw(st.lists(st.floats(-3.0, 0.0), min_size=dim, max_size=dim))
     widths = draw(st.lists(st.floats(0.1, 3.0), min_size=dim, max_size=dim))
     bins = occupancy.BinSpec.from_bounds(lows, np.add(lows, widths), bins=draw(st.integers(1, 5)))
     n_states = draw(st.integers(1, 5))
     episodes = []
-    for k in range(draw(st.integers(1, 6))):
-        T = draw(st.integers(0, 8))
+    T = draw(st.integers(0, 8))
+    for _ in range(draw(st.integers(1, 6))):
         states = np.empty((T + 1, dim))
         for i in range(T + 1):
             for j in range(dim):
                 states[i, j] = draw(st.sampled_from([bins.lows[j], bins.highs[j]])
                                     | st.floats(bins.lows[j] - 1.0, bins.highs[j] + 1.0))
-        aborted = k > 0 and draw(st.booleans())
-        if aborted:
-            states[-1] = np.nan
         idx = np.array(draw(st.lists(st.integers(0, n_states - 1), min_size=T + 1, max_size=T + 1)))
-        episodes.append(Episode(states, idx, aborted))
+        episodes.append(Episode(states, idx))
     return episodes, bins, n_states, draw(st.floats(0.5, 0.999))
 
 
@@ -230,6 +225,21 @@ class TestEmpiricalOccupancy:
         with pytest.raises(ValueError, match=r"state index -1 outside \[0, 3\)"):
             occupancy.empirical_occupancy([np.array([0, -1])], 0.9, n_states=3)
 
+    def test_ragged_input_rejected(self):
+        bins = occupancy.BinSpec.from_bounds([-1.0], [1.0], bins=4)
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            occupancy.empirical_occupancy([np.array([0, 1]), np.array([0, 1, 1])], 0.9,
+                                          n_states=2)
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            occupancy.empirical_occupancy([np.zeros((2, 1)), np.zeros((3, 1))], 0.9, bins=bins)
+
+    def test_input_of_the_wrong_rank_rejected(self):
+        bins = occupancy.BinSpec.from_bounds([-1.0], [1.0], bins=4)
+        with pytest.raises(ValueError, match=r"episodes of shape \(3,\)"):
+            occupancy.empirical_occupancy(np.array([0, 1, 1]), 0.9, n_states=2)
+        with pytest.raises(ValueError, match=r"episodes of shape \(2, 3\)"):
+            occupancy.empirical_occupancy(np.zeros((2, 3)), 0.9, bins=bins)
+
     def test_out_of_range_array_index_rejected(self):
         with pytest.raises(ValueError, match=r"state index 3 outside \[0, 3\)"):
             occupancy.empirical_occupancy(np.array([[0, 3]]), 0.9, n_states=3)
@@ -242,8 +252,8 @@ class TestEstimatorParity:
     @given(episode_sets())
     def test_matches_per_transition_loops(self, case):
         episodes, bins, n_states, gamma = case
-        states = [ep.states for ep in episodes if not ep.aborted]
-        indices = [ep.indices for ep in episodes if not ep.aborted]
+        states = [ep.states for ep in episodes]
+        indices = [ep.indices for ep in episodes]
 
         new = occupancy.empirical_occupancy(states, gamma, bins=bins)
         old = old_empirical_occupancy(states, gamma, bins=bins)
@@ -259,7 +269,7 @@ class TestEstimatorParity:
             assert (occupancy.occupancy_distance(new, ref_new)
                     == occupancy.occupancy_distance(old, ref_old))
 
-        demos = imitation.DemonstrationSet("test", len(bins.lows), states, 0, 0.0)
+        demos = imitation.DemonstrationSet("test", len(bins.lows), np.array(states), 0, 0.0)
         new = imitation.demo_occupancy(demos, gamma, bins=bins)
         old = old_demo_occupancy(demos, gamma, bins=bins)
         assert list(new.mass_map.items()) == list(old.mass_map.items())
@@ -273,7 +283,7 @@ class TestEstimatorParity:
             rtol=1e-14, atol=0.0)
 
         one_hot = imitation.DemonstrationSet(
-            "test", n_states, [np.eye(n_states)[idx] for idx in indices], 0, 0.0)
+            "test", n_states, np.eye(n_states)[np.array(indices)], 0, 0.0)
         new = imitation.demo_occupancy(one_hot, gamma, n_states=n_states)
         np.testing.assert_array_equal(
             new.mass, old_demo_occupancy(one_hot, gamma, n_states=n_states,

@@ -129,6 +129,25 @@ class TestPolicyDistribution:
         assert loaded.kind == "gaussian"
         np.testing.assert_array_equal(loaded.flat_params(), policy.flat_params())
 
+    def test_checkpoint_without_a_policy_header_rejected(self, tmp_path):
+        """A network checkpoint with no policy kind (a discriminator's), or a
+        Gaussian one with no log_std or a log_std that does not fit its
+        outputs, is a ValueError that names the file and its header."""
+        net = gaussian_policy(seed=7).net
+        cases = {"disc.mlp": (None, "unknown policy kind None"),
+                 "no_std.mlp": ({"kind": "gaussian"}, "log_std None"),
+                 "long_std.mlp": ({"kind": "gaussian", "log_std": [0.0, 0.0, 0.0]},
+                                  r"log_std \[0.0, 0.0, 0.0\] needs one entry per output, 2"),
+                 "text_std.mlp": ({"kind": "gaussian", "log_std": "wide"}, "log_std 'wide'"),
+                 "ragged_std.mlp": ({"kind": "gaussian", "log_std": [[0.0], [0.0, 1.0]]},
+                                    "inhomogeneous")}
+        for name, (extra, problem) in cases.items():
+            path = tmp_path / name
+            nets.save_mlp(path, net, extra=extra)
+            with pytest.raises(ValueError, match=problem) as err:
+                trpo.StochasticPolicy.load(path)
+            assert str(err.value).startswith(f"{path}: header: ")
+
 
 class TestMeanKl:
     def test_identical_policies_zero(self):
