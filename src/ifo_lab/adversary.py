@@ -214,9 +214,6 @@ def conjugacy_objective(cost, rho_pi, rho_E):
     return inner - psi_ga(cost, b)
 
 
-ASCENT_STEPS = 2000   # conjugacy_definition_check's gradient-ascent budget
-
-
 def conjugacy_definition_check(rho_pi, rho_E, cost_samples):
     """Verify sup_c <rho_pi - rho_E, c> - psi_GA(c) against the closed form.
 
@@ -224,7 +221,8 @@ def conjugacy_definition_check(rho_pi, rho_E, cost_samples):
     regime where the expectation in the regularizer and the sums in the
     conjugate use the same measure, so the two sides agree exactly.
     Returns a report dict with the closed-form value, the best sampled
-    objective, the ascent-refined value, and any sup-bound violations.
+    objective, the objective at the analytic optimal cost, and any
+    sup-bound violations.
     """
     a = _as_mass(rho_pi)
     b = _as_mass(rho_E)
@@ -238,28 +236,9 @@ def conjugacy_definition_check(rho_pi, rho_E, cost_samples):
             raise ValueError("cost sample shape mismatch")
         objectives.append(conjugacy_objective(c, a, b))
     objectives = np.asarray(objectives)
-    violations = np.where(objectives > closed + 1e-9)[0]
-    best_idx = int(np.argmax(objectives))
-    # gradient ascent from the best sample; the objective is concave in c
-    c = np.minimum(np.asarray(cost_samples[best_idx], dtype=np.float64), -1e-12)
-    step = 0.5
-    value = conjugacy_objective(c, a, b)
-    for _ in range(ASCENT_STEPS):
-        expc = np.exp(c)
-        grad = (a - b) - b * (-1.0 + expc / (1.0 - expc))
-        c_new = np.minimum(c + step * grad, -1e-12)
-        v_new = conjugacy_objective(c_new, a, b)
-        if v_new > value:
-            c, value = c_new, v_new
-            step *= 1.1
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
     return {
         "closed_form": closed,
-        "best_sampled": float(objectives[best_idx]),
-        "ascent_value": float(value),
+        "best_sampled": float(objectives.max()),
         "optimal_cost_value": conjugacy_objective(optimal_cost(a, b), a, b),
-        "bound_violations": violations.tolist(),
+        "bound_violations": np.flatnonzero(objectives > closed + 1e-9).tolist(),
     }

@@ -214,20 +214,21 @@ def run_sweep(config_path, demo_path, demo_counts, seeds, out_root):
 
 
 def _score_stats(rows):
-    scores = [r["scaled_score"] for r in rows if r.get("scaled_score") is not None]
-    if not scores:
-        return {"n_runs": len(rows)}
-    return {"n_runs": len(rows), "mean_scaled_score": float(np.mean(scores)),
-            "std_scaled_score": float(np.std(scores))}
+    """Run and abort counts, and the statistics of the finite scores."""
+    scores = [s for s in (r.get("scaled_score") for r in rows) if s is not None and np.isfinite(s)]
+    stats = {"n_runs": len(rows), "n_aborted": sum(bool(r.get("aborted")) for r in rows)}
+    if scores:
+        stats.update(mean_scaled_score=float(np.mean(scores)), std_scaled_score=float(np.std(scores)))
+    return stats
 
 
 def aggregate_runs(run_dirs):
     """Pure aggregation over finished run directories: reads summary.json
     files and groups scaled scores by (algorithm, demo count when present).
 
-    by_algorithm[alg] pools every run of the algorithm; when its runs record
-    n_demos, its "by_n_demos" maps each demo count to the same statistics
-    over that count's runs.
+    by_algorithm[alg] counts the algorithm's runs (n_runs) and aborted runs
+    (n_aborted) and pools their finite scores; when its runs record n_demos,
+    its "by_n_demos" maps each demo count to the same over that count's runs.
     """
     summaries = []
     for run_dir in sorted(str(d) for d in run_dirs):

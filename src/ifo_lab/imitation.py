@@ -28,19 +28,35 @@ DEMO_ACTIONS_MAGIC = b"IFODEMA1"
 DEMO_FORMAT_VERSION = 1
 
 
-def _write_demo(path, magic, fmt, demos, extra=(), actions=None, action_dtype=None):
+def _write_demo(path, magic, fmt, demos, extra=(), actions=None, action_dtype=None,
+                action_shape=()):
     """Magic, header (version, env id length, state dim, trajectory count,
     seed, mean return, *extra), env id, then per trajectory its state
-    count, its states and, if given, its actions."""
+    count, its states and, if given, its actions, each (T, *action_shape).
+    The reader's checks run first: a set it would reject is a ValueError
+    naming the field, and no file is written."""
+    field = "trajectories"
+    try:
+        states = np.asarray(demos.trajectories, dtype="<f8")
+        field = "actions"
+        actions = None if actions is None else np.asarray(actions, dtype=action_dtype)
+    except ValueError:
+        raise ValueError(f"{field}: not one array of equal-length rows") from None
+    if states.ndim != 3 or 0 in states.shape[:2] or states.shape[2] != demos.state_dim:
+        raise ValueError(f"trajectories: shape {states.shape}, need (n >= 1, T+1 >= 1, "
+                         f"{demos.state_dim})")
+    want = (len(states), states.shape[1] - 1, *action_shape)
+    if actions is not None and actions.shape != want:
+        raise ValueError(f"actions: shape {actions.shape}, need {want}")
     env_id = demos.env_id.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack(fmt, DEMO_FORMAT_VERSION, len(env_id), demos.state_dim,
-                                     demos.n_trajectories, demos.recording_seed,
+                                     len(states), demos.recording_seed,
                                      demos.expert_mean_return, *extra) + env_id)
-        for k, tr in enumerate(demos.trajectories):
-            fh.write(struct.pack("<I", len(tr)) + np.ascontiguousarray(tr, dtype="<f8").tobytes())
+        for k, tr in enumerate(states):
+            fh.write(struct.pack("<I", len(tr)) + tr.tobytes())
             if actions is not None:
-                fh.write(np.ascontiguousarray(actions[k], dtype=action_dtype).tobytes())
+                fh.write(actions[k].tobytes())
 
 
 def _read_demo_header(reader, magic, what, fmt):
@@ -134,8 +150,9 @@ class DemonstrationSetWithActions:
 
     def save(self, path):
         discrete = self.action_kind == "discrete"
+        dtype, shape = ("<i8", ()) if discrete else ("<f8", (self.action_dim,))
         _write_demo(path, DEMO_ACTIONS_MAGIC, "<IIIIqdBI", self, (int(not discrete), self.action_dim),
-                    self.actions, "<i8" if discrete else "<f8")
+                    self.actions, dtype, shape)
 
     @classmethod
     def load(cls, path):
@@ -235,8 +252,11 @@ class TrainReport:
         }
 
     def save_summary(self, path):
+        """summary() as strict JSON, a non-finite number written as null."""
+        summary = {k: None if isinstance(v, float) and not np.isfinite(v) else v
+                   for k, v in self.summary().items()}
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
+            json.dump(summary, fh, indent=2, allow_nan=False)
 
 
 def evaluate(policy, env, n_episodes, seed):
@@ -382,7 +402,7 @@ def _train(env, config, iterations, seed, algorithm, reward=None, occupancy_ref=
     spec = env.spec
     gamma = config.gamma if config.gamma is not None else spec.gamma
     policy = trpo.make_policy(spec, hidden=config.hidden, seed=seed)
-    vf = trpo.ValueFunction(spec.obs_dim, hidden=config.hidden, seed=seed + 1)
+    vf = trpo.ValueFunction(spec.obs_dim)
     report = TrainReport(algorithm, seed)
     tabular = spec.state_count > 0
     bins = _occupancy_bins(env)

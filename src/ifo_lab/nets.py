@@ -24,8 +24,8 @@ the next one of its size reuses the same pages. Only where memory comes
 from changes, so results are bit-identical; on other platforms and libcs
 the import changes nothing.
 
-``fit_supervised`` is the one minibatch-Adam fit: the value baseline, the
-inverse dynamics model and behavioral cloning all train through it.
+``fit_supervised`` is the one minibatch-Adam fit: BCO's inverse dynamics
+model and its behavioral cloning train through it.
 ``DistinctRows`` is the one distinct-row type, behind its minibatches, the
 discriminator's inputs and the TRPO step (``trpo.CodedStates``).
 

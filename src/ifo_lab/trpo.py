@@ -8,7 +8,7 @@ distribution-space metric), conjugate gradient, and a KL-constrained
 backtracking line search; trpo_update runs them over the batch's distinct states.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,7 +185,7 @@ class CodedStates(nets.DistinctRows):
         self._kept = None
 
 
-def _coded(states):
+def _distinct_states(states):
     if isinstance(states, CodedStates):
         return states
     states = np.asarray(states, dtype=np.float64)
@@ -197,7 +197,7 @@ def mean_kl(policy_old, policy_new, states):
     CodedStates, whose distinct rows are weighted by their counts)."""
     if policy_old.kind != policy_new.kind:
         raise ValueError("policies must share a distribution kind")
-    states = _coded(states)
+    states = _distinct_states(states)
     old, new = states.head(policy_old), states.head(policy_new)
     if policy_old.kind == "categorical":
         p_old = _softmax(old)
@@ -229,7 +229,7 @@ def mean_kl_grad(policy_old, policy_new, states):
 def surrogate_loss(policy, states, actions, advantages, old_logp):
     """Importance-weighted advantage objective mean(ratio * A); maximized.
     states is an array or a CodedStates; the rest is per row."""
-    states = _coded(states)
+    states = _distinct_states(states)
     logp = policy._log_prob_from(states.head(policy)[states.code], actions)
     return float(np.mean(np.exp(logp - old_logp) * advantages))
 
@@ -237,7 +237,7 @@ def surrogate_loss(policy, states, actions, advantages, old_logp):
 def surrogate_grad(policy, states, actions, advantages, old_logp):
     """Flat gradient of the surrogate objective. The per-row output
     gradients are summed onto the distinct rows before one backward pass."""
-    states = _coded(states)
+    states = _distinct_states(states)
     n = len(states)
     out, cache = states.forward(policy)
     rows = out[states.code]
@@ -259,13 +259,11 @@ def surrogate_grad(policy, states, actions, advantages, old_logp):
 class FvpOperator:
     """(Fisher + damping I) v over states (an array or a CodedStates).
 
-    Exact: the metric is J^T A J where J is the network Jacobian (applied
-    by forward-mode JVP) and A the closed-form distribution-space Fisher.
-    Both run over the distinct rows only, and each distinct row's A J v is
-    weighed by its count, so a batch with repeats costs what its distinct
-    rows cost; without repeats the product is the plain mean over rows bit
-    for bit. The forward pass is the states' forward() at the policy's
-    parameters; the operator marks a copy of its cache with
+    Exact: the metric is J^T A J, J the network Jacobian (by forward-mode
+    JVP) and A the closed-form distribution-space Fisher, both over the
+    distinct rows only, each distinct row's A J v weighed by its count;
+    without repeats that is the plain mean over rows bit for bit. The
+    operator marks a copy of the states' forward() cache with
     nets.keep_workspace, so it holds a few (distinct rows, hidden) arrays
     for as long as it lives.
     """
@@ -273,7 +271,7 @@ class FvpOperator:
     def __init__(self, policy, states, damping):
         self.policy = policy
         self.damping = damping
-        self.states = _coded(states)
+        self.states = _distinct_states(states)
         self.out, cache = self.states.forward(policy)
         self.cache = nets.keep_workspace(dict(cache))
         self.counts = self.states.counts[:, None]
@@ -331,9 +329,7 @@ class RolloutBatch:
 
     states and next_states are (n, H, obs_dim), n episodes of H steps in C
     order as in a batch of a rollout (of), or (rows, obs_dim) for a policy
-    step alone; the per-row arrays are flat. coded_states() codes the
-    states on first use; the value fit, the value prediction and the policy
-    step share that one coding.
+    step alone; the per-row arrays are flat.
     """
 
     states: np.ndarray
@@ -342,7 +338,6 @@ class RolloutBatch:
     next_states: np.ndarray
     advantages: np.ndarray = None
     returns: np.ndarray = None
-    _coded: CodedStates = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, rollout):
@@ -353,12 +348,6 @@ class RolloutBatch:
         return cls(states=rollout.states[:, :-1],
                    actions=rollout.actions.reshape(n * horizon, *rollout.actions.shape[2:]),
                    rewards=rollout.rewards.reshape(-1), next_states=rollout.states[:, 1:])
-
-    def coded_states(self):
-        """The states as a CodedStates, made once per batch."""
-        if self._coded is None:
-            self._coded = CodedStates.of(self.states)
-        return self._coded
 
 
 def gae(rewards, values, gamma, lam):
@@ -378,8 +367,7 @@ def gae(rewards, values, gamma, lam):
 
 def compute_advantages(batch, value_fn, gamma, lam=0.97):
     """Fill batch.advantages (normalized) and batch.returns (value targets)."""
-    states = batch.coded_states()
-    values = value_fn.predict(states.distinct)[states.code]
+    values = value_fn.predict(batch.states)
     shape = batch.states.shape[:2]  # (n episodes, H steps)
     adv = gae(batch.rewards.reshape(shape), values.reshape(shape), gamma, lam).reshape(-1)
     batch.returns = adv + values
@@ -388,28 +376,42 @@ def compute_advantages(batch, value_fn, gamma, lam=0.97):
     return batch
 
 
-class ValueFunction:
-    """Scalar MLP baseline fit by Adam regression on discounted returns."""
+VALUE_RIDGE = 1e-5         # the value fit's ridge
+VALUE_TIME_SCALE = 100.0   # steps per unit of the value features' time
 
-    def __init__(self, obs_dim, hidden=(64, 64), lr=1e-3, epochs=5,
-                 minibatch=256, seed=0):
-        self.net = nets.init_mlp([obs_dim, *hidden, 1], activation="tanh",
-                                 rng=np.random.default_rng(seed))
-        self.adam = nets.AdamState(self.net, alpha=lr)
-        self.epochs = epochs
-        self.minibatch = minibatch
-        self._rng = np.random.default_rng(seed + 1)
+
+class ValueFunction:
+    """rllab's linear feature baseline (Duan et al. 2016), fit by one ridge
+    solve over [o, o^2, a, a^2, a^3, 1]: o the state clipped to +-10 at step
+    t and a = t / VALUE_TIME_SCALE. Scores are H-step sums, so a value
+    depends on the steps left. The ridge also absorbs o^2 = o on one-hot
+    states."""
+
+    def __init__(self, obs_dim):
+        self.coef = np.zeros(2 * obs_dim + 4)
+
+    def features(self, states):
+        """(n * H, 2 obs_dim + 4) features of (n, H, obs_dim) states, rows in
+        C order, row (i, t) at step t."""
+        if np.ndim(states) != 3 or 2 * np.shape(states)[2] + 4 != self.coef.size:
+            raise ValueError(f"states of shape {np.shape(states)}: the value baseline needs "
+                             f"(n, H, {(self.coef.size - 4) // 2})")
+        n, horizon, dim = states.shape
+        o = np.clip(states, -10.0, 10.0).reshape(n * horizon, dim)
+        a = np.tile(np.arange(horizon) / VALUE_TIME_SCALE, n)[:, None]
+        return np.concatenate([o, o * o, a, a * a, a**3, np.ones_like(a)], axis=1)
 
     def predict(self, states):
-        out, _ = nets.mlp_forward(self.net, states)
-        return out[:, 0]
+        """One value per row of (n, H, obs_dim) states, flat in C order."""
+        values = self.features(states) @ self.coef
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError("non-finite value prediction")
+        return values
 
     def fit(self, states, targets):
-        """Regress the outputs on targets, one per row of states (a
-        nets.DistinctRows, such as a batch's coded_states())."""
-        nets.fit_supervised(self.net, self.adam, states,
-                            np.asarray(targets, dtype=np.float64), self._rng,
-                            self.epochs, self.minibatch)
+        """Solve (X^T X + VALUE_RIDGE I) w = X^T y, X the features, y flat."""
+        x = self.features(states)
+        self.coef = np.linalg.solve(x.T @ x + VALUE_RIDGE * np.eye(x.shape[1]), x.T @ targets)
 
 
 CG_ITERS = 10         # conjugate-gradient iterations per step
@@ -418,16 +420,14 @@ MAX_BACKTRACKS = 10   # halvings of the step before it is rejected
 
 
 def trpo_update(policy, value_fn, batch, delta=0.01):
-    """One natural-gradient step with KL-constrained backtracking.
+    """One natural-gradient step with KL-constrained backtracking, after
+    fitting the value baseline on batch.returns (which the step never
+    reads). Accepts the first backtracked step with nonnegative surrogate
+    improvement and mean KL <= delta, else leaves the policy unchanged.
+    Returns a diagnostics dict.
 
-    Fits the value baseline on batch.returns first (the policy step reads
-    neither the baseline nor the returns). Then accepts the first
-    backtracked step with nonnegative surrogate improvement and mean KL <=
-    delta; otherwise leaves the policy unchanged. Returns a diagnostics
-    dict.
-
-    The step runs over the batch's distinct states (batch.coded_states())
-    with one policy forward per parameter value. The forward at the old
+    The step runs over the batch's distinct states (CodedStates.of) with
+    one policy forward per parameter value. The forward at the old
     parameters gives the old log-probs, the surrogate gradient, the Fisher
     operator's cache and the old side of every KL, so the ratio at the old
     parameters is exp(0) exactly; each line-search candidate's forward
@@ -437,9 +437,9 @@ def trpo_update(policy, value_fn, batch, delta=0.01):
     """
     if batch.advantages is None:
         raise ValueError("batch needs advantages (see compute_advantages)")
-    states = batch.coded_states()
     if value_fn is not None:
-        value_fn.fit(states, batch.returns)
+        value_fn.fit(batch.states, batch.returns)
+    states = CodedStates.of(batch.states)
     diag = {"accepted": False, "kl": 0.0, "improvement": 0.0,
             "step_frac": 0.0, "backtracks_used": 0}
     out, _ = states.forward(policy)

@@ -271,7 +271,7 @@ def test_criterion_5_trust_region_contract(capfd, point_mass_setup):
     expert_x = adversary.pair_features(s, s_next)
 
     policy = trpo.make_policy(spec, hidden=(64, 64), seed=0)
-    vf = trpo.ValueFunction(spec.obs_dim, hidden=(64, 64), seed=1)
+    vf = trpo.ValueFunction(spec.obs_dim)
     disc = adversary.Discriminator(2 * spec.obs_dim, hidden=(64, 64), seed=2)
     rng = np.random.default_rng(3)
     accepted = 0

@@ -63,7 +63,7 @@ def test_info_functions_read_real_results(perfbench):
     tracer, _ = perfbench
     env = il.gridworld(3, 3, horizon=4)
     policy = trpo.make_policy(env.spec, hidden=(8,), seed=0)
-    vf = trpo.ValueFunction(env.spec.obs_dim, hidden=(8,), seed=1)
+    vf = trpo.ValueFunction(env.spec.obs_dim)
     clean = (policy, env, 3, 2)
     batch = trpo.RolloutBatch.of(envs.rollout(*clean))
     trpo.compute_advantages(batch, vf, env.spec.gamma)

@@ -186,7 +186,7 @@ class TestAggregation:
         assert gaifo["by_n_demos"]["10"]["n_runs"] == 3
         assert gaifo["by_n_demos"]["10"]["mean_scaled_score"] == pytest.approx(0.9)
         assert report["by_algorithm"]["expert"] == {
-            "n_runs": 1, "mean_scaled_score": 1.0, "std_scaled_score": 0.0}
+            "n_runs": 1, "n_aborted": 0, "mean_scaled_score": 1.0, "std_scaled_score": 0.0}
 
     def test_matches_hand_aggregation(self, tmp_path):
         dirs = [self.write_run(tmp_path, f"r{i}", "gaifo", i, s)
@@ -198,6 +198,27 @@ class TestAggregation:
         assert report["by_algorithm"]["gaifo"]["std_scaled_score"] == pytest.approx(
             np.std([0.8, 0.9, 1.0]))
         assert report["by_algorithm"]["gail"]["mean_scaled_score"] == 0.5
+
+    def test_aborted_run_is_strict_json_and_counted_apart(self, tmp_path):
+        """An aborted run whose final evaluation left NaN scores writes them
+        as null; the pool takes only the finite run's score."""
+        dirs = []
+        for name, score, aborted in (("aborted", float("nan"), True), ("finite", 0.7, False)):
+            report = il.imitation.TrainReport("bco", 0)
+            report.final_return = report.scaled_score = score
+            report.aborted = aborted
+            dirs.append(tmp_path / name)
+            dirs[-1].mkdir()
+            report.save_summary(dirs[-1] / "summary.json")
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        summary = json.loads((dirs[0] / "summary.json").read_text(), parse_constant=reject)
+        assert summary["final_return"] is None and summary["scaled_score"] is None
+        assert summary["aborted"] is True
+        assert aggregate_runs(dirs)["by_algorithm"]["bco"] == {
+            "n_runs": 2, "n_aborted": 1, "mean_scaled_score": 0.7, "std_scaled_score": 0.0}
 
     def test_pure_rerun_identical(self, tmp_path):
         dirs = [self.write_run(tmp_path, f"r{i}", "gaifo", i, 0.1 * i)

@@ -4,6 +4,7 @@ report bookkeeping, and short end-to-end runs of every training loop."""
 import copy
 import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -227,24 +228,43 @@ class TestDemoFileFormats:
             with pytest.raises(ValueError, match=field):
                 type(demos).load(path)
 
-    def test_empty_trajectory_rejected(self, tmp_path):
-        demos = DemonstrationSet("grid", 2, [np.zeros((0, 2))], 1, 0.5)
-        path = tmp_path / "d.bin"
-        demos.save(path)
-        with pytest.raises(ValueError, match="trajectory 0 states"):
-            DemonstrationSet.load(path)
-
     @staticmethod
     def _written(path, with_actions, trajectories, actions):
         """A file of either format holding the given per-trajectory arrays,
-        as any writer of the format could lay it out."""
+        laid out with struct as any writer of the format could, so that the
+        loader meets sets that save refuses to write."""
+        magic, fmt, extra = (imitation.DEMO_ACTIONS_MAGIC, "<IIIIqdBI", (0, 1)) \
+            if with_actions else (imitation.DEMO_MAGIC, "<IIIIqd", ())
+        raw = magic + struct.pack(fmt, imitation.DEMO_FORMAT_VERSION, 4, 2, len(trajectories),
+                                  1, 0.5, *extra) + b"grid"
+        for k, tr in enumerate(trajectories):
+            raw += struct.pack("<I", len(tr)) + np.asarray(tr, dtype="<f8").tobytes()
+            if with_actions:
+                raw += np.asarray(actions[k], dtype="<i8").tobytes()
+        path.write_bytes(raw)
+        return DemonstrationSetWithActions if with_actions else DemonstrationSet
+
+    @staticmethod
+    def _demos(with_actions, trajectories, actions):
         fields = dict(env_id="grid", state_dim=2, trajectories=trajectories,
                       recording_seed=1, expert_mean_return=0.5)
-        demos = (DemonstrationSetWithActions(action_kind="discrete", action_dim=1,
-                                             actions=actions, **fields)
-                 if with_actions else DemonstrationSet(**fields))
-        demos.save(path)
-        return type(demos)
+        return (DemonstrationSetWithActions(action_kind="discrete", action_dim=1,
+                                            actions=actions, **fields)
+                if with_actions else DemonstrationSet(**fields))
+
+    def test_written_file_matches_save(self, tmp_path):
+        """The struct layout of _written is the format save writes."""
+        states, actions = np.arange(12.0).reshape(2, 3, 2), np.array([[0, 1], [2, 3]])
+        for with_actions in (False, True):
+            self._written(tmp_path / "w.bin", with_actions, states, actions)
+            self._demos(with_actions, states, actions).save(tmp_path / "s.bin")
+            assert (tmp_path / "w.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
+
+    def test_empty_trajectory_rejected(self, tmp_path):
+        path = tmp_path / "d.bin"
+        self._written(path, False, [np.zeros((0, 2))], None)
+        with pytest.raises(ValueError, match="trajectory 0 states"):
+            DemonstrationSet.load(path)
 
     @pytest.mark.parametrize("with_actions", [False, True])
     def test_unequal_state_counts_rejected(self, tmp_path, with_actions):
@@ -264,6 +284,28 @@ class TestDemoFileFormats:
         with pytest.raises(ValueError, match="header: no trajectories") as err:
             kind.load(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("with_actions,case", [
+        (with_actions, case) for case in ("zero trajectories", "no states",
+                                          "unequal state counts", "wrong state dim")
+        for with_actions in (False, True)] + [(True, "short actions"), (True, "ragged actions")])
+    def test_save_rejects_what_load_rejects(self, tmp_path, with_actions, case):
+        """save runs the loader's checks first: a set the loader would
+        reject is a ValueError naming the field, and no file is made."""
+        trajectories, actions = {
+            "zero trajectories": (np.zeros((0, 3, 2)), np.zeros((0, 2), int)),
+            "no states": ([np.zeros((0, 2))], np.zeros((1, 0), int)),
+            "unequal state counts": ([np.zeros((3, 2)), np.ones((2, 2))],
+                                     [np.zeros(2, int), np.ones(1, int)]),
+            "wrong state dim": (np.zeros((2, 3, 3)), np.zeros((2, 2), int)),
+            "short actions": (np.zeros((2, 3, 2)), np.zeros((2, 1), int)),
+            "ragged actions": (np.zeros((2, 3, 2)), [np.zeros(2, int), np.zeros(1, int)]),
+        }[case]
+        path = tmp_path / "d.bin"
+        field = "actions" if case.endswith("actions") else "trajectories"
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            self._demos(with_actions, trajectories, actions).save(path)
+        assert not path.exists()
 
 
 class TestEvaluate:
@@ -441,22 +483,9 @@ def _poison_iteration_2(monkeypatch, point):
         def fit_then_poison(self, states, targets):
             fit(self, states, targets)
             if len(seen) == 2:
-                self.net.weights[0][0, 0] = np.nan
+                self.coef[0] = np.nan
 
         monkeypatch.setattr(trpo.ValueFunction, "fit", fit_then_poison)
-    if point == "value gradient":
-        fit = trpo.ValueFunction.fit
-        backward = nets.mlp_backward
-
-        def nan_backward(params, cache, output_grad):
-            return backward(params, cache, output_grad) * np.nan
-
-        def fit_with_nan_gradient(self, states, targets):
-            if len(seen) == 3:
-                monkeypatch.setattr(nets, "mlp_backward", nan_backward)
-            fit(self, states, targets)
-
-        monkeypatch.setattr(trpo.ValueFunction, "fit", fit_with_nan_gradient)
     if point == "discriminator gradient":
         loss_grad = adversary.disc_loss_grad
 
@@ -487,16 +516,17 @@ def _poison_iteration_2(monkeypatch, point):
 
 
 class TestNonFiniteAbort:
-    """A non-finite value in the rollout, a gradient, the value net, the
-    TRPO step or the iteration's occupancy tracking or evaluation ends the
-    run as aborted with the last finite policy, not with an exception. An
-    overflowing forward is met by the evaluation of train_expert and by the
-    occupancy tracking of gaifo_train, each evaluating every iteration."""
+    """A non-finite value in the rollout, a gradient, the value baseline's
+    coefficients, the TRPO step or the iteration's occupancy tracking or
+    evaluation ends the run as aborted with the last finite policy, not
+    with an exception. An overflowing forward is met by the evaluation of
+    train_expert and by the occupancy tracking of gaifo_train, each
+    evaluating every iteration."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("trainer,point", [
         (trainer, point) for trainer in ("expert", "gaifo")
-        for point in ("rollout", "value net", "value gradient", "fisher product",
+        for point in ("rollout", "value net", "fisher product",
                       "discriminator gradient", "overflowing forward")
         if (trainer, point) != ("expert", "discriminator gradient")])
     def test_aborts_with_last_finite_snapshot(self, monkeypatch, gridworld_demos,

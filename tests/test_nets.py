@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifo_lab import nets, trpo
+from ifo_lab import nets
 
 
 def loss_on_flat(net, x, weights):
@@ -571,19 +571,6 @@ class TestFitSupervised:
             nets.fit_supervised(net, nets.AdamState(net), rows, y,
                                 np.random.default_rng(9), epochs=2, minibatch=16)
             fitted.append(net.flatten())
-        assert fitted[0].tobytes() == fitted[1].tobytes()
-
-    def test_a_batchs_coding_trains_a_value_net_like_a_fresh_one(self):
-        rng = np.random.default_rng(8)
-        states = np.eye(4)[rng.integers(4, size=50)]
-        batch = trpo.RolloutBatch(states=states, actions=np.zeros(50, int),
-                                  rewards=np.zeros(50), next_states=states)
-        targets = rng.normal(size=50)
-        fitted = []
-        for coded in (batch.coded_states(), trpo.CodedStates.of(batch.states)):
-            vf = trpo.ValueFunction(4, hidden=(8,), epochs=2, minibatch=16, seed=9)
-            vf.fit(coded, targets)
-            fitted.append(vf.net.flatten())
         assert fitted[0].tobytes() == fitted[1].tobytes()
 
     def test_vector_targets_fit_a_one_output_net_like_column_targets(self):

@@ -256,7 +256,8 @@ class TestGae:
         env = envs.PointMass(horizon=20)
         policy = gaussian_policy(obs_dim=4, action_dim=2, seed=8)
         batch = trpo.RolloutBatch.of(envs.rollout(policy, env, 3, 0))
-        vf = trpo.ValueFunction(4, hidden=(8,), seed=0)
+        vf = trpo.ValueFunction(4)
+        vf.fit(batch.states, batch.rewards)
         trpo.compute_advantages(batch, vf, 0.99, 0.97)
         assert batch.advantages.mean() == pytest.approx(0.0, abs=1e-10)
         assert batch.advantages.std() == pytest.approx(1.0, abs=1e-8)
@@ -461,13 +462,67 @@ class TestTrpoUpdate:
 
     def test_value_function_fits_returns(self):
         rng = np.random.default_rng(17)
-        states = rng.normal(size=(512, 3))
-        targets = states @ np.array([1.0, -2.0, 0.5])
-        vf = trpo.ValueFunction(3, hidden=(32,), lr=1e-2, epochs=50, seed=3)
-        vf.fit(nets.DistinctRows.of(states), targets)
+        states = rng.normal(size=(64, 8, 3))
+        targets = (states @ np.array([1.0, -2.0, 0.5])).reshape(-1)
+        vf = trpo.ValueFunction(3)
+        vf.fit(states, targets)
         pred = vf.predict(states)
         mse = float(np.mean((pred - targets) ** 2))
         assert mse < 0.1 * float(np.var(targets))
+
+
+class TestValueFunction:
+    def test_starts_at_zero(self):
+        vf = trpo.ValueFunction(3)
+        assert np.all(vf.predict(np.ones((2, 5, 3))) == 0.0)
+
+    def test_features(self):
+        states = np.array([[[0.5, -20.0], [2.0, 3.0]]])
+        x = trpo.ValueFunction(2).features(states)
+        np.testing.assert_array_equal(x, [
+            [0.5, -10.0, 0.25, 100.0, 0.0, 0.0, 0.0, 1.0],
+            [2.0, 3.0, 4.0, 9.0, 0.01, 1e-4, 1e-6, 1.0]])
+
+    def test_fit_is_the_ridge_least_squares_solution(self):
+        rng = np.random.default_rng(4)
+        states = rng.normal(size=(30, 20, 3))
+        targets = rng.normal(size=600) + np.tile(np.arange(20.0, 0.0, -1.0), 30)
+        vf = trpo.ValueFunction(3)
+        vf.fit(states, targets)
+        x = vf.features(states)
+        k = x.shape[1]
+        augmented = np.vstack([x, np.sqrt(trpo.VALUE_RIDGE) * np.eye(k)])
+        want = np.linalg.lstsq(augmented, np.concatenate([targets, np.zeros(k)]), rcond=None)[0]
+        np.testing.assert_allclose(vf.coef, want, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(vf.predict(states), x @ want, rtol=0, atol=1e-9)
+
+    def test_recovers_the_values_of_a_chain(self):
+        """A chain of 5 one-hot states walks one state right per step and
+        stays in the last. Each step pays 1 plus the drop in a potential
+        phi, which is 0 in the last state, so every episode of H = 8 >= 4
+        steps ends there and the value to go of state s at step t is
+        V(s, t) = (H - t) + phi(s): a function of the state plus one of the
+        time, which the features hold exactly. 40 episodes start in each
+        state, so the ridge's pull on the large time coefficient is small."""
+        n_states, horizon = 5, 8
+        phi = np.array([3.0, -1.0, 2.5, 0.5, 0.0])
+        starts = np.repeat(np.arange(n_states), 40)
+        path = np.minimum(starts[:, None] + np.arange(horizon + 1), n_states - 1)
+        rewards = 1.0 + phi[path[:, :-1]] - phi[path[:, 1:]]
+        to_go = np.cumsum(rewards[:, ::-1], axis=1)[:, ::-1]
+        t = np.arange(horizon)
+        np.testing.assert_allclose(to_go, horizon - t + phi[path[:, :-1]], atol=1e-12)
+        states = np.eye(n_states)[path[:, :-1]]
+        vf = trpo.ValueFunction(n_states)
+        vf.fit(states, to_go.reshape(-1))
+        np.testing.assert_allclose(vf.predict(states), to_go.reshape(-1), rtol=0, atol=1e-3)
+
+    @pytest.mark.parametrize("call", ["fit", "predict"])
+    def test_rejects_flat_states(self, call):
+        vf = trpo.ValueFunction(3)
+        args = (np.zeros((50, 3)), np.zeros(50))[: 2 if call == "fit" else 1]
+        with pytest.raises(ValueError, match=r"shape \(50, 3\)"):
+            getattr(vf, call)(*args)
 
 
 def plain_surrogate_grad(policy, states, actions, advantages, old_logp):
